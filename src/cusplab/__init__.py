@@ -5,16 +5,15 @@ __version__ = "0.1.0"
 
 from .density import (DensityProfile, DiniReport, dini_report, eval_density,
                       lebesgue_profile, power_profile, tabulated_profile)
-from .potential import (PotentialField, eval_closed_form, eval_potential,
-                        kellogg_closed_form, lebesgue_closed_form,
-                        sector_bound_check)
+from .potential import (PotentialField, eval_closed_form, kellogg_closed_form,
+                        lebesgue_closed_form, sector_bound_check)
 from .contour import (ContourCurve, CuspRateReport, axis_crossings,
                       cusp_rate_bounds, log_radius_at, radius_at,
                       trace_contour)
 from .mesh import (CrossSection, Mesh, build_cross_section, mesh_quality,
                    rectangle_mesh, triangulate)
 from .fem import (BoundaryData, BumpData, ConstantData, SolutionField,
-                  TabulatedData, assemble, energy, solve_dirichlet,
+                  TabulatedData, assemble, solve_dirichlet,
                   two_constant_oracle)
 from .wos import WosEstimate, distance_to_boundary, estimate
 from .probe import (ProbePath, limit_set_estimate, nonlocality_experiment,

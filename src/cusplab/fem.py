@@ -90,9 +90,10 @@ class BoundaryData:
     def node_values(self, mesh):
         """Values at every constrained node of the mesh, keyed by node id."""
         out = {}
+        tags = np.asarray(mesh.node_tags)
         for tag, spec in self.spec.items():
             arc = mesh.component_arcs.get(tag)
-            ids = [i for i, t in enumerate(mesh.node_tags) if t == tag]
+            ids = np.flatnonzero(tags == tag).tolist()
             if not ids:
                 continue
             if isinstance(spec, TabulatedData):
@@ -126,27 +127,24 @@ class BoundaryData:
 
 def assemble(mesh):
     """Weighted stiffness matrix: K[i,j] = sum_e r_bar_e area_e b_i.b_j."""
-    pts = mesh.nodes
     tris = mesh.triangles
-    rows, cols, vals = [], [], []
-    for tri in tris:
-        p = pts[tri]
-        r_bar = p[:, 0].mean()
-        x, y = p[:, 0], p[:, 1]
-        area2 = ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
-        if area2 <= 0:
-            raise MeshError(f"degenerate or flipped element {tri}")
-        area = 0.5 * area2
-        bx = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / area2
-        by = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / area2
-        ke = r_bar * area * (np.outer(bx, bx) + np.outer(by, by))
-        for a in range(3):
-            for b in range(3):
-                rows.append(tri[a])
-                cols.append(tri[b])
-                vals.append(ke[a, b])
-    n = len(pts)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    p = mesh.nodes[tris]                           # (m, 3, 2)
+    x, y = p[:, :, 0], p[:, :, 1]
+    area2 = 2.0 * mesh.signed_areas()
+    bad = np.flatnonzero(area2 <= 0)
+    if len(bad):
+        raise MeshError(f"degenerate or flipped element {tris[bad[0]]}")
+    r_bar = x.mean(axis=1)
+    # b_k = grad of the k-th hat function: rotated opposite edge / (2 area)
+    bx = (np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)) / area2[:, None]
+    by = (np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)) / area2[:, None]
+    weight = r_bar * (0.5 * area2)
+    ke = weight[:, None, None] * (bx[:, :, None] * bx[:, None, :]
+                                  + by[:, :, None] * by[:, None, :])
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    n = len(mesh.nodes)
+    return sparse.csr_matrix((ke.ravel(), (rows, cols)), shape=(n, n))
 
 
 @dataclass
@@ -174,19 +172,25 @@ class SolutionField:
 
 
 def _locate(mesh, r, z, tol=1e-12):
-    p = np.array([r, z])
-    pts = mesh.nodes
-    for k, tri in enumerate(mesh.triangles):
-        a, b, c = pts[tri]
-        m = np.column_stack([b - a, c - a])
-        try:
-            lam12 = np.linalg.solve(m, p - a)
-        except np.linalg.LinAlgError:
-            continue
-        lam = np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])
-        if np.all(lam >= -tol):
-            return tri, lam
-    return None
+    """First triangle in mesh order whose barycentric coordinates of (r, z)
+    are all >= -tol, with those coordinates; None outside the mesh.
+    Triangles with a zero determinant are skipped."""
+    p = mesh.nodes[mesh.triangles]
+    a = p[:, 0]
+    e1, e2 = p[:, 1] - a, p[:, 2] - a
+    dr, dz = r - a[:, 0], z - a[:, 1]
+    det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+    ok = det != 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam1 = (dr * e2[:, 1] - e2[:, 0] * dz) / det
+        lam2 = (e1[:, 0] * dz - dr * e1[:, 1]) / det
+    lam0 = 1.0 - (lam1 + lam2)
+    inside = ok & (lam0 >= -tol) & (lam1 >= -tol) & (lam2 >= -tol)
+    hits = np.flatnonzero(inside)
+    if len(hits) == 0:
+        return None
+    k = hits[0]
+    return mesh.triangles[k], np.array([lam0[k], lam1[k], lam2[k]])
 
 
 def solve_dirichlet(mesh, data, tol=1e-10, maxiter=None):
@@ -198,16 +202,18 @@ def solve_dirichlet(mesh, data, tol=1e-10, maxiter=None):
     K = assemble(mesh)
     n = K.shape[0]
     bc = data.node_values(mesh) if isinstance(data, BoundaryData) else dict(data)
+    is_fixed = np.zeros(n, dtype=bool)
+    ids = np.fromiter(bc, dtype=int, count=len(bc))
+    is_fixed[ids] = True
+    tags = np.asarray(mesh.node_tags)
     for tag in ESSENTIAL_TAGS:
-        tagged = [i for i, t in enumerate(mesh.node_tags) if t == tag]
-        missing = [i for i in tagged if i not in bc]
-        if missing:
+        if np.any((tags == tag) & ~is_fixed):
             raise InputError(f"boundary data missing for tag {tag!r}")
 
-    fixed = np.array(sorted(bc), dtype=int)
-    free = np.array([i for i in range(n) if i not in bc], dtype=int)
+    fixed = np.flatnonzero(is_fixed)
+    free = np.flatnonzero(~is_fixed)
     u = np.zeros(n)
-    u[fixed] = [bc[i] for i in fixed]
+    u[ids] = np.fromiter(bc.values(), dtype=float, count=len(bc))
 
     K_ff = K[free][:, free].tocsr()
     rhs = -K[free][:, fixed] @ u[fixed]
@@ -239,10 +245,6 @@ def solve_dirichlet(mesh, data, tol=1e-10, maxiter=None):
     return SolutionField(mesh=mesh, values=u, dirichlet_energy=energy,
                          iterations=iterations, residual=residual,
                          boundary_values=bc)
-
-
-def energy(field):
-    return field.dirichlet_energy
 
 
 def two_constant_oracle(field, A, B, alpha, beta, points):

@@ -126,27 +126,41 @@ class Mesh:
                       - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
     def min_angles(self):
-        p = self.nodes[self.triangles]
-        angles = np.empty((len(self.triangles), 3))
-        for k in range(3):
-            a = p[:, (k + 1) % 3] - p[:, k]
-            b = p[:, (k + 2) % 3] - p[:, k]
-            cosv = np.sum(a * b, axis=1) / (np.linalg.norm(a, axis=1)
-                                            * np.linalg.norm(b, axis=1))
-            angles[:, k] = np.degrees(np.arccos(np.clip(cosv, -1.0, 1.0)))
-        return angles.min(axis=1)
+        return _min_angles(self.nodes[self.triangles])
 
     def boundary_edges(self):
-        count = {}
-        for tri in self.triangles:
-            for k in range(3):
-                e = tuple(sorted((int(tri[k]), int(tri[(k + 1) % 3]))))
-                count[e] = count.get(e, 0) + 1
-        return [e for e, c in count.items() if c == 1]
+        edges, counts = _edge_counts(self.triangles)
+        return [(int(i), int(j)) for i, j in edges[counts == 1]]
 
     def nodes_with_tag(self, tag):
-        return np.array([i for i, t in enumerate(self.node_tags) if t == tag],
-                        dtype=int)
+        return np.flatnonzero(np.asarray(self.node_tags) == tag)
+
+
+def _min_angles(p):
+    """Minimum angle (degrees) of each triangle of a (k, 3, 2) coordinate
+    array; 0 for a triangle with a zero-length edge."""
+    angles = np.empty(p.shape[:2])
+    for k in range(3):
+        a = p[:, (k + 1) % 3] - p[:, k]
+        b = p[:, (k + 2) % 3] - p[:, k]
+        na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cosv = np.sum(a * b, axis=1) / (na * nb)
+        angles[:, k] = np.degrees(np.arccos(np.clip(cosv, -1.0, 1.0)))
+        angles[(na == 0.0) | (nb == 0.0), k] = 0.0
+    return angles.min(axis=1)
+
+
+def _edge_counts(triangles):
+    """Distinct triangle edges as sorted (i, j) rows, with the number of
+    triangles sharing each."""
+    t = np.asarray(triangles, dtype=int)
+    edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
+                    axis=1)
+    # one integer key per edge: a 1-D unique sorts much faster than rows
+    n = int(t.max()) + 1
+    keys, counts = np.unique(edges[:, 0] * n + edges[:, 1], return_counts=True)
+    return np.column_stack(np.divmod(keys, n)), counts
 
 
 def _graded_steps(n_steps, first_fraction, last_fraction=None):
@@ -342,44 +356,36 @@ def triangulate(cs, n_levels=8, n_stations=32):
     def gid(i, j):
         return offsets[i] + j
 
-    triangles = []
-
-    def add_quad(a, b, c, d):
-        # split along the diagonal with the better worst angle
-        split1 = ((a, b, c), (a, c, d))
-        split2 = ((a, b, d), (b, c, d))
-        q1 = min(_tri_quality(nodes, t) for t in split1)
-        q2 = min(_tri_quality(nodes, t) for t in split2)
-        best = split1 if q1 >= q2 else split2
-        for t in best:
-            if _tri_area(nodes, t) == 0.0:
-                raise MeshError(f"degenerate cell at nodes {t}")
-            triangles.append(t)
-
+    # quads strip by strip; the last strip pairs station j of its lower rail
+    # with station j + 1 of rail B, whose station 1 is the cap corner, and
+    # closes the cap with one extra triangle
     m = len(rails)
+    quads = []
     for i in range(m - 1):
-        shift = 1 if rails[i + 1] is rail_b else 0
-        n_i = len(rail_nodes[i])
-        for j in range(n_i - 1):
-            a = gid(i, j)
-            b = gid(i + 1, j + shift)
-            c = gid(i + 1, j + 1 + shift)
-            d = gid(i, j + 1)
-            add_quad(a, b, c, d)
-        if shift:
-            triangles.append((gid(i + 1, 0), gid(i + 1, 1), gid(i, 0)))
+        shift = 1 if i == m - 2 else 0
+        quads += [(gid(i, j), gid(i + 1, j + shift), gid(i + 1, j + 1 + shift),
+                   gid(i, j + 1)) for j in range(len(rail_nodes[i]) - 1)]
+    q = np.asarray(quads, dtype=int)
+    # both diagonal splits, (a, b, c) (a, c, d) and (a, b, d) (b, c, d); take
+    # the one with the better worst angle, the first on a tie
+    splits = q[:, [[0, 1, 2], [0, 2, 3], [0, 1, 3], [1, 2, 3]]]
+    quality = _min_angles(nodes[splits.reshape(-1, 3)]).reshape(-1, 4)
+    first = (np.minimum(quality[:, 0], quality[:, 1])
+             >= np.minimum(quality[:, 2], quality[:, 3]))
+    chosen = np.where(first[:, None, None], splits[:, :2], splits[:, 2:])
+    cap = [gid(m - 1, 0), gid(m - 1, 1), gid(m - 2, 0)]
+    tris = np.vstack([chosen.reshape(-1, 3), cap])
 
     # orient all triangles CCW in the (r, z) plane
     rz = np.column_stack([nodes[:, 1], nodes[:, 0]])
-    tris = []
-    for t in triangles:
-        p = rz[list(t)]
-        area = 0.5 * ((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-                      - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1]))
-        if area == 0.0:
-            raise MeshError(f"degenerate cell at nodes {t}")
-        tris.append(t if area > 0 else (t[0], t[2], t[1]))
-    tris = np.asarray(tris, dtype=int)
+    p = rz[tris]
+    area = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    flat = np.flatnonzero(area == 0.0)
+    if len(flat):
+        raise MeshError(
+            f"degenerate cell at nodes {tuple(tris[flat[0]].tolist())}")
+    tris = np.where((area > 0)[:, None], tris, tris[:, [0, 2, 1]])
 
     # node tags
     node_tags = [INTERIOR] * len(nodes)
@@ -433,27 +439,6 @@ def triangulate(cs, n_levels=8, n_stations=32):
     return mesh
 
 
-def _tri_area(nodes_zr, t):
-    p = nodes_zr[list(t)]
-    return abs(0.5 * ((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-                      - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1])))
-
-
-def _tri_quality(nodes_zr, t):
-    """Minimum angle (degrees) of a triangle given in (z, r) rows."""
-    p = nodes_zr[list(t)]
-    best = 180.0
-    for k in range(3):
-        a = p[(k + 1) % 3] - p[k]
-        b = p[(k + 2) % 3] - p[k]
-        na, nb_ = np.linalg.norm(a), np.linalg.norm(b)
-        if na == 0.0 or nb_ == 0.0:
-            return 0.0
-        cosv = np.clip(np.dot(a, b) / (na * nb_), -1.0, 1.0)
-        best = min(best, math.degrees(math.acos(cosv)))
-    return best
-
-
 @dataclass
 class QualityReport:
     min_angle: float
@@ -476,16 +461,13 @@ def mesh_quality(mesh):
     are reported, never raised."""
     areas = mesh.signed_areas()
     angles = mesh.min_angles()
-    edges = set()
-    for tri in mesh.triangles:
-        for k in range(3):
-            edges.add(tuple(sorted((int(tri[k]), int(tri[(k + 1) % 3])))))
+    edges, counts = _edge_counts(mesh.triangles)
     euler = len(mesh.nodes) - len(edges) + len(mesh.triangles)
     census = {}
     for t in mesh.node_tags:
         census[t] = census.get(t, 0) + 1
-    boundary = mesh.boundary_edges()
-    fully_tagged = all(e in mesh.edge_tags for e in boundary)
+    fully_tagged = all((int(i), int(j)) in mesh.edge_tags
+                       for i, j in edges[counts == 1])
     return QualityReport(min_angle=float(angles.min()),
                          min_area=float(areas.min()),
                          max_area=float(areas.max()),

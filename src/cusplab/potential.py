@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy import integrate
 
-from .density import LEBESGUE, lebesgue_profile
+from .density import LEBESGUE, TABULATED, lebesgue_profile
 from .errors import AccuracyError, DomainError, InputError
 
 INF = math.inf
@@ -154,22 +154,23 @@ class PotentialField:
                     "resolvable by quadrature; use a closed form")
             f = lambda zeta: rho(zeta) / math.sqrt((zeta - z) ** 2 + r * r)
         split = min(max(z, 0.0), L)
-        points = [split] if 0.0 < split < L else None
+        points = [split] if 0.0 < split < L else []
+        if rho.kind == TABULATED and not criticality:
+            # the interpolant has a kink at every interior knot
+            points = sorted(set(points).union(rho.samples[1:-1, 0]))
+        # QUADPACK rejects fewer subintervals than the breakpoints make
+        limit = max(self.max_subdivisions, len(points) + 1)
         with warnings.catch_warnings():
             # accuracy is judged from abserr below; the warning is redundant
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
             val, abserr = integrate.quad(
-                f, 0.0, L, points=points, epsabs=0.0, epsrel=self.rel_tol,
-                limit=self.max_subdivisions)
+                f, 0.0, L, points=points or None, epsabs=0.0,
+                epsrel=self.rel_tol, limit=limit)
         if abserr > 10.0 * self.rel_tol * max(abs(val), 1e-300):
             raise AccuracyError(
                 f"quadrature for V({r}, {z}) reached error {abserr:.2e} only",
                 best_estimate=val)
         return val
-
-
-def eval_potential(field, r, z):
-    return field.value(r, z)
 
 
 @dataclass

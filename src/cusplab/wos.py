@@ -65,7 +65,7 @@ class _BoundaryModel:
             spec = dict(data.spec)
         else:
             spec = dict(data)
-        pts_all, val_all = [], []
+        pts_all, val_all, gap = [], [], 0.0
         for tag, pl in cs.boundary_polylines():
             pl = np.asarray(pl, dtype=float)
             arcs = _polyline_arcs(pl)
@@ -74,12 +74,18 @@ class _BoundaryModel:
             s = np.linspace(0.0, 1.0, n)
             rr = np.interp(s, arcs, pl[:, 0])
             zz = np.interp(s, arcs, pl[:, 1])
+            # arc gap between resampled points; the measured chords also
+            # cover the rounding of the resample
+            gap = max(gap, total / (n - 1),
+                      np.hypot(np.diff(rr), np.diff(zz)).max())
             pts_all.append(np.column_stack([rr, zz]))
             val_all.append(self._datum_values(spec.get(tag), s, pl, arcs, tag))
         self.points = np.vstack(pts_all)
         self.values = np.concatenate(val_all)
         self.tree = cKDTree(self.points)
-        self.shrink = spacing / 2.0
+        # the true nearest boundary point lies within half a gap of a
+        # resampled vertex
+        self.shrink = gap / 2.0
 
     @staticmethod
     def _datum_values(spec, s, pl, arcs, tag):

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cusplab import density, fem, mesh, potential
-from cusplab.errors import ConvergenceError, DomainError, InputError
+from cusplab.errors import ConvergenceError, DomainError, InputError, MeshError
 
 THREE_PI = 3.0 * math.pi
 
@@ -216,3 +217,68 @@ def test_interpolation(canonical, canonical_sol, leb):
     assert v == pytest.approx(leb.value(0.5, 0.5), rel=0.01)
     with pytest.raises(DomainError):
         canonical_sol(5.0, 5.0)
+
+
+def _assemble_reference(m):
+    """Per-element loop: the stiffness matrix entry by entry."""
+    K = np.zeros((len(m.nodes), len(m.nodes)))
+    for tri in m.triangles:
+        x, y = m.nodes[tri, 0], m.nodes[tri, 1]
+        area2 = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
+        bx = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / area2
+        by = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / area2
+        K[np.ix_(tri, tri)] += x.mean() * 0.5 * area2 * (np.outer(bx, bx)
+                                                         + np.outer(by, by))
+    return K
+
+
+def test_assemble_matches_element_loop(canonical):
+    K = fem.assemble(canonical).toarray()
+    ref = _assemble_reference(canonical)
+    assert np.abs(K - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_assemble_names_first_flipped_element():
+    m = mesh.rectangle_mesh(1.0, 2.0, 0.0, 1.0, 4, 4)
+    for k in (5, 9):
+        m.triangles[k] = m.triangles[k, [0, 2, 1]]
+    with pytest.raises(MeshError, match=re.escape(str(m.triangles[5]))):
+        fem.assemble(m)
+
+
+def _locate_reference(m, r, z, tol=1e-12):
+    """Linear scan with one 2x2 solve per triangle."""
+    p = np.array([r, z])
+    for tri in m.triangles:
+        a, b, c = m.nodes[tri]
+        try:
+            lam12 = np.linalg.solve(np.column_stack([b - a, c - a]), p - a)
+        except np.linalg.LinAlgError:
+            continue
+        lam = np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])
+        if np.all(lam >= -tol):
+            return tri, lam
+    return None
+
+
+def test_locate_matches_linear_scan(cs):
+    small = mesh.triangulate(cs, n_levels=4, n_stations=8)
+    rng = np.random.default_rng(11)
+    inside, outside = [], []
+    while len(inside) < 200:
+        r, z = rng.uniform(0.0, 1.6), rng.uniform(-0.7, 2.0)
+        (inside if _locate_reference(small, r, z) else outside).append((r, z))
+    t = small.triangles
+    edges = np.unique(np.sort(np.concatenate([t[:, :2], t[:, 1:], t[:, ::2]]),
+                              axis=1), axis=0)
+    midpoints = 0.5 * (small.nodes[edges[:, 0]] + small.nodes[edges[:, 1]])
+    points = inside + outside + [tuple(p) for p in small.nodes] \
+        + [tuple(p) for p in midpoints] + [(3.0, 3.0), (0.1, -5.0)]
+    assert len(outside) > 10
+    for r, z in points:
+        got, want = fem._locate(small, r, z), _locate_reference(small, r, z)
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(got[0], want[0])
+            assert np.abs(got[1] - want[1]).max() <= 1e-12

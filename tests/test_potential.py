@@ -98,6 +98,27 @@ def test_power_field_quadrature():
     assert field.v00 == pytest.approx(0.5, abs=1e-10)
 
 
+def test_tabulated_field_matches_mpmath_split_at_knots():
+    # z^1.5 at 17 knots: a quadrature split only at z stops near 2e-7
+    mpmath = pytest.importorskip("mpmath")
+    knots = np.linspace(0.0, 1.0, 17)
+    samples = np.column_stack([knots, knots ** 1.5])
+    field = potential.PotentialField(density.tabulated_profile(samples))
+    for r, z in [(0.5, 0.07), (0.05, 0.5), (0.01, 0.3), (0.3, 1.2),
+                 (0.2, -0.3)]:
+        with mpmath.workdps(30):
+            r, z = mpmath.mpf(r), mpmath.mpf(z)
+            total = mpmath.mpf(0)
+            for (z0, v0), (z1, v1) in zip(samples[:-1], samples[1:]):
+                z0, z1, v0 = mpmath.mpf(z0), mpmath.mpf(z1), mpmath.mpf(v0)
+                slope = (mpmath.mpf(v1) - v0) / (z1 - z0)
+                cuts = [z0, z, z1] if z0 < z < z1 else [z0, z1]
+                total += mpmath.quad(lambda s: (v0 + slope * (s - z0))
+                                     / mpmath.sqrt((s - z) ** 2 + r * r), cuts)
+        assert field.value(float(r), float(z)) == \
+            pytest.approx(float(total), rel=1e-10)
+
+
 def test_sector_bound_alpha_zero(leb):
     rng = np.random.default_rng(3)
     pts = [(rng.uniform(0.05, 3.0), -rng.uniform(0.0, 2.0)) for _ in range(100)]

@@ -68,6 +68,25 @@ def test_distance_axis_point_vs_brute_force(cs, leb):
     assert d > 0.1
 
 
+def test_step_shrink_covers_resample_gap(cs):
+    # a step shorter than the nearest-vertex distance by half of every gap
+    # between consecutive resampled points of a component stays inside
+    class OneComponent:
+        def __init__(self, part):
+            self.part = part
+
+        def boundary_polylines(self):
+            return [self.part]
+
+    data = fem.BoundaryData.constants(0.5, 2.0)
+    for eps in (5e-5, 1e-4):
+        model = wos._BoundaryModel(cs, data, eps)
+        for part in cs.boundary_polylines():
+            pts = wos._BoundaryModel(OneComponent(part), data, eps).points
+            gaps = np.hypot(*np.diff(pts, axis=0).T)
+            assert model.shrink >= 0.5 * gaps.max()
+
+
 def test_distance_rejects_exterior(cs):
     with pytest.raises(DomainError):
         wos.distance_to_boundary(cs, (3.0, 3.0))
