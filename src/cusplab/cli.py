@@ -239,8 +239,8 @@ def cmd_probe(cfg):
     start = float(cfg.get("start", 0.2))
     kwargs = {}
     if source == "wos":
-        cs = mesh.build_cross_section(field, A, B)
-        kwargs = dict(cross_section=cs, data=_build_data(data_spec),
+        kwargs = dict(cross_section=_cross_section(cfg, field),
+                      data=_build_data(data_spec),
                       walks=int(cfg.get("walks", 10000)),
                       eps=float(cfg.get("eps", 1e-4)),
                       seed=int(cfg.get("seed", 0)))
@@ -299,10 +299,7 @@ def cmd_wiener(cfg):
 def cmd_wos(cfg):
     out = _outdir(cfg)
     field = PotentialField(_build_density(cfg["density"]))
-    A, B = (float(v) for v in cfg.get("levels", [0.5, 2.0]))
-    r_min = cfg.get("r_min")
-    cs = mesh.build_cross_section(field, A, B,
-                                  r_min=None if r_min is None else float(r_min))
+    cs = _cross_section(cfg, field)
     data = _build_data(cfg["data"])
     walks = int(cfg.get("walks", 10000))
     eps = float(cfg.get("eps", 1e-4))

@@ -176,10 +176,11 @@ class ContourCurve:
     def max_residual(self):
         return float(self.residuals.max()) if len(self.residuals) else 0.0
 
-    def arc_lengths(self):
-        """Cumulative polyline arc length over the samples."""
-        d = np.hypot(np.diff(self.samples[:, 0]), np.diff(self.samples[:, 1]))
-        return np.concatenate([[0.0], np.cumsum(d)])
+
+def polyline_arcs(pts):
+    """Cumulative arc length at each row of an (n, 2) polyline, from 0."""
+    seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
+    return np.concatenate([[0.0], np.cumsum(seg)])
 
 
 def _geometric_offsets(field, c, z1, z2, n):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .contour import (ContourCurve, log_radius_at, radius_at,
+from .contour import (ContourCurve, log_radius_at, polyline_arcs, radius_at,
                       trace_contour)
 from .errors import InputError, MeshError, RangeError
 
@@ -218,8 +218,7 @@ class _Rail:
             pts = curve.samples
             self.anchor = np.array([curve.z1, 0.0])
         self.polyline = pts                                  # (z, r) rows
-        seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
-        arc = np.concatenate([[0.0], np.cumsum(seg)])
+        arc = polyline_arcs(pts)
         self.length = arc[-1]
         # station parameter: arc fraction blended with the polar-angle
         # fraction about a point inside the inner contour, so that matched
@@ -423,9 +422,7 @@ def triangulate(cs, n_levels=8, n_stations=32):
     for tag, i in ((OUTER, 0), (INNER, last)):
         js = range(1, nlast - 1) if tag == INNER else range(nb)
         ids = [gid(i, j) for j in js]
-        pts = nodes[ids]
-        seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
-        arc = np.concatenate([[0.0], np.cumsum(seg)])
+        arc = polyline_arcs(nodes[ids])
         arc /= arc[-1]
         component_arcs[tag] = dict(zip(ids, arc))
     component_arcs[CAP] = {gid(last, 0): 0.0, gid(last, 1): 0.0}

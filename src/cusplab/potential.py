@@ -155,7 +155,7 @@ class PotentialField:
             f = lambda zeta: rho(zeta) / math.sqrt((zeta - z) ** 2 + r * r)
         split = min(max(z, 0.0), L)
         points = [split] if 0.0 < split < L else []
-        if rho.kind == TABULATED and not criticality:
+        if rho.kind == TABULATED:
             # the interpolant has a kink at every interior knot
             points = sorted(set(points).union(rho.samples[1:-1, 0]))
         # QUADPACK rejects fewer subintervals than the breakpoints make

@@ -109,6 +109,21 @@ def test_mesh_subcommand(tmp_path):
     assert (tmp_path / "mesh.svg").exists()
 
 
+def test_probe_wos_passes_r_min(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_estimate(cs, data, point, walks, eps, seed):
+        seen.append(cs.r_min)
+        return cli.wos.WosEstimate(point=point, mean=2.0, stderr=0.0,
+                                   walks=walks, eps=eps, seed=seed)
+
+    monkeypatch.setattr(cli.wos, "estimate", fake_estimate)
+    cli.run("probe", {"output_dir": str(tmp_path), "source": "wos",
+                      "r_min": 3e-5, "probe_levels": [1.25, 1.5], "n_stations": 3,
+                      "walks": 10})
+    assert seen and set(seen) == {3e-5}
+
+
 def test_merge_reports_determinism():
     bundle = {"contour": {"max_residual": 1e-12, "pass": True},
               "solve": {"energy": 9.42, "pass": True}}

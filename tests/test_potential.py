@@ -119,6 +119,19 @@ def test_tabulated_field_matches_mpmath_split_at_knots():
             pytest.approx(float(total), rel=1e-10)
 
 
+def test_tabulated_v00_split_at_knots():
+    # z^1.5 at 250 knots: V(0,0) = integral rho(zeta)/zeta, exact per piece
+    knots = np.linspace(0.0, 1.0, 250)
+    samples = np.column_stack([knots, knots ** 1.5])
+    field = potential.PotentialField(density.tabulated_profile(samples))
+    total = 0.0
+    for (z0, v0), (z1, v1) in zip(samples[:-1], samples[1:]):
+        b = (v1 - v0) / (z1 - z0)
+        a = v0 - b * z0
+        total += b * (z1 - z0) + (a * math.log(z1 / z0) if z0 > 0 else 0.0)
+    assert field.v00 == pytest.approx(total, rel=1e-10)
+
+
 def test_sector_bound_alpha_zero(leb):
     rng = np.random.default_rng(3)
     pts = [(rng.uniform(0.05, 3.0), -rng.uniform(0.0, 2.0)) for _ in range(100)]
