@@ -4,7 +4,12 @@ cusp-rate band checks.
 All radial root-finding happens in t = log r.  The cusp of a level c above
 V(0,0) spans hundreds of decades in r (r ~ e^{-alpha/rho(z)}), so bisection
 in r itself would stall at double-precision resolution, while t stays a
-perfectly ordinary float.
+perfectly ordinary float.  Over the rod V is nearly linear in t
+(V ~ -2 rho(z) t), so Newton steps in t on the closed form and its slope
+converge in a few steps; log_radius_at solves all stations of a curve in
+one batch of array evaluations.  Where only the side of a root matters, no
+root is solved: V falls strictly in r, so the level-c radius at z lies
+below e^t exactly when V(e^t, z) < c (radius_below).
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ def _bisect_axis(g, lo, hi, target):
         raise RangeError("axis bracket lost its sign change")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break               # adjacent doubles: no further step moves them
         fm = g(mid) - target
         if fm > 0:
             lo = mid
@@ -90,26 +97,22 @@ def axis_crossings(field, c, search_radius=1e9):
     return z1, z2
 
 
-def log_radius_at(field, c, z, t_cap=1e300):
-    """log of the contour radius: the unique t with V(e^t, z) = c.
+def _level_value(field, t, z):
+    """V(e^t, z), or +inf where quadrature cannot resolve the peak at tiny r
+    over the rod: by monotonicity the value there is above any level."""
+    try:
+        return field.value_log_r(t, z)
+    except AccuracyError:
+        if 0.0 < z <= field.density.length:
+            return INF
+        raise
 
-    Works arbitrarily deep in the cusp; the returned t can be far below the
-    underflow threshold of r itself.
-    """
-    if c <= 0:
-        raise InputError("level must be positive")
-    on_rod_side = 0.0 < z <= field.density.length
 
-    def val(t):
-        try:
-            return field.value_log_r(t, z)
-        except AccuracyError:
-            # unresolvable peak at tiny r; by monotonicity the value is
-            # already above any level once z sits over the rod
-            if on_rod_side:
-                return INF
-            raise
-
+def _bisect_log_radius(field, c, z, t_cap):
+    """Root of V(e^t, z) = c for one station by bracketing and bisection:
+    the path of fields without a closed form, whose values come one
+    quadrature at a time."""
+    val = lambda t: _level_value(field, t, z)
     t_hi = 0.0
     while val(t_hi) > c:
         t_hi += 2.0
@@ -139,6 +142,106 @@ def log_radius_at(field, c, z, t_cap=1e300):
     return 0.5 * (t_lo + t_hi)
 
 
+def log_radius_at(field, c, z, t_cap=1e300):
+    """log of the contour radius: the unique t with V(e^t, z) = c.
+
+    z may be an array of stations, one root each; a scalar z gives a float.
+    Works arbitrarily deep in the cusp; the returned t can be far below the
+    underflow threshold of r itself.
+
+    Every station brackets its root by stepping t up from 0 and then
+    doubling it down from -1.  On a closed-form field all stations are
+    solved together: Newton steps in t on V and its slope, bisecting
+    whenever a step leaves the bracket, does not halve the previous step
+    or has no finite slope.  A station is done once
+    |V - c| <= CONTOUR_RTOL max(1, c) / 2 and either the Newton step (the
+    bracket, without a finite slope) is below 1e-14 max(1, |t|) or Newton
+    has stalled after a step: |V - c| did not halve or the next step is
+    refused.  That happens only at the rounding floor of V, where the steps
+    are noise (a root of slope dV/dt is then known to about
+    1e-16 max(1, c) / |dV/dt|).  Other fields bisect each station until
+    the same residual and a bracket below 1e-14 max(1, |t|), and return the
+    bracket midpoint.  A failing station raises its RangeError or
+    AccuracyError; with several, the first station in order does.
+    """
+    if c <= 0:
+        raise InputError("level must be positive")
+    if not field.has_closed_form:
+        if np.ndim(z) == 0:
+            return _bisect_log_radius(field, c, z, t_cap)
+        return np.array([_bisect_log_radius(field, c, zk, t_cap) for zk in z])
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    n = len(zs)
+    errors = {}
+
+    def values(lanes, t):
+        return field.value_slope_log_r(t, zs[lanes])
+
+    # bracket: t_hi steps up until V(t_hi) <= c, t_lo doubles down until
+    # V(t_lo) >= c
+    t_hi = np.zeros(n)
+    lanes = np.arange(n)
+    while len(lanes):
+        lanes = lanes[values(lanes, t_hi[lanes])[0] > c]
+        t_hi[lanes] += 2.0
+        for k in lanes[t_hi[lanes] > 710.0]:
+            errors[k] = RangeError(f"no contour radius below e^710 at z={zs[k]}")
+        lanes = lanes[t_hi[lanes] <= 710.0]
+    t_lo = np.minimum(t_hi - 2.0, -1.0)
+    lanes = np.array([k for k in range(n) if k not in errors], dtype=int)
+    while len(lanes):
+        lanes = lanes[values(lanes, t_lo[lanes])[0] < c]
+        t_lo[lanes] *= 2.0
+        for k in lanes[-t_lo[lanes] > t_cap]:
+            errors[k] = RangeError(f"no contour bracket for level {c} at z={zs[k]} "
+                                   f"within log-radius {t_cap}")
+        lanes = lanes[-t_lo[lanes] <= t_cap]
+
+    res_target = 0.5 * CONTOUR_RTOL * max(1.0, c)
+    out = np.zeros(n)
+    lanes = np.array([k for k in range(n) if k not in errors], dtype=int)
+    lo, hi = t_lo[lanes], t_hi[lanes]
+    t = t_next = 0.5 * (lo + hi)
+    f = np.zeros(len(lanes))
+    last = hi - lo                       # length of the previous step
+    f_last = np.full(len(lanes), INF)    # |V - c| before a Newton step
+    for _ in range(300):
+        if not len(lanes):
+            break
+        t = t_next
+        v, slope = values(lanes, t)
+        f = v - c
+        up = f > 0
+        lo = np.where(up, t, lo)
+        hi = np.where(up, hi, t)
+        with np.errstate(all="ignore"):
+            step = -f / slope
+            t_new = t + step
+        finite = np.isfinite(step)
+        take = finite & (np.abs(step) <= 0.5 * last) & (lo < t_new) & (t_new < hi)
+        stalled = (f_last < INF) & ((np.abs(f) >= 0.5 * f_last) | ~take)
+        tol = 1e-14 * np.maximum(1.0, np.abs(t))
+        done = (np.abs(f) <= res_target) & np.where(
+            finite, (np.abs(step) <= tol) | stalled, hi - lo <= tol)
+        out[lanes[done]] = t[done]
+        t_next = np.where(take, t_new, 0.5 * (lo + hi))
+        f_last = np.where(take, np.abs(f), INF)
+        keep = ~done
+        last = np.abs(t_next - t)[keep]
+        lanes, lo, hi, t, f, t_next, f_last = (
+            lanes[keep], lo[keep], hi[keep], t[keep], f[keep], t_next[keep], f_last[keep])
+    # stations still open after 300 steps keep their last point if its
+    # residual is on target
+    for k, tk, fk in zip(lanes, t, f):
+        if abs(fk) > CONTOUR_RTOL * max(1.0, c):
+            errors[k] = AccuracyError(f"contour residual {abs(fk):.2e} at z={zs[k]}",
+                                      best_estimate=math.exp(tk) if tk > -745 else 0.0)
+        out[k] = tk
+    if errors:
+        raise errors[min(errors)]
+    return float(out[0]) if np.ndim(z) == 0 else out
+
+
 def radius_at(field, c, z):
     """The contour radius r_c(z) > 0 as a plain float.
 
@@ -150,6 +253,13 @@ def radius_at(field, c, z):
         raise RangeError(f"contour radius at z={z} is below {MIN_RADIUS}; "
                          "use log_radius_at")
     return math.exp(t)
+
+
+def radius_below(field, c, t, z):
+    """True when the level-c contour radius at z lies below e^t, i.e.
+    log_radius_at(field, c, z) < t, told by one evaluation V(e^t, z) < c
+    (V falls strictly in r) instead of a root."""
+    return _level_value(field, t, z) < c
 
 
 @dataclass
@@ -193,7 +303,7 @@ def _geometric_offsets(field, c, z1, z2, n):
     if c > field.v00:
         # keep log r above the subnormal floor: walk z down until the radius
         # leaves the representable range, then refine the threshold
-        deep = lambda d: log_radius_at(field, c, z1 + d) <= LOG_RADIUS_FLOOR
+        deep = lambda d: radius_below(field, c, LOG_RADIUS_FLOOR, z1 + d)
         probe, bad = d_min, None
         while probe < d_max:
             if not deep(probe):
@@ -241,9 +351,13 @@ def trace_contour(field, c, n=64, grading="geometric"):
     zs = np.sort(zs)
     n = len(zs)
 
-    ts = np.array([log_radius_at(field, c, z) for z in zs])
+    ts = log_radius_at(field, c, zs)
     rs = np.exp(ts)
-    res = np.array([abs(field.value_log_r(t, z) - c) for t, z in zip(ts, zs)])
+    if field.has_closed_form:
+        v = field.value_slope_log_r(ts, zs)[0]
+    else:
+        v = np.array([field.value_log_r(t, z) for t, z in zip(ts, zs)])
+    res = np.abs(v - c)
 
     samples = np.zeros((n + 2, 2))
     samples[0] = (z1, 0.0)
@@ -308,7 +422,7 @@ def cusp_rate_bounds(field, c, alpha, beta, delta=None, z_grid=None):
         rho_lo = rho((1.0 - delta) * z_grid)
         rho_hi = rho((1.0 + delta) * z_grid)
 
-    log_r = np.array([log_radius_at(field, c, z) for z in z_grid])
+    log_r = log_radius_at(field, c, z_grid)
     lower = -beta / rho_lo
     upper = -alpha / rho_hi
     band = (lower < log_r) & (log_r < upper)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .contour import (ContourCurve, log_radius_at, polyline_arcs, radius_at,
+from .contour import (ContourCurve, log_radius_at, polyline_arcs, radius_below,
                       trace_contour)
 from .errors import InputError, MeshError, RangeError
 
@@ -67,22 +67,26 @@ class CrossSection:
 
 
 def _truncation_height(field, c, r_min, z_hint=None):
-    """Height where the level-c cusp radius equals r_min (root in z)."""
+    """Height where the level-c cusp radius equals r_min (root in z).
+
+    Each step asks whether the radius at z is below r_min, which one value
+    V(r_min, z) < c answers without solving for the radius."""
     target = math.log(r_min)
+    thin = lambda z: radius_below(field, c, target, z)
     hi = z_hint if z_hint is not None else 0.5 * field.density.length
-    while log_radius_at(field, c, hi) < target:
+    while thin(hi):
         hi *= 2.0
         if hi > 10.0 * field.density.length:
             raise RangeError(f"level {c} never reaches radius {r_min}")
     lo = hi / 2.0
-    while log_radius_at(field, c, lo) > target:
+    while not thin(lo):
         hi = lo
         lo /= 2.0
         if lo < 1e-300:
             raise RangeError(f"level {c} is thicker than {r_min} everywhere")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if log_radius_at(field, c, mid) < target:
+        if thin(mid):
             lo = mid
         else:
             hi = mid
@@ -238,18 +242,14 @@ class _Rail:
 
     def nodes_at(self, field, fractions):
         """Anchor, curve nodes at the given parameter fractions, top
-        endpoint.  Curve nodes are re-solved onto the contour so they
-        satisfy the residual tolerance exactly."""
-        pts = [self.anchor.copy()]
+        endpoint.  Curve nodes are re-solved onto the contour (one batched
+        root per rail) so they satisfy the residual tolerance exactly."""
         z_lo = self.polyline[0, 0] if self.is_cusp else self.tip_z
         span = self.z2 - z_lo
-        for f in fractions:
-            z = float(np.interp(f, self.sigma, self.polyline[:, 0]))
-            z = min(max(z, z_lo + 1e-12 * abs(span)),
-                    self.z2 - 1e-12 * abs(span))
-            pts.append(np.array([z, radius_at(field, self.c, z)]))
-        pts.append(np.array([self.z2, 0.0]))
-        return np.asarray(pts)
+        zs = np.clip(np.interp(fractions, self.sigma, self.polyline[:, 0]),
+                     z_lo + 1e-12 * abs(span), self.z2 - 1e-12 * abs(span))
+        curve = np.column_stack([zs, np.exp(log_radius_at(field, self.c, zs))])
+        return np.vstack([self.anchor, curve, [self.z2, 0.0]])
 
 
 def _level_values(field, A, B, n_levels):

@@ -76,6 +76,53 @@ def lebesgue_closed_form(r, z, log_r=None):
     return z * diff + math.hypot(1.0 - z, r) - math.hypot(z, r)
 
 
+def lebesgue_value_slope(t, z):
+    """V(e^t, z) of rho(z) = z on [0, 1] and its slope dV/dt = r dV/dr, on
+    arrays of log-radius t and height z (broadcast against each other).
+
+    Same branches and underflow handling as lebesgue_closed_form.  With
+    a = |(r, z - 1)| and b = |(r, z)| the slope is
+    r^2 (1/a - 1/b) - z ((1 - z)/a + z/b); both terms cancel to O(r^2) off
+    the rod (z < 0 or z > 1), so there the r^2 is taken out exactly:
+    -r^2 (2z - 1) / (a (a + b) (z a + (z - 1) b)).
+    """
+    t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
+    if t.shape != z.shape:
+        t, z = np.broadcast_arrays(t, z)
+    if np.any((t == -INF) & (z > 0.0) & (z <= 1.0)):
+        raise DomainError("rod point (r=0, 0 < z <= 1) is outside the domain of V")
+    with np.errstate(all="ignore"):
+        r = np.where(t > -745.0, np.exp(t), 0.0)
+        a = np.hypot(1.0 - z, r)
+        b = np.hypot(z, r)
+        r2 = r * r
+        # 0 <= z <= 1 (the ends are patched below)
+        diff = np.log(a + 1.0 - z) + np.log(b + z) - 2.0 * t
+        slope = r2 * (2.0 * z - 1.0) / (a * b * (a + b)) - z * ((1.0 - z) / a + z / b)
+        off = (z < 0.0) | (z > 1.0)
+        if off.any():
+            diff = np.where(z > 1.0, np.log((b + z) / (a + z - 1.0)),
+                            np.where(z < 0.0, np.log((a + 1.0 - z) / (b - z)), diff))
+            slope = np.where(off, -r2 * (2.0 * z - 1.0)
+                             / (a * (a + b) * (z * a + (z - 1.0) * b)), slope)
+        ends = (z == 0.0) | (z == 1.0)
+        if ends.any():
+            diff = np.where(z == 1.0, np.log(b + 1.0) - t, diff)
+            slope = np.where(z == 1.0, -1.0 / (r + b),
+                             np.where(z == 0.0, -r / (a * (a + r)), slope))
+        v = np.where(z == 0.0, a - r, z * diff + a - b)
+        s = np.hypot(r, z - 2.0 / 3.0)
+        far = s > 300.0
+        if far.any():
+            cos_t = (z - 2.0 / 3.0) / s
+            v = np.where(far, 0.5 / s + (1.0 / 36.0) * (1.5 * cos_t * cos_t - 0.5)
+                         / s ** 3, v)
+            slope = np.where(far, -((r / s) ** 2 / s)
+                             * (0.5 + (2.5 * cos_t * cos_t - 0.5) / (12.0 * s * s)),
+                             slope)
+    return v, slope
+
+
 def kellogg_closed_form(r, z, log_r=None):
     """The half-line variant  z log(sqrt(z^2+r^2) - z) + sqrt(z^2+r^2),
     harmonic off the ray {r = 0, z >= 0}."""
@@ -134,6 +181,18 @@ class PotentialField:
         if t == -INF and 0.0 < z <= self.density.length:
             return INF
         return self._quadrature(math.exp(t) if t > -745 else 0.0, z)
+
+    @property
+    def has_closed_form(self):
+        return self.density.kind == LEBESGUE
+
+    def value_slope_log_r(self, t, z):
+        """V(e^t, z) and dV/dt on arrays of log-radius t and height z, from
+        the closed form (fields without one have no slope; evaluate those
+        point by point with value_log_r)."""
+        if not self.has_closed_form:
+            raise InputError("only the lebesgue profile has a closed-form slope")
+        return lebesgue_value_slope(t, z)
 
     def value_by_quadrature(self, r, z):
         """Force the quadrature path (used to cross-check the closed form)."""

@@ -52,7 +52,7 @@ class ProbePath:
 
 def _level_curve_stations(field, c, n, start, factor):
     zs = start * factor ** np.arange(n)
-    ts = np.array([log_radius_at(field, c, z) for z in zs])
+    ts = log_radius_at(field, c, zs)
     return zs, ts
 
 
@@ -190,8 +190,8 @@ def nonlocality_experiment(field, cs, bump, probe_levels, walks=20_000,
     all_stations, last = [], []
     for c in probe_levels:
         rows = []
-        for k, z in enumerate(z_stations):
-            t = log_radius_at(field, c, z)
+        ts = log_radius_at(field, c, np.asarray(z_stations, dtype=float))
+        for k, (z, t) in enumerate(zip(z_stations, ts)):
             r = math.exp(t)
             if bump.amplitude == 0.0:
                 mean, err = 0.0, 0.0

@@ -48,6 +48,11 @@ INDEX_POINTS = 1024
 NEAREST = 8
 # walkers per block when measuring the distance to every segment
 _BLOCK = 256
+# fewer walkers than this query the index on one thread: starting threads
+# costs more than the query (2-core box, 1416 index points: 16 walkers take
+# 55 us on one thread and 268 us threaded, 128 take 252 us and 373 us;
+# from 256 to 2048 the two break even, and threads win from about 3000)
+SERIAL_QUERY_BELOW = 256
 
 
 def _project(p, a, d):
@@ -158,7 +163,8 @@ class _SegmentModel:
         wherever radius < eps; seg and t locate the closest point on the
         best candidate segment (the closest boundary point where exact).
         """
-        dk, idx = self.tree.query(rz, k=NEAREST, workers=-1)
+        workers = 1 if len(rz) < SERIAL_QUERY_BELOW else -1
+        dk, idx = self.tree.query(rz, k=NEAREST, workers=workers)
         cand = self.index_seg[idx]
         dist, t = _project(rz[:, None, :], self.a[cand], self.d[cand])
         j = dist.argmin(axis=1)

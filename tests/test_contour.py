@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cusplab import contour, density, potential
-from cusplab.errors import InputError, RangeError
+from cusplab.errors import AccuracyError, InputError, RangeError
 
 # frozen bisection oracles on the axis closed forms (400-digit arithmetic):
 #   z log(z/(z-1)) - 1 = 2    ->  z2(2)
@@ -174,3 +174,124 @@ def test_quadrature_backed_field_traces():
     rep = contour.cusp_rate_bounds(field, 1.3 * field.v00, 0.05, 0.25,
                                    z_grid=[0.1, 0.06])
     assert rep.trend_target == pytest.approx(field.v00 + 0.1)
+
+
+# -- batched roots ------------------------------------------------------------
+
+def bisection_log_radius(field, c, z):
+    """Reference root of V(e^t, z) = c: the scalar bisection of the same
+    bracket, halved up to 300 times until |V - c| <= CONTOUR_RTOL max(1, c)/2
+    and the bracket is below 1e-14 max(1, |t|); returns its midpoint."""
+    def val(t):
+        try:
+            return field.value_log_r(t, z)
+        except AccuracyError:
+            if 0.0 < z <= field.density.length:
+                return math.inf
+            raise
+
+    t_hi = 0.0
+    while val(t_hi) > c:
+        t_hi += 2.0
+    t_lo = min(t_hi - 2.0, -1.0)
+    while val(t_lo) < c:
+        t_lo *= 2.0
+    res_target = 0.5 * contour.CONTOUR_RTOL * max(1.0, c)
+    for _ in range(300):
+        t = 0.5 * (t_lo + t_hi)
+        fm = val(t) - c
+        if fm > 0:
+            t_lo = t
+        else:
+            t_hi = t
+        if abs(fm) <= res_target and t_hi - t_lo <= 1e-14 * max(1.0, abs(t)):
+            break
+    return 0.5 * (t_lo + t_hi)
+
+
+def test_batched_roots_match_bisection(leb):
+    # traced stations of a closed and a cusp level, cusp stations down to
+    # log r near -600, and a low level spanning |z| ~ 10, where Newton from
+    # the bracket midpoint would leave the bracket
+    cases = [(0.5, contour.trace_contour(leb, 0.5, n=64, grading="blended")),
+             (2.0, contour.trace_contour(leb, 2.0, n=64, grading="blended"))]
+    cases = [(c, curve.interior[:, 0]) for c, curve in cases]
+    cases.append((2.0, np.geomspace(1e-2, 8.4e-4, 6)))
+    z1, z2 = contour.axis_crossings(leb, 0.05)
+    cases.append((0.05, np.linspace(z1, z2, 82)[1:-1]))
+    deepest = 0.0
+    for c, zs in cases:
+        ts = contour.log_radius_at(leb, c, zs)
+        ref = np.array([bisection_log_radius(leb, c, z) for z in zs])
+        v, slope = leb.value_slope_log_r(ts, zs)
+        assert np.all(np.abs(v - c) <= contour.CONTOUR_RTOL * max(1.0, c))
+        # a root is known to the rounding floor of V over its slope
+        floor = 4.0 * np.finfo(float).eps * max(1.0, c) / np.abs(slope)
+        assert np.all(np.abs(ts - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)) + floor)
+        deepest = min(deepest, ts.min())
+    assert deepest < -590.0
+
+
+def test_batched_roots_do_not_depend_on_the_batch(leb):
+    # a station's arithmetic is elementwise: in a batch it finds the root it
+    # finds alone, and a scalar station gives a float
+    for c, zs in ((2.0, np.concatenate([np.linspace(0.01, 1.06, 9), [1.0, 1e-3]])),
+                  (0.5, np.concatenate([np.linspace(-0.39, 1.7, 17), [0.0, 1.0]]))):
+        alone = [contour.log_radius_at(leb, c, z) for z in zs]
+        assert all(isinstance(t, float) for t in alone)
+        assert contour.log_radius_at(leb, c, zs).tolist() == alone
+
+
+@pytest.mark.parametrize("p, c_over_v00, zs", [
+    (0.5, 0.8, [0.2, 0.6, 1.02]),
+    (2.0, 1.5, [0.3, 0.7, 1.05]),
+])
+def test_quadrature_roots_equal_bisection_bit_for_bit(p, c_over_v00, zs):
+    # no slope without a closed form: every step bisects as the reference does
+    field = potential.PotentialField(density.power_profile(p))
+    c = c_over_v00 * field.v00
+    ts = contour.log_radius_at(field, c, np.array(zs))
+    assert ts.tolist() == [bisection_log_radius(field, c, z) for z in zs]
+
+
+def test_first_failing_station_raises(leb):
+    # z = 1.5 and 3.0 lie beyond z2(2.0) ~ 1.063: no radius reaches the level
+    with pytest.raises(RangeError, match="z=1.5"):
+        contour.log_radius_at(leb, 2.0, np.array([0.5, 1.5, 3.0]), t_cap=1e3)
+
+
+def test_axis_bisection_stops_at_adjacent_doubles(leb):
+    def reference(g, lo, hi, target):
+        # 200 halvings, stopping early only on the old width test, which
+        # double spacing cannot meet once |mid| >= 0.5
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fm = g(mid) - target
+            if fm > 0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-16 * max(1.0, abs(mid)) and abs(fm) <= contour.CONTOUR_RTOL:
+                break
+        return 0.5 * (lo + hi)
+
+    for c in np.linspace(0.3, 3.0, 7):
+        calls = []
+
+        def g(s):
+            calls.append(s)
+            return leb.value(0.0, 1.0 + math.exp(s))
+
+        s_hi = 0.0
+        while g(s_hi) > c:
+            s_hi += 1.0
+        s_lo = math.log(1e-14)
+        calls.clear()
+        ref = reference(g, s_lo, s_hi, c)
+        n_ref = len(calls)
+        calls.clear()
+        assert contour._bisect_axis(g, s_lo, s_hi, c) == ref
+        # _bisect_axis also evaluates both bracket ends
+        assert len(calls) - 2 <= min(n_ref, 70)
+        if abs(ref) >= 0.5:
+            assert n_ref == 200

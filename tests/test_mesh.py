@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from cusplab import density, mesh, potential
+from cusplab import contour, density, mesh, potential
 from cusplab.errors import InputError
 
 # axis-crossing oracles (see test_contour) and the root of r_2(z) = 1e-4
@@ -127,3 +129,32 @@ def test_rectangle_mesh():
     assert q.euler_characteristic == 1
     assert len(m.nodes) == 25
     assert len(m.triangles) == 32
+
+
+def _truncation_height_by_roots(field, c, r_min):
+    """The same bisection in z, each step solving for the contour radius."""
+    target = math.log(r_min)
+    hi = 0.5 * field.density.length
+    while contour.log_radius_at(field, c, hi) < target:
+        hi *= 2.0
+    lo = hi / 2.0
+    while contour.log_radius_at(field, c, lo) > target:
+        hi = lo
+        lo /= 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if contour.log_radius_at(field, c, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("c, r_min", [(2.0, 1e-4), (1.6, 1e-3), (2.4, 1e-6),
+                                      (1.05, 1e-2)])
+def test_truncation_height_predicate_matches_roots(leb, c, r_min):
+    # V falls in r, so "radius below r_min" is V(r_min, z) < c: one value
+    # instead of a root, the same steps up to the root tolerance
+    z = mesh._truncation_height(leb, c, r_min)
+    assert z == pytest.approx(_truncation_height_by_roots(leb, c, r_min), rel=1e-13, abs=0.0)
+    assert contour.log_radius_at(leb, c, z) == pytest.approx(math.log(r_min), rel=1e-9, abs=0.0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cusplab import density, potential
 from cusplab.errors import AccuracyError, DomainError, InputError
@@ -164,3 +165,87 @@ def test_sector_continuity_at_origin(leb):
     dev = np.array([abs(leb.value(s, -0.5 * s) - leb.v00) for s in scale])
     assert dev[-1] < 1e-5
     assert dev[-1] < dev[0]
+
+
+# -- array closed form: V and its slope dV/dt in t = log r -------------------
+
+EPS = np.finfo(float).eps
+# heights covering every branch: over the rod, both rod ends exactly, below
+# and above it, and far enough out for the multipole (s > 300)
+HEIGHTS = st.one_of(st.floats(-2.0, 3.0), st.just(0.0), st.just(1.0),
+                    st.floats(300.0, 1000.0), st.floats(-1000.0, -300.0))
+PROPERTY = settings(max_examples=400, deadline=None, derandomize=True,
+                    database=None)
+
+
+def _rounding_scale(t, z, v):
+    """Size of the terms V is summed from; its rounding error is a few
+    ulps of this (the multipole is a short sum of terms of size V)."""
+    r = math.exp(t) if t > -745 else 0.0
+    if math.hypot(r, z - 2.0 / 3.0) > 300.0:
+        return abs(v)
+    return abs(v) + math.hypot(1.0 - z, r) + math.hypot(z, r) \
+        + abs(z) * (2.0 * abs(t) + 10.0)
+
+
+def _mpmath_value_slope(t, z):
+    """V = a - b + z (asinh((1 - z)/r) + asinh(z/r)) and r dV/dr at
+    enough working digits to keep 50 through the O(r^2) cancellation."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(70 + int(2.0 * abs(t) / math.log(10.0))):
+        t, z = mpmath.mpf(t), mpmath.mpf(z)
+        r = mpmath.exp(t)
+        a = mpmath.sqrt((1 - z) ** 2 + r * r)
+        b = mpmath.sqrt(z * z + r * r)
+        v = a - b + z * (mpmath.asinh((1 - z) / r) + mpmath.asinh(z / r))
+        slope = r * r / a - r * r / b - z * ((1 - z) / a + z / b)
+        return float(v), float(slope)
+
+
+@PROPERTY
+@given(t=st.floats(-700.0, 1.0), z=HEIGHTS)
+def test_array_closed_form_matches_scalar(t, z):
+    v, slope = potential.lebesgue_value_slope(t, z)
+    ref = potential.lebesgue_closed_form(0.0, z, log_r=t)
+    # numpy's exp/hypot/log round differently from math's in rare last bits
+    assert abs(float(v) - ref) <= 4.0 * EPS * _rounding_scale(t, z, ref)
+    assert math.isfinite(float(slope)) and float(slope) <= 0.0
+
+
+@PROPERTY
+@given(t=st.floats(-60.0, 1.0), z=HEIGHTS)
+def test_array_closed_form_matches_mpmath(t, z):
+    v, slope = potential.lebesgue_value_slope(t, z)
+    v_ref, slope_ref = _mpmath_value_slope(t, z)
+    if abs(z) < 250.0:
+        assert abs(float(v) - v_ref) <= 1e-13 * max(1.0, abs(v_ref))
+    else:
+        # the multipole (s > 300) truncates at O(s^-3) relative, and just
+        # inside s = 300 the exact form cancels a - b of size s to V ~ 1/2s
+        assert float(v) == pytest.approx(v_ref, rel=1e-9, abs=0.0)
+    assert float(slope) == pytest.approx(slope_ref, rel=1e-8, abs=0.0)
+
+
+def test_slope_off_the_rod_keeps_its_r_squared():
+    # off the rod r^2 (1/a - 1/b) - z((1 - z)/a + z/b) cancels to O(r^2):
+    # at log r = -20 the plain form even has the wrong sign
+    t, z = -20.0, 2.0
+    r = math.exp(t)
+    a, b = math.hypot(1.0 - z, r), math.hypot(z, r)
+    naive = r * r / a - r * r / b - z * ((1.0 - z) / a + z / b)
+    _, slope_ref = _mpmath_value_slope(t, z)
+    _, slope = potential.lebesgue_value_slope(t, z)
+    assert abs(naive - slope_ref) > abs(slope_ref)
+    assert float(slope) == pytest.approx(slope_ref, rel=1e-14, abs=0.0)
+
+
+def test_array_closed_form_broadcasts_and_guards_the_rod(leb):
+    t = np.array([-700.0, -20.0, 0.5])
+    v, slope = leb.value_slope_log_r(t, 0.25)
+    assert v.shape == slope.shape == (3,)
+    np.testing.assert_allclose(v, [leb.value_log_r(tk, 0.25) for tk in t],
+                               rtol=4.0 * EPS, atol=0.0)
+    with pytest.raises(DomainError):
+        potential.lebesgue_value_slope(-math.inf, 0.5)
+    with pytest.raises(InputError):
+        potential.PotentialField(density.power_profile(2.0)).value_slope_log_r(t, 0.25)
