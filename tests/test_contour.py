@@ -243,7 +243,7 @@ def test_batched_roots_do_not_depend_on_the_batch(leb):
 
 
 @pytest.mark.parametrize("p, c_over_v00, zs", [
-    (0.5, 0.8, [0.2, 0.6, 1.02]),
+    (0.5, 0.8, [0.2, 1.02]),
     (2.0, 1.5, [0.3, 0.7, 1.05]),
 ])
 def test_quadrature_roots_equal_bisection_bit_for_bit(p, c_over_v00, zs):

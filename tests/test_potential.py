@@ -174,7 +174,7 @@ EPS = np.finfo(float).eps
 # and above it, and far enough out for the multipole (s > 300)
 HEIGHTS = st.one_of(st.floats(-2.0, 3.0), st.just(0.0), st.just(1.0),
                     st.floats(300.0, 1000.0), st.floats(-1000.0, -300.0))
-PROPERTY = settings(max_examples=400, deadline=None, derandomize=True,
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
 
 
