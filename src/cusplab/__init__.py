@@ -3,10 +3,10 @@ their level sets, and the Dirichlet problem on the enclosed domain."""
 
 __version__ = "0.1.0"
 
-from .density import (DensityProfile, DiniReport, dini_report, eval_density,
+from .density import (DensityProfile, DiniReport, dini_report,
                       lebesgue_profile, power_profile, tabulated_profile)
-from .potential import (PotentialField, eval_closed_form, kellogg_closed_form,
-                        lebesgue_closed_form, sector_bound_check)
+from .potential import (PotentialField, kellogg_closed_form, lebesgue_closed_form,
+                        sector_bound_check)
 from .contour import (ContourCurve, CuspRateReport, axis_crossings,
                       cusp_rate_bounds, log_radius_at, radius_at,
                       trace_contour)

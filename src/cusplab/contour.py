@@ -5,11 +5,13 @@ All radial root-finding happens in t = log r.  The cusp of a level c above
 V(0,0) spans hundreds of decades in r (r ~ e^{-alpha/rho(z)}), so bisection
 in r itself would stall at double-precision resolution, while t stays a
 perfectly ordinary float.  Over the rod V is nearly linear in t
-(V ~ -2 rho(z) t), so Newton steps in t on the closed form and its slope
-converge in a few steps; log_radius_at solves all stations of a curve in
-one batch of array evaluations.  Where only the side of a root matters, no
-root is solved: V falls strictly in r, so the level-c radius at z lies
-below e^t exactly when V(e^t, z) < c (radius_below).
+(V ~ -2 rho(z) t), so Newton steps in t on V and its slope converge in a
+few steps.  There is one root path for every density: log_radius_at solves
+all stations of a curve in one batch of array evaluations of
+PotentialField.value_slope_log_r (the closed form of the lebesgue profile,
+the panel quadrature of every other density).  Where only the side of a
+root matters, no root is solved: V falls strictly in r, so the level-c
+radius at z lies below e^t exactly when V(e^t, z) < c (radius_below).
 """
 
 from __future__ import annotations
@@ -108,40 +110,6 @@ def _level_value(field, t, z):
         raise
 
 
-def _bisect_log_radius(field, c, z, t_cap):
-    """Root of V(e^t, z) = c for one station by bracketing and bisection:
-    the path of fields without a closed form, whose values come one
-    quadrature at a time."""
-    val = lambda t: _level_value(field, t, z)
-    t_hi = 0.0
-    while val(t_hi) > c:
-        t_hi += 2.0
-        if t_hi > 710.0:
-            raise RangeError(f"no contour radius below e^710 at z={z}")
-    t_lo = min(t_hi - 2.0, -1.0)
-    while val(t_lo) < c:
-        t_lo *= 2.0
-        if -t_lo > t_cap:
-            raise RangeError(f"no contour bracket for level {c} at z={z} "
-                             f"within log-radius {t_cap}")
-
-    res_target = 0.5 * CONTOUR_RTOL * max(1.0, c)
-    t, fm = t_lo, None
-    for _ in range(300):
-        t = 0.5 * (t_lo + t_hi)
-        fm = val(t) - c
-        if fm > 0:
-            t_lo = t
-        else:
-            t_hi = t
-        if abs(fm) <= res_target and t_hi - t_lo <= 1e-14 * max(1.0, abs(t)):
-            break
-    if abs(fm) > CONTOUR_RTOL * max(1.0, c):
-        raise AccuracyError(f"contour residual {abs(fm):.2e} at z={z}",
-                            best_estimate=math.exp(t) if t > -745 else 0.0)
-    return 0.5 * (t_lo + t_hi)
-
-
 def log_radius_at(field, c, z, t_cap=1e300):
     """log of the contour radius: the unique t with V(e^t, z) = c.
 
@@ -150,32 +118,28 @@ def log_radius_at(field, c, z, t_cap=1e300):
     underflow threshold of r itself.
 
     Every station brackets its root by stepping t up from 0 and then
-    doubling it down from -1.  On a closed-form field all stations are
-    solved together: Newton steps in t on V and its slope, bisecting
-    whenever a step leaves the bracket, does not halve the previous step
-    or has no finite slope.  A station is done once
-    |V - c| <= CONTOUR_RTOL max(1, c) / 2 and either the Newton step (the
-    bracket, without a finite slope) is below 1e-14 max(1, |t|) or Newton
-    has stalled after a step: |V - c| did not halve or the next step is
-    refused.  That happens only at the rounding floor of V, where the steps
-    are noise (a root of slope dV/dt is then known to about
-    1e-16 max(1, c) / |dV/dt|).  Other fields bisect each station until
-    the same residual and a bracket below 1e-14 max(1, |t|), and return the
-    bracket midpoint.  A failing station raises its RangeError or
-    AccuracyError; with several, the first station in order does.
+    doubling it down from -1.  All stations are solved together: Newton
+    steps in t on V and its slope, bisecting whenever a step leaves the
+    bracket, does not halve the previous step or has no finite slope.  A
+    station is done once |V - c| <= CONTOUR_RTOL max(1, c) / 2 and either
+    the Newton step (the bracket, without a finite slope) is below
+    1e-14 max(1, |t|) or Newton has stalled after a step: |V - c| did not
+    halve or the next step is refused.  That happens only at the rounding
+    floor of V, where the steps are noise (a root of slope dV/dt is then
+    known to about 1e-16 max(1, c) / |dV/dt|).  Where quadrature cannot
+    resolve V over the rod (r below MIN_QUADRATURE_RADIUS) it reads +inf,
+    above every level, as V is there.  A failing station raises its
+    RangeError or AccuracyError; with several, the first station in order
+    does.
     """
     if c <= 0:
         raise InputError("level must be positive")
-    if not field.has_closed_form:
-        if np.ndim(z) == 0:
-            return _bisect_log_radius(field, c, z, t_cap)
-        return np.array([_bisect_log_radius(field, c, zk, t_cap) for zk in z])
     zs = np.atleast_1d(np.asarray(z, dtype=float))
     n = len(zs)
     errors = {}
 
     def values(lanes, t):
-        return field.value_slope_log_r(t, zs[lanes])
+        return field.value_slope_log_r(t, zs[lanes], strict=False)
 
     # bracket: t_hi steps up until V(t_hi) <= c, t_lo doubles down until
     # V(t_lo) >= c
@@ -353,11 +317,7 @@ def trace_contour(field, c, n=64, grading="geometric"):
 
     ts = log_radius_at(field, c, zs)
     rs = np.exp(ts)
-    if field.has_closed_form:
-        v = field.value_slope_log_r(ts, zs)[0]
-    else:
-        v = np.array([field.value_log_r(t, z) for t, z in zip(ts, zs)])
-    res = np.abs(v - c)
+    res = np.abs(field.value_slope_log_r(ts, zs)[0] - c)
 
     samples = np.zeros((n + 2, 2))
     samples[0] = (z1, 0.0)
@@ -426,7 +386,7 @@ def cusp_rate_bounds(field, c, alpha, beta, delta=None, z_grid=None):
     lower = -beta / rho_lo
     upper = -alpha / rho_hi
     band = (lower < log_r) & (log_r < upper)
-    trend = np.array([field.value_log_r(-alpha / rho(z), z) for z in z_grid])
+    trend = field.value_slope_log_r(-alpha / rho(z_grid), z_grid)[0]
     return CuspRateReport(level=c, alpha=alpha, beta=beta, delta=delta,
                           z_grid=z_grid, log_r=log_r,
                           lower_exponent=lower, upper_exponent=upper,

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, InputError
 from . import tails
@@ -67,24 +66,28 @@ class DensityProfile:
             bad = grid[np.argmax(vals <= 0)]
             raise InputError(f"density must be positive on (0, L]; rho({bad}) <= 0")
         if self.kind == TABULATED:
-            # piecewise linear rho = a + b z gives exact segment integrals
-            # a log(z1/z0) + b (z1 - z0); the leading segment has a = 0
-            z0, z1 = self.samples[:-1, 0], self.samples[1:, 0]
-            r0, r1 = self.samples[:-1, 1], self.samples[1:, 1]
-            b = (r1 - r0) / (z1 - z0)
-            a = r0 - b * z0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logs = np.where(z0 > 0, np.log(np.where(z0 > 0, z1 / z0, 1.0)), 0.0)
-            val = float(np.sum(a * logs + b * (z1 - z0)))
             if self.samples[0, 0] > 0 and self.samples[0, 1] != 0:
                 raise InputError("tabulated density must start from rho = 0")
-            if not np.isfinite(val):
+            if not np.isfinite(self.criticality):
                 raise InputError("criticality integral of rho(z)/z diverges")
-        else:
-            val, err = integrate.quad(lambda z: self(z) / z, 0.0, self.length,
-                                      limit=200)
-            if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-                raise InputError("criticality integral of rho(z)/z did not converge")
+
+    @property
+    def criticality(self):
+        """The criticality integral  integral_0^L rho(zeta)/zeta dzeta, exact:
+        1 for the lebesgue profile, L^p / p for z^p, and for a tabulated
+        profile the sum of its linear pieces rho = a + b z, each giving
+        a log(z1/z0) + b (z1 - z0) (the leading piece has a = 0)."""
+        if self.kind == LEBESGUE:
+            return 1.0
+        if self.kind == POWER:
+            return self.length ** self.power / self.power
+        z0, z1 = self.samples[:-1, 0], self.samples[1:, 0]
+        r0, r1 = self.samples[:-1, 1], self.samples[1:, 1]
+        b = (r1 - r0) / (z1 - z0)
+        a = r0 - b * z0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.where(z0 > 0, np.log(np.where(z0 > 0, z1 / z0, 1.0)), 0.0)
+        return float(np.sum(a * logs + b * (z1 - z0)))
 
     def __call__(self, z):
         """Evaluate rho at z (scalar or array), z in [0, L]."""
@@ -110,11 +113,6 @@ def power_profile(p, length=1.0):
 
 def tabulated_profile(samples):
     return DensityProfile(TABULATED, samples=np.asarray(samples, dtype=float))
-
-
-def eval_density(profile, z):
-    """rho(z); domain error outside [0, L]."""
-    return profile(z)
 
 
 @dataclass

@@ -111,19 +111,6 @@ class BoundaryData:
                     out[i] = float(spec(s))
         return out
 
-    def extremes(self):
-        lo, hi = math.inf, -math.inf
-        for spec in self.spec.values():
-            if isinstance(spec, ConstantData):
-                vals = [spec.value]
-            elif isinstance(spec, BumpData):
-                vals = [0.0, spec.amplitude]
-            else:
-                vals = list(spec.values)
-            lo = min(lo, min(vals))
-            hi = max(hi, max(vals))
-        return lo, hi
-
 
 def assemble(mesh):
     """Weighted stiffness matrix: K[i,j] = sum_e r_bar_e area_e b_i.b_j."""

@@ -1,10 +1,17 @@
-"""The rod potential V(r, z) and its closed forms.
+"""The rod potential V(r, z), its closed forms and its panel quadrature.
 
 V(r, z) = integral_0^L rho(zeta) / sqrt((zeta - z)^2 + r^2) dzeta in meridian
 coordinates (r = distance to the axis).  For the linear density on [0, 1]
-("lebesgue") the integral has a closed form; for everything else we use
-adaptive quadrature with the interval split at the near-singular point
-zeta = clamp(z, 0, L).
+("lebesgue") the integral has a closed form.  Every density, that one
+included, also has one array quadrature rule (PotentialField
+.value_slope_log_r and its one-lane forms): Gauss rules of 20 and 28 nodes
+on panels graded geometrically (ratio 0.15) toward the split point
+zeta = clamp(z, 0, L), down to the distance of (r, z) from it, and for power
+densities toward zeta = 0 as well, where the panel touching 0 takes the
+Gauss-Jacobi rule of the weight zeta^p; tabulated densities split at their
+knots.  The 28-node sum is the value, its distance to the 20-node sum the
+error estimate.  Panel ends are offsets from the split point, so zeta - z
+does not cancel at radii near 1e-12.
 
 The closed forms are evaluated in log-space wherever a difference
 sqrt(w^2 + r^2) - w with w > 0 would cancel: the identity
@@ -12,24 +19,50 @@ sqrt(w^2 + r^2) - w with w > 0 would cancel: the identity
     log(sqrt(w^2 + r^2) - w) = 2 log r - log(sqrt(w^2 + r^2) + w)
 
 keeps radii down to (and below) 1e-300 exact, which the cusp work needs.
+The exact form sums terms of size 1 to s into V ~ 1/2s, so its relative
+error grows like s^2 (3e-14 at s = |(r, z - 2/3)| = 8, 5e-11 at s = 300);
+beyond MULTIPOLE_RADIUS the lebesgue V is summed from its multipole
+expansion instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
-from .density import LEBESGUE, TABULATED, lebesgue_profile
+from .density import LEBESGUE, POWER, TABULATED, lebesgue_profile
 from .errors import AccuracyError, DomainError, InputError
 
 INF = math.inf
+EPS = float(np.finfo(float).eps)
 
-# raw quadrature cannot resolve an integrand peak of width r below this
+# the quadrature does not resolve an integrand peak of width r below this
 MIN_QUADRATURE_RADIUS = 1e-12
+# panel rule: the HIGH-node sum is the value, |HIGH - LOW| its error estimate
+LOW_NODES, HIGH_NODES = 20, 28
+# length ratio of neighbouring panels graded toward a peak or a singularity
+PANEL_GRADING = 0.15
+# lanes per array pass of the quadrature, which bounds its scratch memory
+QUADRATURE_CHUNK = 256
+# distance from (2/3, 0) beyond which the lebesgue V is a multipole sum:
+# at 8 the exact form is good to 3e-14 and 14 multipole terms to 3e-18
+MULTIPOLE_RADIUS = 8.0
+
+
+def _multipole_moments(n_terms):
+    """M_n = integral_0^1 zeta (zeta - 2/3)^n dzeta, the moments of the
+    lebesgue rod about its centre of mass."""
+    a, b = Fraction(1, 3), Fraction(-2, 3)
+    return tuple(float((a ** (n + 2) - b ** (n + 2)) / (n + 2)
+                       + Fraction(2, 3) * (a ** (n + 1) - b ** (n + 1)) / (n + 1))
+                 for n in range(n_terms))
+
+
+_MOMENTS = _multipole_moments(14)
 
 
 def _on_rod(profile_length, r, z):
@@ -44,6 +77,25 @@ def _log_radius_of(r, log_r):
     return math.log(r) if r > 0 else -INF
 
 
+def _lebesgue_multipole(r, z, s):
+    """V and dV/dt of rho(z) = z on [0, 1] for s = |(r, z - 2/3)| at or
+    beyond MULTIPOLE_RADIUS, on floats or arrays alike (only + - * /):
+    V = sum_n M_n P_n(u) / s^(n+1) and, with r d/dr,
+    dV/dt = -(r/s)^2 sum_n M_n P'_(n+1)(u) / s^(n+1), u = (z - 2/3)/s."""
+    u = (z - 2.0 / 3.0) / s
+    inv = 1.0 / s
+    scale = inv
+    p_prev, p, dp = 0.0, 1.0, 1.0        # P_(n-1), P_n, P'_(n+1)
+    v = g = 0.0
+    for n, m in enumerate(_MOMENTS):
+        v = v + m * p * scale
+        g = g + m * dp * scale
+        p_prev, p = p, ((2 * n + 1) * u * p - n * p_prev) / (n + 1)
+        dp = u * dp + (n + 2) * p
+        scale = scale * inv
+    return v, -(r * inv) ** 2 * g
+
+
 def lebesgue_closed_form(r, z, log_r=None):
     """Closed form of V for rho(z) = z on [0, 1].
 
@@ -53,13 +105,10 @@ def lebesgue_closed_form(r, z, log_r=None):
     if t == -INF and 0.0 < z <= 1.0:
         raise DomainError(f"rod point (r=0, z={z}) is outside the domain of V")
     r = math.exp(t) if t > -745 else 0.0       # underflow to 0 is harmless here
-    # far field: the exact formula cancels its leading terms to O(M/s), so
-    # switch to the multipole expansion about the center of mass 2/3
-    # (M = 1/2, quadrupole 1/36; truncation error O((1/s)^3) relative)
+    # far field: the exact formula cancels its leading terms to O(1/s)
     s = math.hypot(r, z - 2.0 / 3.0)
-    if s > 300.0:
-        cos_t = (z - 2.0 / 3.0) / s
-        return 0.5 / s + (1.0 / 36.0) * (1.5 * cos_t * cos_t - 0.5) / s ** 3
+    if s > MULTIPOLE_RADIUS:
+        return _lebesgue_multipole(r, z, s)[0]
     if z == 0.0:
         return math.hypot(1.0, r) - r
     # T_A = log(sqrt((1-z)^2 + r^2) + 1 - z), T_B = log(sqrt(z^2 + r^2) - z)
@@ -80,7 +129,8 @@ def lebesgue_value_slope(t, z):
     """V(e^t, z) of rho(z) = z on [0, 1] and its slope dV/dt = r dV/dr, on
     arrays of log-radius t and height z (broadcast against each other).
 
-    Same branches and underflow handling as lebesgue_closed_form.  With
+    Same branches, multipole and underflow handling as
+    lebesgue_closed_form.  With
     a = |(r, z - 1)| and b = |(r, z)| the slope is
     r^2 (1/a - 1/b) - z ((1 - z)/a + z/b); both terms cancel to O(r^2) off
     the rod (z < 0 or z > 1), so there the r^2 is taken out exactly:
@@ -112,14 +162,10 @@ def lebesgue_value_slope(t, z):
                              np.where(z == 0.0, -r / (a * (a + r)), slope))
         v = np.where(z == 0.0, a - r, z * diff + a - b)
         s = np.hypot(r, z - 2.0 / 3.0)
-        far = s > 300.0
+        far = s > MULTIPOLE_RADIUS
         if far.any():
-            cos_t = (z - 2.0 / 3.0) / s
-            v = np.where(far, 0.5 / s + (1.0 / 36.0) * (1.5 * cos_t * cos_t - 0.5)
-                         / s ** 3, v)
-            slope = np.where(far, -((r / s) ** 2 / s)
-                             * (0.5 + (2.5 * cos_t * cos_t - 0.5) / (12.0 * s * s)),
-                             slope)
+            v, slope = np.array(v), np.array(slope)
+            v[far], slope[far] = _lebesgue_multipole(r[far], z[far], s[far])
     return v, slope
 
 
@@ -139,25 +185,71 @@ def kellogg_closed_form(r, z, log_r=None):
     return z * log_term + math.hypot(z, r)
 
 
-def eval_closed_form(r, z, variant="lebesgue", log_r=None):
-    if variant == "lebesgue":
-        return lebesgue_closed_form(r, z, log_r=log_r)
-    if variant == "kellogg":
-        return kellogg_closed_form(r, z, log_r=log_r)
-    raise InputError(f"unknown closed-form variant {variant!r}")
+def _gauss_jacobi(n, beta):
+    """Nodes and weights of the n-point Gauss rule of the weight (1 + x)^beta
+    on [-1, 1]: the eigenvalues of its Jacobi matrix by Sturm-sequence
+    bisection, the weights as Christoffel numbers 1 / sum_k p_k(x)^2 of the
+    orthonormal polynomials.  No LAPACK call, whose code pages would cost
+    about 1 MB of resident memory."""
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(k == 0, beta / (beta + 2.0), beta * beta / (s * (s + 2.0)))
+    kk, ss = k[1:], s[1:]
+    b = np.sqrt(4.0 * kk * kk * (kk + beta) ** 2 / (ss * ss * (ss + 1.0) * (ss - 1.0)))
+    lo, hi = np.full(n, -1.0), np.full(n, 1.0)
+    for _ in range(60):
+        x = 0.5 * (lo + hi)
+        below = np.zeros(n, dtype=int)     # eigenvalues below x: negative pivots
+        d = a[0] - x
+        for j in range(n):
+            if j:
+                d = a[j] - x - b[j - 1] ** 2 / d
+            d = np.where(d == 0.0, -1e-300, d)
+            below += d < 0.0
+        up = below > k                     # node k lies below x
+        hi, lo = np.where(up, x, hi), np.where(up, lo, x)
+    x = 0.5 * (lo + hi)
+    p_prev, p = 0.0, np.full(n, math.sqrt((beta + 1.0) / 2.0 ** (beta + 1.0)))
+    total = p * p
+    for j in range(n - 1):
+        p_prev, p = p, ((x - a[j]) * p - (b[j - 1] * p_prev if j else 0.0)) / b[j]
+        total += p * p
+    return x, 1.0 / total
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_rules(beta=0.0):
+    """Nodes of the LOW_NODES- and HIGH_NODES-point Gauss rules of the weight
+    (1 + x)^beta on [-1, 1], side by side, and the weights of each rule."""
+    x_lo, w_lo = _gauss_jacobi(LOW_NODES, beta)
+    x_hi, w_hi = _gauss_jacobi(HIGH_NODES, beta)
+    return np.concatenate([x_lo, x_hi]), w_lo, w_hi
+
+
+def _graded_offsets(top, depth):
+    """Rows of the points top * PANEL_GRADING^k, k = 1, 2, ..., each row
+    ending at its first point at or below its depth (nan beyond)."""
+    with np.errstate(divide="ignore"):
+        k = np.maximum(np.ceil(np.log(top / depth) / -math.log(PANEL_GRADING)), 0.0)
+    ks = np.arange(1, int(k.max()) + 1)
+    return np.where(ks <= k[:, None], top * PANEL_GRADING ** ks, np.nan)
 
 
 class PotentialField:
-    """Evaluator for V(r, z) with the value V(0, 0) cached.
+    """Evaluator for V(r, z); V(0, 0) is the density's exact criticality
+    integral.
 
     All evaluations are pure; a field can be shared across threads.
     """
 
-    def __init__(self, density=None, rel_tol=1e-10, max_subdivisions=200):
+    def __init__(self, density=None, rel_tol=1e-10):
         self.density = density if density is not None else lebesgue_profile()
         self.rel_tol = float(rel_tol)
-        self.max_subdivisions = int(max_subdivisions)
-        self.v00 = self._quadrature(0.0, 0.0, criticality=True)
+        self.v00 = self.density.criticality
+        # power densities: Gauss-Jacobi for the weight zeta^p on the panel at 0
+        self._jacobi = (_gauss_rules(self.density.power)
+                        if self.density.kind == POWER else None)
 
     # -- core evaluation -------------------------------------------------
 
@@ -170,7 +262,7 @@ class PotentialField:
             return INF
         if self.density.kind == LEBESGUE:
             return lebesgue_closed_form(r, z)
-        return self._quadrature(r, z)
+        return self._value(r, z)
 
     def value_log_r(self, t, z):
         """V(e^t, z) with the radius given in log space (t may be far below
@@ -180,56 +272,123 @@ class PotentialField:
             return lebesgue_closed_form(0.0, z, log_r=t)
         if t == -INF and 0.0 < z <= self.density.length:
             return INF
-        return self._quadrature(math.exp(t) if t > -745 else 0.0, z)
-
-    @property
-    def has_closed_form(self):
-        return self.density.kind == LEBESGUE
-
-    def value_slope_log_r(self, t, z):
-        """V(e^t, z) and dV/dt on arrays of log-radius t and height z, from
-        the closed form (fields without one have no slope; evaluate those
-        point by point with value_log_r)."""
-        if not self.has_closed_form:
-            raise InputError("only the lebesgue profile has a closed-form slope")
-        return lebesgue_value_slope(t, z)
+        return self._value(math.exp(t) if t > -745 else 0.0, z)
 
     def value_by_quadrature(self, r, z):
-        """Force the quadrature path (used to cross-check the closed form)."""
+        """V by the panel quadrature, also for the lebesgue profile (the
+        cross-check of its closed form)."""
         r, z = float(r), float(z)
         if _on_rod(self.density.length, r, z):
             return INF
-        return self._quadrature(r, z)
+        return self._value(r, z)
 
-    def _quadrature(self, r, z, criticality=False):
-        L = self.density.length
-        rho = self.density
-        if criticality:
-            f = lambda zeta: rho(zeta) / zeta
-        else:
-            if r < MIN_QUADRATURE_RADIUS and 0.0 < z <= L:
-                raise AccuracyError(
-                    f"integrand peak of width r={r} near zeta={z} is not "
-                    "resolvable by quadrature; use a closed form")
-            f = lambda zeta: rho(zeta) / math.sqrt((zeta - z) ** 2 + r * r)
-        split = min(max(z, 0.0), L)
-        points = [split] if 0.0 < split < L else []
-        if rho.kind == TABULATED:
-            # the interpolant has a kink at every interior knot
-            points = sorted(set(points).union(rho.samples[1:-1, 0]))
-        # QUADPACK rejects fewer subintervals than the breakpoints make
-        limit = max(self.max_subdivisions, len(points) + 1)
-        with warnings.catch_warnings():
-            # accuracy is judged from abserr below; the warning is redundant
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, abserr = integrate.quad(
-                f, 0.0, L, points=points or None, epsabs=0.0,
-                epsrel=self.rel_tol, limit=limit)
-        if abserr > 10.0 * self.rel_tol * max(abs(val), 1e-300):
+    def value_slope_log_r(self, t, z, strict=True):
+        """V(e^t, z) and its slope dV/dt = r dV/dr on arrays of log-radius t
+        and height z (broadcast against each other): the closed form of the
+        lebesgue profile, the panel quadrature of every other density.
+
+        Over the rod below MIN_QUADRATURE_RADIUS the quadrature raises
+        AccuracyError, or with strict=False reads V = +inf (V exceeds every
+        level there) with a nan slope.
+        """
+        if self.density.kind == LEBESGUE:
+            return lebesgue_value_slope(t, z)
+        t, z = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(z, dtype=float))
+        if np.any((t == -INF) & (z > 0.0) & (z <= self.density.length)):
+            raise DomainError("rod point (r=0, 0 < z <= L) is outside the domain of V")
+        with np.errstate(over="ignore"):
+            r = np.where(t > -745.0, np.exp(t), 0.0)
+        v, slope = self._evaluate(r.ravel(), z.ravel(), strict)
+        return v.reshape(t.shape), slope.reshape(t.shape)
+
+    def _value(self, r, z):
+        return float(self._evaluate(np.array([r]), np.array([z]), True)[0][0])
+
+    def _evaluate(self, r, z, strict):
+        """V and dV/dt by quadrature on 1-d arrays; the light end (0, 0) reads
+        V(0,0).  AccuracyError where the error estimate exceeds
+        10 rel_tol |V| (first such lane) and, when strict, over the rod below
+        MIN_QUADRATURE_RADIUS; otherwise V = +inf there."""
+        unresolved = (r < MIN_QUADRATURE_RADIUS) & (z > 0.0) & (z <= self.density.length)
+        if strict and unresolved.any():
+            k = int(np.argmax(unresolved))
             raise AccuracyError(
-                f"quadrature for V({r}, {z}) reached error {abserr:.2e} only",
-                best_estimate=val)
-        return val
+                f"integrand peak of width r={r[k]} near zeta={z[k]} is not "
+                "resolvable by quadrature; use a closed form")
+        tip = (r == 0.0) & (z == 0.0)
+        v = np.where(tip, self.v00, INF)
+        slope = np.where(tip, 0.0, np.nan)
+        lanes = np.flatnonzero(~(unresolved | tip))
+        # in chunks: a lane holds about 15 panels of 48 nodes
+        for start in range(0, len(lanes), QUADRATURE_CHUNK):
+            chunk = lanes[start:start + QUADRATURE_CHUNK]
+            v_q, slope_q, err = self._quadrature(r[chunk], z[chunk])
+            bad = err > 10.0 * self.rel_tol * v_q
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise AccuracyError(
+                    f"quadrature for V({r[chunk[k]]}, {z[chunk[k]]}) reached "
+                    f"error {err[k]:.2e} only", best_estimate=float(v_q[k]))
+            v[chunk], slope[chunk] = v_q, slope_q
+        return v, slope
+
+    def _quadrature(self, r, z):
+        """V, dV/dt and the error estimate of V on 1-d arrays of lanes, none
+        at (0, 0).  Panel ends are offsets x = zeta - s from the split point
+        s = clamp(z, 0, L); they are graded toward s down to the distance of
+        (r, z) from (0, s), where the integrand has its peak, and for power
+        densities toward zeta = 0 down to below the nearest of those ends,
+        so that no panel but the ones at s and at 0 is longer than 5.67
+        times its distance from either point.
+        The error estimate is |HIGH - LOW| summed over the panels, plus one
+        rounding unit of V."""
+        rho = self.density
+        L = rho.length
+        n = len(z)
+        s = np.clip(z, 0.0, L)
+        d = z - s                          # 0 over the rod
+        peak = np.hypot(r, d)
+        toward_peak = _graded_offsets(L, peak)
+        ends = [-s[:, None], (L - s)[:, None], np.zeros((n, 1)), toward_peak, -toward_peak]
+        if rho.kind == POWER:
+            # grade toward the branch point of zeta^p at 0 down to the
+            # nearest other panel end, so that only the panel at 0 touches it
+            others = s[:, None] + np.concatenate(ends, axis=1)
+            nearest = np.min(np.where(others > 0.0, others, L), axis=1)
+            ends.append(_graded_offsets(L, nearest) - s[:, None])
+        elif rho.kind == TABULATED:
+            ends.append(rho.samples[None, :, 0] - s[:, None])   # kinks
+        ends = np.concatenate(ends, axis=1)
+        ends[(ends < -s[:, None]) | (ends > (L - s)[:, None])] = np.nan
+        ends.sort(axis=1)
+        lo, hi = ends[:, :-1], ends[:, 1:]
+        panel = hi > lo                    # nan and repeated ends drop out
+        lane = np.nonzero(panel)[0]
+        a = lo[panel][:, None]
+        half = 0.5 * (hi[panel][:, None] - a)
+
+        nodes, w_lo, w_hi = _gauss_rules()
+        scale = half
+        if self._jacobi is not None:
+            # the panel at zeta = 0 integrates zeta^p f by Gauss-Jacobi
+            at_zero = a == -s[lane, None]
+            nodes = np.where(at_zero, self._jacobi[0], nodes)
+            w_lo = np.where(at_zero, self._jacobi[1], w_lo)
+            w_hi = np.where(at_zero, self._jacobi[2], w_hi)
+            scale = np.where(at_zero, half ** (rho.power + 1.0), half)
+        x = a + half * (1.0 + nodes)
+        dens = rho(s[lane, None] + x)
+        if self._jacobi is not None:
+            dens = np.where(at_zero, 1.0, dens)
+        u = x - d[lane, None]
+        q = u * u + (r * r)[lane, None]
+        f = dens / np.sqrt(q)
+        v_lo = scale[:, 0] * (f[:, :LOW_NODES] * w_lo).sum(axis=1)
+        v_hi = scale[:, 0] * (f[:, LOW_NODES:] * w_hi).sum(axis=1)
+        g_hi = scale[:, 0] * (f[:, LOW_NODES:] / q[:, LOW_NODES:] * w_hi).sum(axis=1)
+        v = np.bincount(lane, v_hi, minlength=n)
+        err = np.bincount(lane, np.abs(v_hi - v_lo), minlength=n) + EPS * v
+        return v, -(r * r) * np.bincount(lane, g_hi, minlength=n), err
 
 
 @dataclass

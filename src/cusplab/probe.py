@@ -101,7 +101,7 @@ def sample_path(source, field, A, B, alpha, beta, path_spec,
 
     stderrs = None
     if source == "oracle":
-        levels = np.array([field.value_log_r(t, z) for t, z in zip(ts, zs)])
+        levels = field.value_slope_log_r(ts, zs)[0]
         outside = (levels <= A) | (levels >= B)
         if np.any(outside):
             k = int(np.argmax(outside))

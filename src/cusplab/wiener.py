@@ -6,15 +6,17 @@ sum_j 1/|log r(q^j)| converges (q in (0,1) arbitrary).  The raw logarithms
 are negative because r < 1 near the tip; we take absolute values, which is
 the evident sign convention for the test.
 
-Profiles can be given as a plain radius callable, a log-radius callable
-(needed whenever the radii dive below the double-precision floor, e.g. the
-lebesgue level-2 contour), or a traced ContourCurve.
+Profiles can be given as a plain radius callable (called once per height),
+a LogRadiusProfile (log r on arrays of heights; needed whenever the radii
+dive below the double-precision floor, e.g. the lebesgue level-2 contour),
+or a traced ContourCurve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,31 +48,36 @@ class WienerReport:
         return self.classification
 
 
+@dataclass(frozen=True)
+class LogRadiusProfile:
+    """A contour profile given in log space: log_r maps an array of heights
+    z to the array of log r(z)."""
+
+    name: str
+    log_r: Callable
+
+
 def _as_log_radius_fn(profile):
-    """Normalize the profile argument to (name, callable z -> log r(z))."""
+    """Normalize the profile argument to (name, callable z -> log r(z) on
+    arrays of z)."""
+    if isinstance(profile, LogRadiusProfile):
+        return profile.name, profile.log_r
     if isinstance(profile, ContourCurve):
         zs = profile.interior[:, 0]
         ts = profile.log_r[1:-1]
 
         def log_r(z):
-            if z < zs[0] or z > zs[-1]:
-                raise DomainError(f"z={z} outside the traced contour range")
-            return float(np.interp(z, zs, ts))
+            outside = (z < zs[0]) | (z > zs[-1])
+            if outside.any():
+                raise DomainError(f"z={z[np.argmax(outside)]} outside the "
+                                  "traced contour range")
+            return np.interp(z, zs, ts)
 
         return f"contour-level-{profile.level:g}", log_r
     if callable(profile):
         name = getattr(profile, "__name__", "callable")
-        if getattr(profile, "returns_log_radius", False):
-            return name, profile
-        return name, lambda z: math.log(profile(z))
+        return name, lambda z: np.array([math.log(profile(float(zk))) for zk in z])
     raise InputError("profile must be a callable or a ContourCurve")
-
-
-def log_radius_profile(fn, name):
-    """Mark fn as returning log r(z) rather than r(z)."""
-    fn.returns_log_radius = True
-    fn.__name__ = name
-    return fn
 
 
 def named_profile(name):
@@ -81,22 +88,22 @@ def named_profile(name):
     "z^3"        : polynomial decay                     (regular tip)
     """
     if name == "z^-logz":
-        return log_radius_profile(lambda z: -math.log(z) ** 2, name)
+        return LogRadiusProfile(name, lambda z: -np.log(z) ** 2)
     if name == "(-logz)^logz":
-        return log_radius_profile(
-            lambda z: math.log(z) * math.log(-math.log(z)), name)
+        return LogRadiusProfile(name, lambda z: np.log(z) * np.log(-np.log(z)))
     if name == "z^3":
-        return log_radius_profile(lambda z: 3.0 * math.log(z), name)
+        return LogRadiusProfile(name, lambda z: 3.0 * np.log(z))
     raise InputError(f"unknown example profile {name!r}")
 
 
 def lebesgue_contour_profile(field, c):
     """log r_c(z) for a level c > V(0,0) of a rod potential, resolved by the
-    log-space root-finder (valid arbitrarily deep in the cusp)."""
+    log-space root-finder (valid arbitrarily deep in the cusp), all heights
+    in one batch."""
     if c <= field.v00:
         raise InputError("cusp profiles need a level above V(0,0)")
-    return log_radius_profile(lambda z: log_radius_at(field, c, z),
-                              f"rod-contour-{c:g}")
+    return LogRadiusProfile(f"rod-contour-{c:g}",
+                            lambda z: log_radius_at(field, c, z))
 
 
 def log_series(profile, q, j_start=2, j_stop=64):
@@ -107,13 +114,12 @@ def log_series(profile, q, j_start=2, j_stop=64):
         raise InputError("empty j range")
     name, log_r = _as_log_radius_fn(profile)
     js = np.arange(j_start, j_stop + 1)
-    terms = np.empty(len(js))
-    for i, j in enumerate(js):
-        t = log_r(q ** float(j))
-        if t >= 0.0:
-            raise DomainError(f"r(q^{j}) >= 1; the log-series test needs "
-                              "radii below 1")
-        terms[i] = 1.0 / abs(t)
+    ts = log_r(q ** js.astype(float))
+    above = ts >= 0.0
+    if above.any():
+        raise DomainError(f"r(q^{js[np.argmax(above)]}) >= 1; the log-series "
+                          "test needs radii below 1")
+    terms = 1.0 / np.abs(ts)
     return WienerReport(profile_name=name, q=q, j_start=int(j_start),
                         terms=terms, partial_sums=np.cumsum(terms),
                         classification=INCONCLUSIVE)

@@ -83,13 +83,6 @@ def _nearest(p, a, d):
     return dist, seg, t
 
 
-def segment_distance(pts, p):
-    """Exact distance from point p (r, z) to a polyline given as (n, 2)."""
-    pts = np.asarray(pts, dtype=float)
-    p = np.asarray(p, dtype=float).reshape(1, 2)
-    return float(_nearest(p, pts[:-1], np.diff(pts, axis=0))[0][0])
-
-
 def _segments(cs):
     """(tag, start points, direction vectors, cumulative arc) per boundary
     polyline of the cross-section."""

@@ -242,16 +242,41 @@ def test_batched_roots_do_not_depend_on_the_batch(leb):
         assert contour.log_radius_at(leb, c, zs).tolist() == alone
 
 
+def _assert_roots_match_mpmath(field, c, zs, mp_log_radius):
+    """Roots within 1e-12 max(1, |t|) of the 30-digit mpmath root, plus the
+    rounding floor 4e-16 max(1, c) / |dV/dt| of a root of V = c."""
+    ts = contour.log_radius_at(field, c, np.array(zs))
+    v, slope = field.value_slope_log_r(ts, zs)
+    assert np.all(np.abs(v - c) <= contour.CONTOUR_RTOL * max(1.0, c))
+    for t, z, g in zip(ts, zs, slope):
+        ref = mp_log_radius(field.density, c, z, t)
+        floor = 4.0 * np.finfo(float).eps * max(1.0, c) / abs(g)
+        assert abs(t - ref) <= 1e-12 * max(1.0, abs(ref)) + floor
+
+
 @pytest.mark.parametrize("p, c_over_v00, zs", [
     (0.5, 0.8, [0.2, 1.02]),
     (2.0, 1.5, [0.3, 0.7, 1.05]),
 ])
-def test_quadrature_roots_equal_bisection_bit_for_bit(p, c_over_v00, zs):
-    # no slope without a closed form: every step bisects as the reference does
+def test_quadrature_roots_match_mpmath(p, c_over_v00, zs, mp_log_radius):
+    # the quadrature fields take the same Newton path as the closed form
     field = potential.PotentialField(density.power_profile(p))
-    c = c_over_v00 * field.v00
-    ts = contour.log_radius_at(field, c, np.array(zs))
-    assert ts.tolist() == [bisection_log_radius(field, c, z) for z in zs]
+    _assert_roots_match_mpmath(field, c_over_v00 * field.v00, zs, mp_log_radius)
+
+
+def test_quadrature_root_bracket_below_the_rod_floor(mp_log_radius):
+    # the bracket doubles t down to -32, below log 1e-12, where quadrature
+    # reads +inf over the rod; the root lies at t = -18.8
+    field = potential.PotentialField(density.power_profile(0.5))
+    _assert_roots_match_mpmath(field, 9.0, [0.05], mp_log_radius)
+
+
+def test_tabulated_roots_match_mpmath(mp_log_radius):
+    knots = np.linspace(0.0, 1.0, 17)
+    field = potential.PotentialField(
+        density.tabulated_profile(np.column_stack([knots, knots ** 1.5])))
+    _assert_roots_match_mpmath(field, 0.9 * field.v00, [0.125, 0.55, 1.01],
+                               mp_log_radius)
 
 
 def test_first_failing_station_raises(leb):

@@ -6,22 +6,22 @@ from cusplab.errors import DomainError, InputError
 
 
 def test_lebesgue_midpoint():
-    assert density.eval_density(density.lebesgue_profile(), 0.5) == 0.5
+    assert density.lebesgue_profile()(0.5) == 0.5
 
 
 def test_density_vanishes_at_origin():
-    assert density.eval_density(density.lebesgue_profile(), 0.0) == 0.0
+    assert density.lebesgue_profile()(0.0) == 0.0
 
 
 def test_power_profile():
-    assert density.eval_density(density.power_profile(2.0), 0.5) == 0.25
+    assert density.power_profile(2.0)(0.5) == 0.25
 
 
 def test_out_of_range_argument():
     with pytest.raises(DomainError):
-        density.eval_density(density.lebesgue_profile(), 1.5)
+        density.lebesgue_profile()(1.5)
     with pytest.raises(DomainError):
-        density.eval_density(density.lebesgue_profile(), -0.1)
+        density.lebesgue_profile()(-0.1)
 
 
 def test_tabulated_interpolates_linearly():

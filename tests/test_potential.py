@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cusplab import density, potential
 from cusplab.errors import AccuracyError, DomainError, InputError
@@ -13,6 +13,7 @@ from cusplab.errors import AccuracyError, DomainError, InputError
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 V_AXIS_2 = 2.0 * math.log(2.0) - 1.0
 V_FAR = math.sqrt(10001.0) - 100.0
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,7 @@ def test_v00_is_one(leb):
 
 def test_value_at_unit_radius(leb):
     assert leb.value(1.0, 0.0) == pytest.approx(SQRT2_M1, rel=1e-12)
-    assert potential.eval_closed_form(1.0, 0.0) == pytest.approx(SQRT2_M1, rel=1e-12)
+    assert potential.lebesgue_closed_form(1.0, 0.0) == pytest.approx(SQRT2_M1, rel=1e-12)
 
 
 def test_axis_value_above_rod(leb):
@@ -79,45 +80,48 @@ def test_tiny_radius_is_stable(leb):
 
 
 def test_kellogg_variant():
-    assert potential.eval_closed_form(1.0, 0.0, variant="kellogg") == pytest.approx(1.0)
+    assert potential.kellogg_closed_form(1.0, 0.0) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         potential.kellogg_closed_form(0.0, 0.5)
-    with pytest.raises(InputError):
-        potential.eval_closed_form(1.0, 0.0, variant="nope")
 
 
 def test_quadrature_refuses_unresolvable_peak():
     field = potential.PotentialField(density.power_profile(2.0))
     with pytest.raises(AccuracyError):
         field.value(1e-13, 0.5)
+    t = np.log([1e-13, 1e-13, 1e-3])
+    with pytest.raises(AccuracyError):
+        field.value_slope_log_r(t, [0.5, 2.0, 0.5])
+    # inside a root the unresolved lane reads +inf, above every level
+    v, slope = field.value_slope_log_r(t, [0.5, 2.0, 0.5], strict=False)
+    assert v[0] == math.inf and np.isnan(slope[0])
+    assert v[1] == field.value(1e-13, 2.0) and v[2] == field.value(1e-3, 0.5)
 
 
 def test_power_field_quadrature():
     # rho = z^2: V(0, 2) = integral z^2/(2 - z) dz over [0,1] = 4 log 2 - 5/2
     field = potential.PotentialField(density.power_profile(2.0))
-    assert field.value(0.0, 2.0) == pytest.approx(4.0 * math.log(2.0) - 2.5, rel=1e-10)
-    assert field.v00 == pytest.approx(0.5, abs=1e-10)
+    assert field.value(0.0, 2.0) == pytest.approx(4.0 * math.log(2.0) - 2.5, rel=1e-14)
+    assert field.value(0.0, 0.0) == field.v00
 
 
-def test_tabulated_field_matches_mpmath_split_at_knots():
+@pytest.mark.parametrize("p", [0.3, 0.5, 2.0])
+def test_v00_is_the_exact_criticality_integral(p):
+    # integral_0^L zeta^(p-1) dzeta = L^p / p
+    for length in (1.0, 2.5):
+        field = potential.PotentialField(density.power_profile(p, length=length))
+        assert field.v00 == pytest.approx(length ** p / p, rel=2 * EPS, abs=0.0)
+
+
+def test_tabulated_field_matches_mpmath_split_at_knots(mp_value_slope):
     # z^1.5 at 17 knots: a quadrature split only at z stops near 2e-7
-    mpmath = pytest.importorskip("mpmath")
     knots = np.linspace(0.0, 1.0, 17)
-    samples = np.column_stack([knots, knots ** 1.5])
-    field = potential.PotentialField(density.tabulated_profile(samples))
+    rod = density.tabulated_profile(np.column_stack([knots, knots ** 1.5]))
+    field = potential.PotentialField(rod)
     for r, z in [(0.5, 0.07), (0.05, 0.5), (0.01, 0.3), (0.3, 1.2),
                  (0.2, -0.3)]:
-        with mpmath.workdps(30):
-            r, z = mpmath.mpf(r), mpmath.mpf(z)
-            total = mpmath.mpf(0)
-            for (z0, v0), (z1, v1) in zip(samples[:-1], samples[1:]):
-                z0, z1, v0 = mpmath.mpf(z0), mpmath.mpf(z1), mpmath.mpf(v0)
-                slope = (mpmath.mpf(v1) - v0) / (z1 - z0)
-                cuts = [z0, z, z1] if z0 < z < z1 else [z0, z1]
-                total += mpmath.quad(lambda s: (v0 + slope * (s - z0))
-                                     / mpmath.sqrt((s - z) ** 2 + r * r), cuts)
-        assert field.value(float(r), float(z)) == \
-            pytest.approx(float(total), rel=1e-10)
+        ref = mp_value_slope(rod, math.log(r), z)[0]
+        assert field.value(r, z) == pytest.approx(ref, rel=1e-10)
 
 
 def test_tabulated_v00_split_at_knots():
@@ -130,7 +134,7 @@ def test_tabulated_v00_split_at_knots():
         b = (v1 - v0) / (z1 - z0)
         a = v0 - b * z0
         total += b * (z1 - z0) + (a * math.log(z1 / z0) if z0 > 0 else 0.0)
-    assert field.v00 == pytest.approx(total, rel=1e-10)
+    assert field.v00 == pytest.approx(total, rel=1e-14, abs=0.0)
 
 
 def test_sector_bound_alpha_zero(leb):
@@ -169,11 +173,11 @@ def test_sector_continuity_at_origin(leb):
 
 # -- array closed form: V and its slope dV/dt in t = log r -------------------
 
-EPS = np.finfo(float).eps
 # heights covering every branch: over the rod, both rod ends exactly, below
-# and above it, and far enough out for the multipole (s > 300)
+# and above it, and on both sides of the multipole switch at s = 8
 HEIGHTS = st.one_of(st.floats(-2.0, 3.0), st.just(0.0), st.just(1.0),
-                    st.floats(300.0, 1000.0), st.floats(-1000.0, -300.0))
+                    st.floats(4.0, 20.0), st.floats(-20.0, -4.0),
+                    st.floats(20.0, 1000.0), st.floats(-1000.0, -20.0))
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
 
@@ -182,7 +186,7 @@ def _rounding_scale(t, z, v):
     """Size of the terms V is summed from; its rounding error is a few
     ulps of this (the multipole is a short sum of terms of size V)."""
     r = math.exp(t) if t > -745 else 0.0
-    if math.hypot(r, z - 2.0 / 3.0) > 300.0:
+    if math.hypot(r, z - 2.0 / 3.0) > potential.MULTIPOLE_RADIUS:
         return abs(v)
     return abs(v) + math.hypot(1.0 - z, r) + math.hypot(z, r) \
         + abs(z) * (2.0 * abs(t) + 10.0)
@@ -203,7 +207,7 @@ def _mpmath_value_slope(t, z):
 
 
 @PROPERTY
-@given(t=st.floats(-700.0, 1.0), z=HEIGHTS)
+@given(t=st.floats(-700.0, 7.0), z=HEIGHTS)
 def test_array_closed_form_matches_scalar(t, z):
     v, slope = potential.lebesgue_value_slope(t, z)
     ref = potential.lebesgue_closed_form(0.0, z, log_r=t)
@@ -213,16 +217,14 @@ def test_array_closed_form_matches_scalar(t, z):
 
 
 @PROPERTY
-@given(t=st.floats(-60.0, 1.0), z=HEIGHTS)
+@given(t=st.floats(-60.0, 7.0), z=HEIGHTS)
 def test_array_closed_form_matches_mpmath(t, z):
     v, slope = potential.lebesgue_value_slope(t, z)
     v_ref, slope_ref = _mpmath_value_slope(t, z)
-    if abs(z) < 250.0:
-        assert abs(float(v) - v_ref) <= 1e-13 * max(1.0, abs(v_ref))
-    else:
-        # the multipole (s > 300) truncates at O(s^-3) relative, and just
-        # inside s = 300 the exact form cancels a - b of size s to V ~ 1/2s
-        assert float(v) == pytest.approx(v_ref, rel=1e-9, abs=0.0)
+    assert abs(float(v) - v_ref) <= 1e-13 * max(1.0, abs(v_ref))
+    # also where V ~ 1/2s is small: the exact form up to s = 8, the
+    # multipole beyond
+    assert float(v) == pytest.approx(v_ref, rel=1e-12, abs=0.0)
     assert float(slope) == pytest.approx(slope_ref, rel=1e-8, abs=0.0)
 
 
@@ -247,5 +249,95 @@ def test_array_closed_form_broadcasts_and_guards_the_rod(leb):
                                rtol=4.0 * EPS, atol=0.0)
     with pytest.raises(DomainError):
         potential.lebesgue_value_slope(-math.inf, 0.5)
-    with pytest.raises(InputError):
-        potential.PotentialField(density.power_profile(2.0)).value_slope_log_r(t, 0.25)
+    # every density has the array form; over the rod it is the quadrature's
+    field = potential.PotentialField(density.power_profile(2.0))
+    v, slope = field.value_slope_log_r(t[1:, None], np.array([0.25, 1.5]))
+    assert v.shape == slope.shape == (2, 2)
+    assert v[0, 0] == field.value_log_r(t[1], 0.25)
+    with pytest.raises(DomainError):
+        field.value_slope_log_r(-math.inf, 0.5)
+
+
+# -- panel quadrature: V and dV/dt of every other density ----------------------
+
+KNOTS = np.linspace(0.0, 1.0, 17)
+QUADRATURE_PROFILES = {
+    "power 1/2": density.power_profile(0.5),
+    "power 2": density.power_profile(2.0),
+    "z^1.5 at 17 knots": density.tabulated_profile(np.column_stack([KNOTS, KNOTS ** 1.5])),
+}
+# over the rod, at its ends and knots, just off either end and well off it
+ROD_HEIGHTS = st.one_of(st.floats(0.0, 1.0), st.sampled_from(KNOTS.tolist()),
+                        st.floats(1e-12, 1e-2).map(lambda e: -e),
+                        st.floats(1e-12, 1e-2).map(lambda e: 1.0 + e),
+                        st.floats(-3.0, 4.0))
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURE_PROFILES))
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(t=st.floats(math.log(potential.MIN_QUADRATURE_RADIUS), math.log(3.0)),
+       z=ROD_HEIGHTS)
+@example(t=math.log(1e-12), z=1.0)
+@example(t=math.log(1e-12), z=0.0)
+@example(t=math.log(1e-12), z=0.3125)
+@example(t=math.log(1e-12), z=0.7)
+@example(t=math.log(1e-12), z=-1e-12)
+def test_quadrature_matches_mpmath(name, t, z, mp_value_slope):
+    rod = QUADRATURE_PROFILES[name]
+    v, slope = potential.PotentialField(rod).value_slope_log_r(t, z)
+    v_ref, slope_ref = mp_value_slope(rod, t, z)
+    assert float(v) == pytest.approx(v_ref, rel=1e-12, abs=0.0)
+    assert float(slope) == pytest.approx(slope_ref, rel=1e-12, abs=0.0)
+
+
+def test_quadrature_one_lane_forms_agree_with_the_array_form():
+    field = potential.PotentialField(QUADRATURE_PROFILES["power 1/2"])
+    t = np.array([-25.0, -3.0, 0.5])
+    z = np.array([0.5, 1.0 + 1e-9, -0.2])
+    v, _ = field.value_slope_log_r(t, z)
+    assert v.tolist() == [field.value_log_r(tk, zk) for tk, zk in zip(t, z)]
+    assert v.tolist() == [field.value(math.exp(tk), zk) for tk, zk in zip(t, z)]
+    assert v.tolist() == [field.value_by_quadrature(math.exp(tk), zk)
+                          for tk, zk in zip(t, z)]
+
+
+def test_unmeetable_tolerance_raises():
+    # the estimate is never below one rounding unit of V
+    rod = QUADRATURE_PROFILES["power 1/2"]
+    with pytest.raises(AccuracyError) as info:
+        potential.PotentialField(rod, rel_tol=1e-18).value(0.3, 0.5)
+    assert info.value.best_estimate == potential.PotentialField(rod).value(0.3, 0.5)
+    # a 1e-12 target is met over the rod, near its ends and off it
+    field = potential.PotentialField(rod, rel_tol=1e-12)
+    for r, z in [(1e-12, 0.5), (1e-12, 1.0), (1e-9, 1e-9), (1e-3, -1e-9), (2.0, 3.0)]:
+        assert math.isfinite(field.value(r, z))
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURE_PROFILES))
+def test_error_estimate_stays_at_the_rounding_level(name):
+    # 1000 seeded lanes over the rod, near its ends and off it meet a 1e-13
+    # target; r = 0.474 at z = 0.1548 once put a grading point 0.0048 from
+    # the branch point of zeta^p with a long panel beyond it (error 4e-14,
+    # estimate 2.4e-11)
+    rng = np.random.default_rng(11)
+    n = 1000
+    t = np.append(rng.uniform(math.log(1e-12), math.log(30.0), n), -0.7461296042688413)
+    z = np.append(np.select(
+        [np.arange(n) % 4 == k for k in range(3)],
+        [rng.uniform(0.0, 1.0, n), 10.0 ** rng.uniform(-12.0, 0.0, n),
+         1.0 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 0.0, n)],
+        rng.uniform(-3.0, 4.0, n)), 0.15479854499049944)
+    field = potential.PotentialField(QUADRATURE_PROFILES[name], rel_tol=1e-14)
+    v, _ = field.value_slope_log_r(t, z)
+    assert np.all(np.isfinite(v))
+
+
+def test_error_estimate_flags_an_ungraded_rule(monkeypatch):
+    # without the graded panels the peak of width r = 1e-6 is missed, and the
+    # estimate says so
+    field = potential.PotentialField(QUADRATURE_PROFILES["power 2"])
+    assert math.isfinite(field.value(1e-6, 0.5))
+    monkeypatch.setattr(potential, "_graded_offsets",
+                        lambda top, depth: np.empty((len(depth), 0)))
+    with pytest.raises(AccuracyError):
+        field.value(1e-6, 0.5)
