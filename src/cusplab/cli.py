@@ -211,8 +211,7 @@ def cmd_solve(cfg):
                [(i, p[0], p[1], float(sol.values[i]))
                 for i, p in enumerate(m.nodes)])
     lo, hi = sol.max_principle_margins()
-    report = {"energy": sol.dirichlet_energy, "iterations": sol.iterations,
-              "residual": sol.residual,
+    report = {"energy": sol.dirichlet_energy, "residual": sol.residual,
               "max_principle_margins": [lo, hi],
               "pass": lo >= -1e-8 and hi >= -1e-8}
     with open(os.path.join(out, "solve_report.json"), "w") as fh:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import AccuracyError, InputError, RangeError
+from .potential import MIN_QUADRATURE_RADIUS
 
 INF = math.inf
 
@@ -128,9 +129,11 @@ def log_radius_at(field, c, z, t_cap=1e300):
     floor of V, where the steps are noise (a root of slope dV/dt is then
     known to about 1e-16 max(1, c) / |dV/dt|).  Where quadrature cannot
     resolve V over the rod (r below MIN_QUADRATURE_RADIUS) it reads +inf,
-    above every level, as V is there.  A failing station raises its
-    RangeError or AccuracyError; with several, the first station in order
-    does.
+    above every level, as V is there.  A station whose root lies below that
+    floor sees its bracket collapse onto the floor with the residual off
+    target; it is retired at once with an AccuracyError that names the
+    floor.  A failing station raises its RangeError or AccuracyError; with
+    several, the first station in order does.
     """
     if c <= 0:
         raise InputError("level must be positive")
@@ -161,7 +164,8 @@ def log_radius_at(field, c, z, t_cap=1e300):
                                    f"within log-radius {t_cap}")
         lanes = lanes[-t_lo[lanes] <= t_cap]
 
-    res_target = 0.5 * CONTOUR_RTOL * max(1.0, c)
+    res_accept = CONTOUR_RTOL * max(1.0, c)
+    res_target = 0.5 * res_accept
     out = np.zeros(n)
     lanes = np.array([k for k in range(n) if k not in errors], dtype=int)
     lo, hi = t_lo[lanes], t_hi[lanes]
@@ -183,13 +187,26 @@ def log_radius_at(field, c, z, t_cap=1e300):
             t_new = t + step
         finite = np.isfinite(step)
         take = finite & (np.abs(step) <= 0.5 * last) & (lo < t_new) & (t_new < hi)
-        stalled = (f_last < INF) & ((np.abs(f) >= 0.5 * f_last) | ~take)
+        af = np.abs(f)
+        stalled = (f_last < INF) & ((af >= 0.5 * f_last) | ~take)
         tol = 1e-14 * np.maximum(1.0, np.abs(t))
-        done = (np.abs(f) <= res_target) & np.where(
-            finite, (np.abs(step) <= tol) | stalled, hi - lo <= tol)
+        collapsed = hi - lo <= tol
+        done = (af <= res_target) & np.where(
+            finite, (np.abs(step) <= tol) | stalled, collapsed)
         out[lanes[done]] = t[done]
+        # V jumps across a collapsed bracket: the root is below the floor
+        floored = collapsed & (af > res_accept)
+        if floored.any():
+            for k, tk, fk in zip(lanes[floored], t[floored], af[floored]):
+                errors[k] = AccuracyError(
+                    f"no contour root for level {c} at z={zs[k]}: its bracket "
+                    f"collapsed at r = {math.exp(tk):.3e} with residual {fk:.2e}; "
+                    f"over the rod quadrature does not resolve V below "
+                    f"MIN_QUADRATURE_RADIUS = {MIN_QUADRATURE_RADIUS:g}",
+                    best_estimate=math.exp(tk) if tk > -745 else 0.0)
+            done |= floored
         t_next = np.where(take, t_new, 0.5 * (lo + hi))
-        f_last = np.where(take, np.abs(f), INF)
+        f_last = np.where(take, af, INF)
         keep = ~done
         last = np.abs(t_next - t)[keep]
         lanes, lo, hi, t, f, t_next, f_last = (
@@ -197,7 +214,7 @@ def log_radius_at(field, c, z, t_cap=1e300):
     # stations still open after 300 steps keep their last point if its
     # residual is on target
     for k, tk, fk in zip(lanes, t, f):
-        if abs(fk) > CONTOUR_RTOL * max(1.0, c):
+        if abs(fk) > res_accept:
             errors[k] = AccuracyError(f"contour residual {abs(fk):.2e} at z={zs[k]}",
                                       best_estimate=math.exp(tk) if tk > -745 else 0.0)
         out[k] = tk

@@ -34,9 +34,10 @@ class MeshError(CuspLabError):
 
 
 class ConvergenceError(CuspLabError):
-    """An iterative solver hit its iteration cap.
+    """A solve missed its residual certificate.
 
-    ``stats`` holds whatever diagnostics the solver accumulated.
+    ``stats`` holds the solver's diagnostics, such as the relative
+    ``residual`` it reached.
     """
 
     def __init__(self, message, stats=None):

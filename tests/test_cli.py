@@ -109,6 +109,24 @@ def test_mesh_subcommand(tmp_path):
     assert (tmp_path / "mesh.svg").exists()
 
 
+def test_solve_subcommand(tmp_path):
+    res = run_cli(["solve", "--output-dir", str(tmp_path)], tmp_path)
+    assert res.returncode == 0
+    rep = json.loads((tmp_path / "solve_report.json").read_text())
+    assert rep["pass"] is True
+    assert rep["residual"] <= 1e-10
+    assert "iterations" not in rep
+    # constant data 0.5, 2.0 on levels 0.5, 2.0: the solution is V, whose
+    # energy is 2 pi (B - A); 6% is the mesh-solve bound at 8x32
+    assert rep["energy"] == pytest.approx(2.0 * np.pi * 1.5, rel=0.06)
+    assert (tmp_path / "solution.csv").exists()
+    # no direct solve meets a 1e-20 residual: a numerical failure
+    res = run_cli(["solve", "--output-dir", str(tmp_path),
+                   "--set", "tol=1e-20"], tmp_path)
+    assert res.returncode == 2
+    assert json.loads(res.stderr)["error"] == "numerical"
+
+
 def test_probe_wos_passes_r_min(tmp_path, monkeypatch):
     seen = []
 

@@ -271,6 +271,25 @@ def test_quadrature_root_bracket_below_the_rod_floor(mp_log_radius):
     _assert_roots_match_mpmath(field, 9.0, [0.05], mp_log_radius)
 
 
+def test_root_below_the_rod_floor_fails_fast(monkeypatch):
+    # the root of c = 3 at z = 1e-4 lies far below MIN_QUADRATURE_RADIUS,
+    # where V reads +inf: the bracket collapses onto the floor with the
+    # residual off target, and the station is retired then, not after 300
+    # steps with a bare residual
+    field = potential.PotentialField(density.power_profile(0.5))
+    calls = []
+    value_slope = field.value_slope_log_r
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return value_slope(*args, **kwargs)
+
+    monkeypatch.setattr(field, "value_slope_log_r", counted)
+    with pytest.raises(AccuracyError, match="MIN_QUADRATURE_RADIUS = 1e-12"):
+        contour.log_radius_at(field, 3.0, 1e-4)
+    assert len(calls) <= 80
+
+
 def test_tabulated_roots_match_mpmath(mp_log_radius):
     knots = np.linspace(0.0, 1.0, 17)
     field = potential.PotentialField(

@@ -206,10 +206,56 @@ def test_missing_tag_data_rejected(canonical):
         fem.solve_dirichlet(canonical, bc)
 
 
-def test_iteration_cap_raises(canonical):
-    with pytest.raises(ConvergenceError):
+def test_residual_certificate_raises(canonical):
+    # the direct solve reaches about 1e-15, never 1e-20
+    with pytest.raises(ConvergenceError) as err:
         fem.solve_dirichlet(canonical, fem.BoundaryData.constants(0.5, 2.0),
-                            tol=1e-13, maxiter=3)
+                            tol=1e-20)
+    assert 0.0 < err.value.stats["residual"] <= 1e-13
+
+
+def _canonical_data(canonical):
+    rng = np.random.default_rng(3)
+    n_out = len(canonical.nodes_with_tag("outer-level"))
+    n_in = len(canonical.nodes_with_tag("inner-level"))
+    return {
+        "constant": fem.BoundaryData.constants(0.5, 2.0),
+        "bump": fem.BoundaryData(fem.BumpData(0.4, 0.25, 2.5),
+                                 fem.ConstantData(-0.5)),
+        "tabulated": fem.BoundaryData(
+            fem.TabulatedData(tuple(rng.uniform(-1, 1, n_out))),
+            fem.TabulatedData(tuple(rng.uniform(-1, 1, n_in))),
+            fem.ConstantData(0.3)),
+    }
+
+
+def test_direct_solve_residual(canonical):
+    for kind, data in _canonical_data(canonical).items():
+        sol = fem.solve_dirichlet(canonical, data, tol=1e-12)
+        assert sol.residual <= 1e-13, kind
+        assert sol.iterations == 0
+
+
+def _node_values_reference(data, m):
+    """One scalar call of the spec per node, in node order per tag."""
+    out = {}
+    tags = np.asarray(m.node_tags)
+    for tag, spec in data.spec.items():
+        arc = m.component_arcs.get(tag)
+        ids = np.flatnonzero(tags == tag).tolist()
+        if isinstance(spec, fem.TabulatedData):
+            ids = sorted(ids, key=lambda i: arc.get(i, 0.0)) if arc else ids
+            out.update(zip(ids, map(float, spec.values)))
+        else:
+            for i in ids:
+                out[i] = float(spec(arc.get(i, 0.0) if arc else 0.0))
+    return out
+
+
+def test_node_values_match_scalar_calls(canonical):
+    for kind, data in _canonical_data(canonical).items():
+        got = data.node_values(canonical).items()
+        assert list(got) == list(_node_values_reference(data, canonical).items()), kind
 
 
 def test_interpolation(canonical, canonical_sol, leb):
