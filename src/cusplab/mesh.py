@@ -123,6 +123,10 @@ class Mesh:
     edge_tags: dict                      # (i, j) sorted tuple -> tag
     component_arcs: dict = dataclass_field(default_factory=dict)
     z_cut: float = 0.0
+    # private FEM state (stiffness, LU factor, point-location grid): built by
+    # cusplab.fem on first use, rebuilt when nodes or triangles change
+    _fem: object = dataclass_field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def signed_areas(self):
         p = self.nodes[self.triangles]

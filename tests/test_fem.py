@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -236,6 +237,58 @@ def test_direct_solve_residual(canonical):
         assert sol.iterations == 0
 
 
+def _assert_same_solution(got, want):
+    assert np.array_equal(got.values, want.values)
+    assert got.dirichlet_energy == want.dirichlet_energy
+    assert got.residual == want.residual
+
+
+def test_reused_factor_is_exact(canonical):
+    # a deep copy of a solved mesh starts without FEM state and factors anew
+    data = _canonical_data(canonical)
+    first = {kind: fem.solve_dirichlet(canonical, d, tol=1e-12)
+             for kind, d in data.items()}
+    twin = copy.deepcopy(canonical)
+    assert twin._fem is None
+    for kind, d in data.items():
+        for m in (canonical, twin):
+            _assert_same_solution(fem.solve_dirichlet(m, d, tol=1e-12),
+                                  first[kind])
+
+
+def _fresh(m):
+    return mesh.Mesh(nodes=m.nodes.copy(), triangles=m.triangles.copy(),
+                     node_tags=list(m.node_tags), edge_tags=dict(m.edge_tags),
+                     component_arcs=m.component_arcs, z_cut=m.z_cut)
+
+
+def test_mesh_state_is_never_stale(cs):
+    m = mesh.triangulate(cs, n_levels=8, n_stations=32)
+    data = fem.BoundaryData(fem.BumpData(0.4, 0.25, 2.5), fem.ConstantData(-0.5))
+
+    def check(d):
+        point = tuple(m.nodes[m.triangles[40]].mean(axis=0))
+        got, want = fem.solve_dirichlet(m, d), fem.solve_dirichlet(_fresh(m), d)
+        _assert_same_solution(got, want)
+        assert got(*point) == want(*point)
+
+    check(data)
+    m.nodes[:, 0] *= 1.25          # moved in place: new stiffness and grid
+    check(data)
+    m.triangles = m.triangles[::-1].copy()      # same cells, new order
+    check(data)
+    # a datum that also fixes interior nodes needs its own factor
+    bc = data.node_values(m)
+    bc.update((int(i), 0.1) for i in m.nodes_with_tag(mesh.INTERIOR)[::7])
+    check(bc)
+    check(data)
+    outer_only = {i: v for i, v in bc.items() if m.node_tags[i] == mesh.OUTER}
+    with pytest.raises(InputError):
+        fem.solve_dirichlet(m, outer_only)
+    with pytest.raises(ConvergenceError):
+        fem.solve_dirichlet(m, data, tol=1e-20)
+
+
 def _node_values_reference(data, m):
     """One scalar call of the spec per node, in node order per tag."""
     out = {}
@@ -261,8 +314,10 @@ def test_node_values_match_scalar_calls(canonical):
 def test_interpolation(canonical, canonical_sol, leb):
     v = canonical_sol(0.5, 0.5)
     assert v == pytest.approx(leb.value(0.5, 0.5), rel=0.01)
-    with pytest.raises(DomainError):
-        canonical_sol(5.0, 5.0)
+    # outside the bucket grid's box, and non-finite coordinates
+    for r, z in [(5.0, 5.0), (-1.0, 0.5), (math.nan, 0.5), (1.5, math.inf)]:
+        with pytest.raises(DomainError):
+            canonical_sol(r, z)
 
 
 def _assemble_reference(m):
@@ -307,7 +362,7 @@ def _locate_reference(m, r, z, tol=1e-12):
     return None
 
 
-def test_locate_matches_linear_scan(cs):
+def test_locate_matches_linear_scan(cs, canonical):
     small = mesh.triangulate(cs, n_levels=4, n_stations=8)
     rng = np.random.default_rng(11)
     inside, outside = [], []
@@ -321,10 +376,31 @@ def test_locate_matches_linear_scan(cs):
     points = inside + outside + [tuple(p) for p in small.nodes] \
         + [tuple(p) for p in midpoints] + [(3.0, 3.0), (0.1, -5.0)]
     assert len(outside) > 10
-    for r, z in points:
-        got, want = fem._locate(small, r, z), _locate_reference(small, r, z)
-        if want is None:
-            assert got is None
-        else:
-            assert np.array_equal(got[0], want[0])
-            assert np.abs(got[1] - want[1]).max() <= 1e-12
+    cases = [(small, points)]
+
+    # the 16x64 mesh: nodes, edge midpoints, the cusp cap and points just
+    # outside the outer boundary and beyond the mesh
+    t = canonical.triangles
+    edges = np.unique(np.sort(np.concatenate([t[:, :2], t[:, 1:], t[:, ::2]]),
+                              axis=1), axis=0)
+    nodes = canonical.nodes
+    cap = nodes[canonical.nodes_with_tag(mesh.CAP)]
+    outer = nodes[canonical.nodes_with_tag(mesh.OUTER)]
+    pick = np.random.default_rng(12).choice
+    points = [tuple(p) for p in nodes[pick(len(nodes), 18, replace=False)]]
+    points += [tuple(0.5 * (nodes[i] + nodes[j]))
+               for i, j in edges[pick(len(edges), 18, replace=False)]]
+    points += [tuple(p) for p in cap] + [tuple(p * (1.0 + d)) for p in cap
+                                         for d in (-1e-3, 1e-13, 1e-3)]
+    points += [tuple(p) for p in 1.001 * outer[pick(len(outer), 4, replace=False)]]
+    points += [(0.0, 0.0), (1.5, -2.0)]
+    cases.append((canonical, points))
+
+    for m, points in cases:
+        for r, z in points:
+            got, want = fem._locate(m, r, z), _locate_reference(m, r, z)
+            if want is None:
+                assert got is None
+            else:
+                assert np.array_equal(got[0], want[0])
+                assert np.abs(got[1] - want[1]).max() <= 1e-12
