@@ -45,6 +45,11 @@ class CrossSection:
     inner: ContourCurve                  # level-B curve, traced in full
     inner_truncated: np.ndarray          # (z, r) samples of level B, z >= z_cut
     axis_segments: tuple                 # ((z1(A), 0), (z2(B), z2(A)))
+    # private walk-on-spheres geometry (segments, arc fractions, distance
+    # quadtree): built by cusplab.wos on first use, rebuilt when the
+    # boundary polylines change
+    _wos: object = dataclass_field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def boundary_polylines(self):
         """(component, (r, z) polyline) pairs bounding the truncated region.
@@ -141,7 +146,8 @@ class Mesh:
         return [(int(i), int(j)) for i, j in edges[counts == 1]]
 
     def nodes_with_tag(self, tag):
-        return np.flatnonzero(np.asarray(self.node_tags) == tag)
+        return np.flatnonzero(np.fromiter((t == tag for t in self.node_tags),
+                                          bool, len(self.node_tags)))
 
 
 def _min_angles(p):

@@ -8,19 +8,35 @@ query point).  A walker jumps to a uniform point on a sphere no larger than
 its boundary distance until it comes within eps of the boundary, then
 scores the boundary datum at the arc fraction of its closest boundary point.
 
-Distances come from the polyline segments themselves, through a small
-candidate index (a conservative distance query in the sense of Sawhney &
-Crane, Monte Carlo Geometry Processing, 2020): a KD-tree over about
-INDEX_POINTS points spaced evenly along the segments, each point recording
-its segment.  Every point of a segment lies within `slack` of an index
-point of that segment, so a segment none of whose index points is among
-the NEAREST nearest ones lies at least d_k - slack away, d_k being the
-distance to the farthest of those.  The step radius
-min(exact distance to the candidate segments, d_k - slack) is therefore a
-lower bound on the boundary distance; it is exact wherever the candidates
-certify it.  A walker whose bound falls below eps without that
-certificate gets the exact distance over all segments, so no walk ever
-stops farther than eps from the boundary.
+Distances come from the polyline segments themselves, through a linear
+quadtree over the square that bounds them: adaptively sampled distance
+cells (Frisken, Perry, Rockwood & Jones, Adaptively Sampled Distance
+Fields, SIGGRAPH 2000) queried conservatively in the sense of Sawhney &
+Crane, Monte Carlo Geometry Processing, 2020.  Each leaf has a centre c,
+half-diagonal rho and the exact distance d(c) from c to the boundary, and
+is one of two kinds:
+
+* a near leaf lists every segment within d(c) + 2 rho of c, which holds
+  every segment that can be nearest to a point of the leaf: at most K of
+  them, more only at the depth limit.  A walker x gets the exact distance
+  to the listed segments; no unlisted one lies closer than
+  d(c) + 2 rho - |x - c|, so the smaller of the two is a lower bound on the
+  boundary distance, exact when the listed distance is the smaller.
+* a far leaf, d(c) > F rho, stores only d(c); its walkers step by the
+  1-Lipschitz bound d(c) - |x - c|.
+
+A cell that is neither far nor lists at most K segments is split in four,
+down to DEPTH levels.
+
+A walker's leaf is found by its Morton code at depth DEPTH and one
+searchsorted over the leaves' sorted start codes.  Both bounds hold for any
+x, in the leaf or not (rounding can put a point on a cell edge into its
+neighbour), so a step never passes the boundary; a walker whose bound falls
+below eps without a certificate of exactness gets the exact distance over
+all segments, so no walk ever stops farther than eps from the boundary.
+The segments, their arc fractions and the tree depend on the cross-section
+alone: they are built on the first estimate and kept on the section (see
+_geometry); the boundary data are bound per call.
 
 Randomness is counter-based: walks are processed in fixed-size chunks, each
 chunk drawing from its own Philox stream keyed by (seed, chunk index), so
@@ -31,10 +47,10 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .contour import polyline_arcs
 from .errors import DomainError, InputError, ReliabilityError
@@ -42,55 +58,93 @@ from .fem import BoundaryData, TabulatedData
 
 CHUNK = 32768
 STEP_CAP = 100_000
-# the candidate index holds about this many points in total
-INDEX_POINTS = 1024
-# index points queried per walker and step
-NEAREST = 8
-# walkers per block when measuring the distance to every segment
-_BLOCK = 256
-# fewer walkers than this query the index on one thread: starting threads
-# costs more than the query (2-core box, 1416 index points: 16 walkers take
-# 55 us on one thread and 268 us threaded, 128 take 252 us and 373 us;
-# from 256 to 2048 the two break even, and threads win from about 3000)
-SERIAL_QUERY_BELOW = 256
+# segments a near leaf lists, more only at the depth limit
+K = 8
+# a leaf whose centre lies more than F half-diagonals from the boundary
+# stores only that distance
+F = 3.0
+# depth limit of the quadtree: Morton codes of 2 * DEPTH bits
+DEPTH = 31
+# point-segment pairs measured per block, to bound the temporary arrays
+_PAIRS = 4096
 
 
-def _project(p, a, d):
-    """Distance from points p to the segments a + t d, 0 <= t <= 1, and the
-    parameter t of the closest point.  The arrays broadcast over their
-    leading axes; the last axis holds (r, z)."""
-    w = p - a
-    dd = np.maximum((d * d).sum(axis=-1), np.finfo(float).tiny)
-    t = np.clip((w * d).sum(axis=-1) / dd, 0.0, 1.0)
-    e = t[..., None] * d - w
-    return np.hypot(e[..., 0], e[..., 1]), t
+def _project(px, pz, s):
+    """Squared distance from the points (px, pz) to the segments s, and the
+    parameter t of the closest point.  s stacks (ax, az, dx, dz, dd) on its
+    first axis: the segment a + t d, 0 <= t <= 1, with dd = |d|^2 floored
+    at the smallest normal float.  The arrays broadcast.  Callers take the
+    root of the least square only: every distance comes from this one
+    kernel, so a distance found among a few candidates equals the one found
+    among all segments bit for bit.  Squares underflow below about 1e-154,
+    far inside any stopping shell."""
+    ax, az, dx, dz, dd = s
+    wx, wz = px - ax, pz - az
+    t = wx * dx
+    t += wz * dz
+    t /= dd
+    np.clip(t, 0.0, 1.0, out=t)
+    ex, ez = t * dx, t * dz
+    ex -= wx
+    ez -= wz
+    ex *= ex
+    ez *= ez
+    ex += ez
+    return ex, t
 
 
-def _nearest(p, a, d):
-    """Exact distance from each row of p to the nearest of all segments
-    (a, d), with that segment's index and the parameter of the closest
-    point."""
+def _least(sq, t):
+    """Per row of the squared distances sq: the distance to the nearest
+    segment, its column and the parameter t there; ties go to the first
+    column."""
+    j = sq.argmin(axis=1)
+    rows = np.arange(len(j))
+    return np.sqrt(sq[rows, j]), j, t[rows, j]
+
+
+def _nearest(p, s):
+    """Exact distance from each row of p to the nearest of all segments s,
+    with that segment's index and the parameter of the closest point."""
     dist = np.empty(len(p))
     seg = np.empty(len(p), dtype=np.intp)
     t = np.empty(len(p))
-    for i in range(0, len(p), _BLOCK):
-        dk, tk = _project(p[i:i + _BLOCK, None, :], a, d)
-        j = dk.argmin(axis=1)
-        rows = np.arange(len(j))
-        dist[i:i + _BLOCK] = dk[rows, j]
-        seg[i:i + _BLOCK] = j
-        t[i:i + _BLOCK] = tk[rows, j]
+    block = max(1, _PAIRS // s.shape[1])
+    for i in range(0, len(p), block):
+        q = p[i:i + block]
+        dist[i:i + block], seg[i:i + block], t[i:i + block] = _least(
+            *_project(q[:, :1], q[:, 1:], s))
     return dist, seg, t
 
 
-def _segments(cs):
-    """(tag, start points, direction vectors, cumulative arc) per boundary
-    polyline of the cross-section."""
-    out = []
-    for tag, pl in cs.boundary_polylines():
-        pl = np.asarray(pl, dtype=float)
-        out.append((tag, pl[:-1], np.diff(pl, axis=0), polyline_arcs(pl)))
-    return out
+def _spread(v):
+    """The bits of each uint64 v < 2**32 moved to the even bit positions."""
+    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                        (1, 0x5555555555555555)):
+        v = (v | (v << np.uint64(shift))) & np.uint64(mask)
+    return v
+
+
+def _morton(ij):
+    """Morton codes of the rows (i, j) of integer cell coordinates below
+    2**DEPTH."""
+    v = _spread(ij.astype(np.uint64))
+    return v[:, 0] | (v[:, 1] << np.uint64(1))
+
+
+def _polylines(cs):
+    """The cross-section's (tag, (r, z) polyline) pairs as float arrays."""
+    return [(tag, np.asarray(pl, dtype=float))
+            for tag, pl in cs.boundary_polylines()]
+
+
+def _segments(polylines):
+    """The segments of all polylines stacked for _project, shape (5, n)."""
+    a = np.vstack([pl[:-1] for _, pl in polylines])
+    d = np.vstack([np.diff(pl, axis=0) for _, pl in polylines])
+    dd = np.maximum(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1],
+                    np.finfo(float).tiny)
+    return np.stack([a[:, 0], a[:, 1], d[:, 0], d[:, 1], dd])
 
 
 def distance_to_boundary(cs, point):
@@ -99,10 +153,161 @@ def distance_to_boundary(cs, point):
     r, z = float(point[0]), float(point[1])
     if hasattr(cs, "contains") and not cs.contains(r, z):
         raise DomainError(f"point (r={r}, z={z}) is not interior")
-    parts = _segments(cs)
-    a = np.vstack([part[1] for part in parts])
-    d = np.vstack([part[2] for part in parts])
-    return float(_nearest(np.array([[r, z]]), a, d)[0][0])
+    segs = _segments(_polylines(cs))
+    return float(_nearest(np.array([[r, z]]), segs)[0][0])
+
+
+class _Geometry:
+    """The boundary segments of one cross-section, their arc fractions and
+    the quadtree of distance cells over them (see the module docstring)."""
+
+    def __init__(self, polylines):
+        # copies of the polylines, to tell when the section has changed
+        self.polylines = [(tag, pl.copy()) for tag, pl in polylines]
+        self.segs = _segments(polylines)
+        # segment k covers arc fractions s0[k] .. s0[k] + ds[k] of comp[k]
+        arcs = [polyline_arcs(pl) for _, pl in polylines]
+        self.comp = np.concatenate([np.full(len(arc) - 1, k)
+                                    for k, arc in enumerate(arcs)])
+        self.s0 = np.concatenate([arc[:-1] / arc[-1] for arc in arcs])
+        self.ds = np.concatenate([np.diff(arc) / arc[-1] for arc in arcs])
+        self._build_tree()
+
+    def matches(self, polylines):
+        return (len(polylines) == len(self.polylines)
+                and all(tag == mine and np.array_equal(pl, copy)
+                        for (tag, pl), (mine, copy) in zip(polylines,
+                                                           self.polylines)))
+
+    def _build_tree(self):
+        """Split cells level by level, carrying each cell's candidate
+        segments as ragged (cell, segment) pairs sorted by cell, then by
+        segment."""
+        vertices = np.vstack([pl for _, pl in self.polylines])
+        lo = vertices.min(axis=0)
+        size = float((vertices.max(axis=0) - lo).max()) or 1.0
+        self.origin, self.scale = lo, 2.0 ** DEPTH / size
+        # absorbs rounding in the distances: a list holds every segment
+        # within d(c) + 2 rho + tol, and a bound leaves tol to spare
+        tol = size * 2.0 ** -40
+        quad = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+        ij = np.zeros((1, 2), dtype=np.int64)
+        seg = np.arange(self.segs.shape[1])
+        cell = np.zeros_like(seg)
+        leaves = []                  # (level, ij, centre, reach, count, segs)
+        for level in range(DEPTH + 1):
+            h = size / 2.0 ** level
+            rho = h * math.sqrt(0.5)
+            centre = lo + (ij + 0.5) * h
+            dist = np.empty(len(cell))
+            for i in range(0, len(cell), _PAIRS):
+                c = cell[i:i + _PAIRS]
+                dist[i:i + _PAIRS] = _project(centre[c, 0], centre[c, 1],
+                                              self.segs[:, seg[i:i + _PAIRS]])[0]
+            np.sqrt(dist, out=dist)
+            count = np.bincount(cell, minlength=len(ij))
+            dc = np.minimum.reduceat(dist, np.cumsum(count) - count)
+            keep = dist <= dc[cell] + (2.0 * rho + tol)
+            cell, seg = cell[keep], seg[keep]
+            count = np.bincount(cell, minlength=len(ij))
+            far = dc > F * rho
+            split = ~far & (count > K) & (level < DEPTH)
+            count[far] = 0
+            leaves.append((level, ij[~split], centre[~split],
+                           np.where(far, dc - tol, dc + 2.0 * rho)[~split],
+                           count[~split], seg[~split[cell] & ~far[cell]]))
+            if not split.any():
+                break
+            # the pairs of each split cell, repeated for its four children
+            # and put in the order (child, segment)
+            mine = split[cell]
+            child = (4 * (np.cumsum(split) - 1)[cell[mine]][:, None]
+                     + np.arange(4)).ravel()
+            order = np.argsort(child, kind="stable")
+            cell, seg = child[order], np.repeat(seg[mine], 4)[order]
+            ij = (2 * ij[split][:, None, :] + quad).reshape(-1, 2)
+
+        level = np.concatenate([np.full(len(lv[1]), lv[0]) for lv in leaves])
+        ij = np.vstack([lv[1] for lv in leaves]) << (DEPTH - level)[:, None]
+        start = _morton(ij)
+        order = np.argsort(start)
+        self.start = start[order]
+        self.centre = np.vstack([lv[2] for lv in leaves])[order]
+        self.reach = np.concatenate([lv[3] for lv in leaves])[order]
+        count = np.concatenate([lv[4] for lv in leaves])
+        first = (np.cumsum(count) - count)[order]
+        count = count[order]
+        lists = np.concatenate([lv[5] for lv in leaves])
+        # near leaves by their row in the candidate tables, far ones -1
+        near = count > 0
+        self.slot = np.where(near, np.cumsum(near) - 1, -1)
+        # each near leaf's segments, its first K padded with its last,
+        # and all of them for a leaf at the depth limit that has more
+        first, count = first[near], count[near]
+        self.table = lists[first[:, None]
+                           + np.minimum(np.arange(K), count[:, None] - 1)]
+        self.cells = self.segs[:, self.table]
+        self.full = {int(k): lists[first[k]:first[k] + count[k]]
+                     for k in np.flatnonzero(count > K)}
+
+    def leaf(self, rz):
+        """The leaf of each row of rz: the one whose Morton code range holds
+        the row's code, for a point clamped into the square."""
+        q = np.clip((rz - self.origin) * self.scale, 0.0, 2.0 ** DEPTH - 1.0)
+        return np.searchsorted(self.start, _morton(q.astype(np.uint64)),
+                               side="right") - 1
+
+    def query(self, rz, eps):
+        """Step radius for each row of rz, with the closest boundary point.
+
+        Returns (radius, exact, seg, t): radius never exceeds the distance
+        to the boundary and equals it where exact is True, which holds
+        wherever radius < eps; where exact, seg and t locate the closest
+        boundary point on segment seg.
+        """
+        leaf = self.leaf(rz)
+        off = rz - self.centre[leaf]
+        off *= off
+        radius = self.reach[leaf] - np.sqrt(off[:, 0] + off[:, 1])
+        exact = np.zeros(len(rz), dtype=bool)
+        seg = np.zeros(len(rz), dtype=np.intp)
+        t = np.zeros(len(rz))
+        slot = self.slot[leaf]
+        near = np.flatnonzero(slot >= 0)
+        if len(near):
+            slot = slot[near]
+            p = rz[near]
+            best, j, t[near] = _least(*_project(p[:, :1], p[:, 1:],
+                                                 self.cells[:, slot]))
+            seg[near] = self.table[slot, j]
+            for k, full in self.full.items():
+                # a leaf at the depth limit keeps all of its segments
+                mine = np.flatnonzero(slot == k)
+                if len(mine):
+                    best[mine], j, t[near[mine]] = _nearest(p[mine],
+                                                            self.segs[:, full])
+                    seg[near[mine]] = full[j]
+            exact[near] = best <= radius[near]
+            radius[near] = np.minimum(best, radius[near])
+        rare = np.flatnonzero(~exact & (radius < eps))
+        if len(rare):
+            radius[rare], seg[rare], t[rare] = _nearest(rz[rare], self.segs)
+            exact[rare] = True
+        return radius, exact, seg, t
+
+
+def _geometry(cs):
+    """The cross-section's _Geometry: the one kept in its _wos field while
+    its polylines stay equal to the copies the geometry holds, else a new
+    one, kept there for the next call.  A section without that field gets
+    a new one on every call."""
+    polylines = _polylines(cs)
+    geo = getattr(cs, "_wos", None)
+    if geo is None or not geo.matches(polylines):
+        geo = _Geometry(polylines)
+        if hasattr(cs, "_wos"):
+            cs._wos = geo
+    return geo
 
 
 def _datum(spec, tag):
@@ -117,68 +322,23 @@ def _datum(spec, tag):
 
 
 class _SegmentModel:
-    """The boundary segments, their data and a conservative candidate index
-    for distance queries."""
+    """The cross-section's geometry (shared between calls) with one call's
+    boundary data."""
 
     def __init__(self, cs, data):
         spec = dict(data.spec) if isinstance(data, BoundaryData) else dict(data)
-        parts = _segments(cs)
-        self.a = np.vstack([part[1] for part in parts])
-        self.d = np.vstack([part[2] for part in parts])
-        # segment k covers arc fractions s0[k] .. s0[k] + ds[k] of comp[k]
-        self.comp = np.concatenate([np.full(len(part[1]), k)
-                                    for k, part in enumerate(parts)])
-        self.s0 = np.concatenate([arc[:-1] / arc[-1]
-                                  for _, _, _, arc in parts])
-        self.ds = np.concatenate([np.diff(arc) / arc[-1]
-                                  for _, _, _, arc in parts])
-        self.datums = [_datum(spec.get(tag), tag) for tag, _, _, _ in parts]
-
-        # index points at the midpoints of m equal pieces of each segment,
-        # m = ceil(length / h): every segment point lies within half a
-        # piece of an index point of its own segment
-        length = np.hypot(self.d[:, 0], self.d[:, 1])
-        h = length.sum() / INDEX_POINTS
-        m = np.maximum(np.ceil(length / h), 1.0).astype(np.intp)
-        self.index_seg = np.repeat(np.arange(len(m)), m)
-        first = np.cumsum(m) - m
-        frac = (np.arange(len(self.index_seg)) - first[self.index_seg]
-                + 0.5) / m[self.index_seg]
-        self.tree = cKDTree(self.a[self.index_seg]
-                            + frac[:, None] * self.d[self.index_seg])
-        self.slack = 0.5 * float((length / m).max())
+        self.geo = _geometry(cs)
+        self.datums = [_datum(spec.get(tag), tag)
+                       for tag, _ in self.geo.polylines]
 
     def query(self, rz, eps):
-        """Step radius for each row of rz, with the closest boundary point.
-
-        Returns (radius, exact, seg, t): radius never exceeds the distance
-        to the boundary and equals it where exact is True, which holds
-        wherever radius < eps; seg and t locate the closest point on the
-        best candidate segment (the closest boundary point where exact).
-        """
-        workers = 1 if len(rz) < SERIAL_QUERY_BELOW else -1
-        dk, idx = self.tree.query(rz, k=NEAREST, workers=workers)
-        cand = self.index_seg[idx]
-        dist, t = _project(rz[:, None, :], self.a[cand], self.d[cand])
-        j = dist.argmin(axis=1)
-        rows = np.arange(len(j))
-        best, seg, t = dist[rows, j], cand[rows, j], t[rows, j]
-        # no segment without an index point among the candidates lies
-        # closer than this
-        lower = dk[:, -1] - self.slack
-        exact = best <= lower
-        radius = np.where(exact, best, lower)
-        rare = np.flatnonzero(~exact & (radius < eps))
-        if len(rare):
-            radius[rare], seg[rare], t[rare] = _nearest(rz[rare], self.a,
-                                                        self.d)
-            exact[rare] = True
-        return radius, exact, seg, t
+        return self.geo.query(rz, eps)
 
     def score(self, seg, t):
         """Boundary datum at the point t of each segment seg."""
-        s = self.s0[seg] + t * self.ds[seg]
-        comp = self.comp[seg]
+        geo = self.geo
+        s = geo.s0[seg] + t * geo.ds[seg]
+        comp = geo.comp[seg]
         out = np.empty(len(seg))
         for k, datum in enumerate(self.datums):
             mine = comp == k
@@ -196,46 +356,52 @@ class WosEstimate:
     eps: float
     seed: int
     discarded: int = 0
+    # distance queries summed over all walkers: one per walker and loop
+    # step, the step that stops it included
+    steps: int = 0
 
 
 def estimate(cs, data, point3d, walks=10_000, eps=1e-4, seed=0):
     """Monte Carlo estimate of the harmonic function with the given boundary
-    data at a 3D interior point.  Deterministic for a fixed seed."""
+    data at a 3D interior point.  Deterministic for a fixed seed.  walks
+    must be a positive integer and eps finite and positive (InputError)."""
+    if (isinstance(walks, bool) or not isinstance(walks, numbers.Integral)
+            or walks <= 0):
+        raise InputError(f"walks must be a positive integer; got {walks!r}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise InputError(f"eps must be finite and positive; got {eps!r}")
     x, y, z = (float(v) for v in point3d)
     r0 = math.hypot(x, y)
     if hasattr(cs, "contains") and not cs.contains(r0, z):
         raise DomainError(f"point (r={r0}, z={z}) is not interior")
-    if eps <= 0:
-        raise InputError("eps must be positive")
     model = _SegmentModel(cs, data)
 
-    total, total_sq, done, discarded = 0.0, 0.0, 0, 0
+    total, total_sq, done, discarded, steps = 0.0, 0.0, 0, 0, 0
     for j in range(0, walks, CHUNK):
         n = min(CHUNK, walks - j)
         rng = np.random.Generator(np.random.Philox(
             key=np.array([seed & 0xFFFFFFFFFFFFFFFF, j], dtype=np.uint64)))
+        # the live walkers: their indices and positions
+        live = np.arange(n)
         pos = np.tile([x, y, z], (n, 1))
         scores = np.zeros(n)
-        alive = np.ones(n, dtype=bool)
         for _ in range(STEP_CAP):
-            active = np.flatnonzero(alive)
-            if len(active) == 0:
+            if len(live) == 0:
                 break
-            rz = np.column_stack([np.hypot(pos[active, 0], pos[active, 1]),
-                                  pos[active, 2]])
+            steps += len(live)
+            rz = np.column_stack([np.hypot(pos[:, 0], pos[:, 1]), pos[:, 2]])
             radius, _, seg, t = model.query(rz, eps)
             hit = radius < eps
-            dead = active[hit]
-            scores[dead] = model.score(seg[hit], t[hit])
-            alive[dead] = False
-            movers = active[~hit]
-            if len(movers):
-                dirs = rng.standard_normal((len(movers), 3))
+            if hit.any():
+                scores[live[hit]] = model.score(seg[hit], t[hit])
+                move = ~hit
+                live, pos, radius = live[move], pos[move], radius[move]
+            if len(live):
+                dirs = rng.standard_normal((len(live), 3))
                 dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-                pos[movers] += radius[~hit][:, None] * dirs
-        n_lost = int(alive.sum())
-        discarded += n_lost
-        good = scores[~alive] if n_lost else scores
+                pos += radius[:, None] * dirs
+        discarded += len(live)
+        good = np.delete(scores, live)
         total += good.sum()
         total_sq += (good ** 2).sum()
         done += len(good)
@@ -247,4 +413,4 @@ def estimate(cs, data, point3d, walks=10_000, eps=1e-4, seed=0):
     var = max(total_sq / done - mean * mean, 0.0)
     stderr = math.sqrt(var / done)
     return WosEstimate(point=(x, y, z), mean=mean, stderr=stderr, walks=done,
-                       eps=eps, seed=seed, discarded=discarded)
+                       eps=eps, seed=seed, discarded=discarded, steps=steps)

@@ -86,6 +86,13 @@ def test_nodes_on_their_contours(canonical, leb):
     assert vals.min() > 0.5 and vals.max() < 2.0
 
 
+def test_nodes_with_tag_matches_string_array(canonical):
+    for tag in (mesh.OUTER, mesh.INNER, mesh.CAP, mesh.AXIS, mesh.INTERIOR):
+        expected = np.flatnonzero(np.asarray(canonical.node_tags) == tag)
+        assert len(expected)
+        assert np.array_equal(canonical.nodes_with_tag(tag), expected)
+
+
 def test_refinement_growth(cs, canonical):
     fine = mesh.triangulate(cs, n_levels=16, n_stations=64)
     factor = len(fine.nodes) / len(canonical.nodes)

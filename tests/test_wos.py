@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +42,12 @@ def leb():
 @pytest.fixture(scope="module")
 def cs(leb):
     return mesh.build_cross_section(leb, 0.5, 2.0, r_min=1e-6, n_trace=256)
+
+
+@pytest.fixture(scope="module")
+def deep_cs(leb):
+    # the section of acceptance criteria 11 and 12
+    return mesh.build_cross_section(leb, 0.5, 2.0, r_min=1e-6, n_trace=384)
 
 
 def test_distance_on_contour_sample(cs):
@@ -116,30 +124,113 @@ def test_step_bound_is_a_lower_bound(cs, cs_probes):
     assert np.any(~exact) and np.all(radius > 0.0)
 
 
+def _check_bound(geo, sec, pts, eps):
+    radius, exact, seg, t = geo.query(pts, eps)
+    true = np.array([wos.distance_to_boundary(sec, p) for p in pts])
+    assert np.all(radius <= true)
+    assert np.array_equal(radius[exact], true[exact])
+    assert np.all(exact[radius < eps])
+    assert np.all(true[radius < eps] < eps)
+    return radius, exact, seg, t
+
+
 def test_step_bound_when_candidates_miss_the_nearest_segment():
-    # a long wall at r = 1 and a crowd of tiny segments 6e-4 inside it:
-    # from points next to the wall, midway between two of its index points,
-    # every index point queried belongs to the crowd
+    # a long wall at r = 1 and, 6e-4 inside it, a crowd of 24 tiny segments
+    # (12 spokes out and back) meeting at one vertex: every cell that holds
+    # the vertex lists all 24, so the tree splits the cells around it down
+    # to the depth limit, where each leaf keeps its whole list; the first K
+    # of a list miss the spokes nearest to many points around the vertex
+    hub = np.array([1.0 - 6e-4, 0.0])
+    ang = 2.0 * math.pi * np.arange(12) / 12
+    tips = hub + 1e-6 * np.column_stack([np.cos(ang), np.sin(ang)])
+    crowd = np.vstack([hub] + [row for tip in tips for row in (tip, hub)])
+
     class Crowd:
         def boundary_polylines(self):
-            crowd = np.column_stack([np.full(17, 1.0 - 6e-4),
-                                     np.linspace(-5e-6, 5e-6, 17)])
             return [("outer-level", np.array([[1.0, -1.0], [1.0, 1.0]])),
                     ("inner-level", crowd)]
 
     sec = Crowd()
     model = wos._SegmentModel(sec, {"outer-level": fem.ConstantData(0.0),
                                     "inner-level": fem.ConstantData(1.0)})
-    pts = np.column_stack([1.0 - np.geomspace(1e-6, 2e-4, 12), np.zeros(12)])
-    _, idx = model.tree.query(pts, k=wos.NEAREST)
-    assert np.all(model.index_seg[idx] >= 1)
-    for eps in (1e-7, 1e-5):
-        radius, exact, seg, t = model.query(pts, eps)
-        true = np.array([wos.distance_to_boundary(sec, p) for p in pts])
-        assert np.all(radius <= true)
-        assert np.array_equal(radius[exact], true[exact])
-        assert np.all(true[radius < eps] < eps)
-        assert np.all(model.score(seg[radius < eps], t[radius < eps]) == 0.0)
+    geo = model.geo
+    assert geo.full and all(len(full) > wos.K for full in geo.full.values())
+    assert len(geo.full[geo.slot[geo.leaf(hub[None, :])[0]]]) == 24
+    rng = np.random.default_rng(23)
+    around = hub + _offsets(rng, 200, -12.0, -9.5)
+    slots = geo.slot[geo.leaf(around)]
+    assert all(k in geo.full for k in slots)
+    nearest = wos._nearest(around, geo.segs)[1]
+    assert not all(j in geo.table[k] for j, k in zip(nearest, slots))
+    between = np.column_stack([1.0 - np.geomspace(1e-6, 2e-4, 12), np.zeros(12)])
+    for eps in (1e-11, 1e-7, 1e-5):
+        for pts, datum in ((between, 0.0), (around, 1.0)):
+            radius, exact, seg, t = _check_bound(geo, sec, pts, eps)
+            hit = radius < eps
+            assert np.all(model.score(seg[hit], t[hit]) == datum)
+    radius, exact, _, _ = geo.query(around, 1e-12)
+    assert np.all(exact)
+
+
+def test_step_bound_outside_the_tree():
+    # the tree covers the square that bounds the segments; a point outside
+    # it is looked up in the nearest border leaf.  Above the top edge at
+    # r = 0.4 that leaf lists only the short segment 0.01 below the edge,
+    # while from high enough above, the top-edge polyline 0.3 to the side
+    # is nearer: the leaf does not certify such points, and they still get
+    # a bound
+    class Open:
+        def boundary_polylines(self):
+            return [("a", np.array([[0.0, 0.0], [1.0, 0.0]])),
+                    ("b", np.column_stack([np.linspace(0.7, 0.8, 11),
+                                           np.ones(11)])),
+                    ("c", np.array([[0.38, 0.99], [0.42, 0.99]]))]
+
+    sec = Open()
+    geo = wos._SegmentModel(sec, {tag: fem.ConstantData(0.0)
+                                  for tag in "abc"}).geo
+    high = np.array([[0.4, 11.0]])
+    slot = geo.slot[geo.leaf(high)[0]]
+    assert slot >= 0 and set(geo.table[slot]) == {11}
+    assert wos._nearest(high, geo.segs)[1][0] == 1
+    rng = np.random.default_rng(26)
+    pts = np.vstack([high, rng.uniform(-10.0, 11.0, (400, 2))])
+    for eps in (1e-3, 1.0):
+        _check_bound(geo, sec, pts, eps)
+
+
+def test_step_bound_on_leaf_edges_and_corners(cs):
+    # points exactly on the edges and corners of seeded leaves, where
+    # rounding may put a point in a neighbouring cell, and points within
+    # 1e-9 of the cap corner
+    geo = wos._SegmentModel(cs, fem.BoundaryData.constants(0.5, 2.0)).geo
+    rng = np.random.default_rng(24)
+    ends = np.append(geo.start, np.uint64(4) ** np.uint64(wos.DEPTH))
+    half = 0.5 * np.sqrt(np.diff(ends).astype(float)) / geo.scale
+    leaves = rng.choice(len(geo.start), 300, replace=False)
+    steps = np.array([[-1, -1], [-1, 0], [-1, 1], [0, -1], [0, 1],
+                      [1, -1], [1, 0], [1, 1]])
+    pts = (geo.centre[leaves][:, None, :]
+           + half[leaves][:, None, None] * steps).reshape(-1, 2)
+    pts = _interior(cs, pts)
+    cap = _interior(cs, np.array([cs.r_min, cs.z_cut])
+                    + _offsets(rng, 300, -12.0, -9.0))
+    assert len(pts) > 1000 and len(cap) > 50
+    for eps in (1e-4, 1e-8):
+        _check_bound(geo, cs, pts, eps)
+        radius, exact, _, _ = _check_bound(geo, cs, cap, eps)
+        assert np.all(exact)
+
+
+def test_step_bound_in_the_criterion_11_section(deep_cs):
+    geo = wos._SegmentModel(deep_cs, fem.BoundaryData.constants(0.5, 2.0)).geo
+    rng = np.random.default_rng(25)
+    pts = np.column_stack([rng.uniform(0.0, 1.5, 6000),
+                           rng.uniform(-0.6, 2.0, 6000)])
+    pts = _interior(deep_cs, pts)[:2000]
+    assert len(pts) == 2000
+    radius, exact, _, _ = _check_bound(geo, deep_cs, pts, 5e-5)
+    assert np.any(exact) and np.any(~exact)
 
 
 def _step_landings(model, pts, eps, rng, n_dirs=8):
@@ -258,6 +349,63 @@ def test_stderr_scales_with_walks(ball, ball_data):
                       eps=1e-3, seed=13)
     ratio = e2.stderr / e1.stderr
     assert 0.4 <= ratio <= 0.6
+
+
+@pytest.mark.parametrize("walks, eps", [(0, 1e-3), (-5, 1e-3),
+                                        (10, float("nan"))])
+def test_estimate_input_contract(ball, ball_data, walks, eps):
+    with pytest.raises(InputError):
+        wos.estimate(ball, ball_data, (0.0, 0.0, 0.0), walks=walks, eps=eps)
+
+
+def test_steps_count_every_query_row(ball, ball_data, monkeypatch):
+    rows = []
+    query = wos._Geometry.query
+
+    def counted(self, rz, eps):
+        rows.append(len(rz))
+        return query(self, rz, eps)
+
+    monkeypatch.setattr(wos._Geometry, "query", counted)
+    est = wos.estimate(ball, ball_data, (0.0, 0.0, 0.2), walks=500,
+                       eps=1e-3, seed=4)
+    assert est.steps == sum(rows) and est.steps > 5 * est.walks
+
+
+def _counting_builds(monkeypatch):
+    builds = []
+
+    class Counted(wos._Geometry):
+        def __init__(self, polylines):
+            builds.append(len(polylines))
+            super().__init__(polylines)
+
+    monkeypatch.setattr(wos, "_Geometry", Counted)
+    return builds
+
+
+def test_section_keeps_its_geometry(deep_cs, monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    # a section of its own, not yet with a geometry; the points and seeds
+    # of criterion 11, with fewer walks
+    sec = dataclasses.replace(copy.deepcopy(deep_cs))
+    data = fem.BoundaryData.constants(0.5, 2.0)
+    points = [(0.5, 0.5), (0.3, -0.1), (0.45, 1.0), (0.2, 0.2), (0.6, 0.6)]
+    run = lambda s, k, r, z: wos.estimate(s, data, (r, 0.0, z), walks=200,
+                                          eps=5e-5, seed=1000 + k)
+    first = [run(sec, k, r, z) for k, (r, z) in enumerate(points)]
+    assert len(builds) == 1
+    # a deep copy carries the geometry and gives the same estimates
+    twin = copy.deepcopy(sec)
+    assert [run(twin, k, r, z) for k, (r, z) in enumerate(points)] == first
+    assert len(builds) == 1
+    # a changed polyline rebuilds it, once, and matches a fresh section
+    sec.inner_truncated[5, 1] *= 1.001
+    moved = run(sec, 0, *points[0])
+    assert len(builds) == 2
+    assert run(sec, 0, *points[0]) == moved and len(builds) == 2
+    assert run(dataclasses.replace(sec), 0, *points[0]) == moved
+    assert run(twin, 0, *points[0]) == first[0] and len(builds) == 3
 
 
 def test_preconditions(cs, ball, ball_data):
