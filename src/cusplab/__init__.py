@@ -9,7 +9,7 @@ from .potential import (PotentialField, kellogg_closed_form, lebesgue_closed_for
                         sector_bound_check)
 from .contour import (ContourCurve, CuspRateReport, axis_crossings,
                       cusp_rate_bounds, log_radius_at, radius_at,
-                      trace_contour)
+                      trace_contour, trace_contours)
 from .mesh import (CrossSection, Mesh, build_cross_section, mesh_quality,
                    rectangle_mesh, triangulate)
 from .fem import (BoundaryData, BumpData, ConstantData, SolutionField,

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, density, fem, mesh, probe, svgplot, wiener, wos
-from .contour import trace_contour
+from .contour import trace_contour, trace_contours
 from .errors import CuspLabError, InputError
 from .potential import PotentialField
 
@@ -154,16 +154,13 @@ def cmd_potential_grid(cfg):
 def cmd_contour(cfg):
     out = _outdir(cfg)
     field = PotentialField(_build_density(cfg["density"]))
-    levels = cfg.get("levels", [0.5, 2.0])
+    levels = [float(c) for c in cfg.get("levels", [0.5, 2.0])]
     n = int(cfg.get("n_stations", 96))
     grading = cfg.get("grading", "blended")
-    rows, max_res, curves = [], 0.0, []
-    for c in levels:
-        curve = trace_contour(field, float(c), n=n, grading=grading)
-        curves.append(curve)
-        max_res = max(max_res, curve.max_residual())
-        for z, r in curve.samples:
-            rows.append((float(c), float(z), float(r)))
+    curves = trace_contours(field, levels, n=n, grading=grading)
+    max_res = max([0.0] + [curve.max_residual() for curve in curves])
+    rows = [(curve.level, float(z), float(r))
+            for curve in curves for z, r in curve.samples]
     _write_csv(os.path.join(out, "contours.csv"), "level,z,r", rows)
     highlight = cfg.get("highlight", [0.5, 2.0])
     svgplot.contour_map_svg(curves, highlight,

@@ -7,9 +7,10 @@ in r itself would stall at double-precision resolution, while t stays a
 perfectly ordinary float.  Over the rod V is nearly linear in t
 (V ~ -2 rho(z) t), so Newton steps in t on V and its slope converge in a
 few steps.  There is one root path for every density: log_radius_at solves
-all stations of a curve in one batch of array evaluations of
+any number of (level, station) lanes in one batch of array evaluations of
 PotentialField.value_slope_log_r (the closed form of the lebesgue profile,
-the panel quadrature of every other density).  Where only the side of a
+the panel quadrature of every other density), and trace_contours solves
+the stations of all its levels in one such batch.  Where only the side of a
 root matters, no root is solved: V falls strictly in r, so the level-c
 radius at z lies below e^t exactly when V(e^t, z) < c (radius_below).
 """
@@ -114,30 +115,35 @@ def _level_value(field, t, z):
 def log_radius_at(field, c, z, t_cap=1e300):
     """log of the contour radius: the unique t with V(e^t, z) = c.
 
-    z may be an array of stations, one root each; a scalar z gives a float.
-    Works arbitrarily deep in the cusp; the returned t can be far below the
-    underflow threshold of r itself.
+    Levels c and stations z are arrays broadcast against each other, one
+    root per (level, station) lane; the result is a float only when both
+    are scalars.  Works arbitrarily deep in the cusp; the returned t can be
+    far below the underflow threshold of r itself.
 
-    Every station brackets its root by stepping t up from 0 and then
-    doubling it down from -1.  All stations are solved together: Newton
+    Every lane brackets its root by stepping t up from 0 and then
+    doubling it down from -1.  All lanes are solved together: Newton
     steps in t on V and its slope, bisecting whenever a step leaves the
     bracket, does not halve the previous step or has no finite slope.  A
-    station is done once |V - c| <= CONTOUR_RTOL max(1, c) / 2 and either
+    lane is done once |V - c| <= CONTOUR_RTOL max(1, c) / 2 and either
     the Newton step (the bracket, without a finite slope) is below
     1e-14 max(1, |t|) or Newton has stalled after a step: |V - c| did not
     halve or the next step is refused.  That happens only at the rounding
     floor of V, where the steps are noise (a root of slope dV/dt is then
-    known to about 1e-16 max(1, c) / |dV/dt|).  Where quadrature cannot
-    resolve V over the rod (r below MIN_QUADRATURE_RADIUS) it reads +inf,
-    above every level, as V is there.  A station whose root lies below that
-    floor sees its bracket collapse onto the floor with the residual off
-    target; it is retired at once with an AccuracyError that names the
-    floor.  A failing station raises its RangeError or AccuracyError; with
-    several, the first station in order does.
+    known to about 1e-16 max(1, c) / |dV/dt|).  Each lane keeps its own
+    level, bracket and Newton state and its arithmetic is elementwise, so
+    its root is the one it finds alone, bit for bit.  Where quadrature
+    cannot resolve V over the rod (r below MIN_QUADRATURE_RADIUS) it reads
+    +inf, above every level, as V is there.  A lane whose root lies below
+    that floor sees its bracket collapse onto the floor with the residual
+    off target; it is retired at once with an AccuracyError that names the
+    floor.  A failing lane raises its RangeError or AccuracyError; with
+    several, the first lane in (level, station) order does.
     """
-    if c <= 0:
+    cs, zs = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(z, dtype=float))
+    shape = cs.shape
+    cs, zs = cs.ravel(), zs.ravel()
+    if not np.all(cs > 0):
         raise InputError("level must be positive")
-    zs = np.atleast_1d(np.asarray(z, dtype=float))
     n = len(zs)
     errors = {}
 
@@ -149,7 +155,7 @@ def log_radius_at(field, c, z, t_cap=1e300):
     t_hi = np.zeros(n)
     lanes = np.arange(n)
     while len(lanes):
-        lanes = lanes[values(lanes, t_hi[lanes])[0] > c]
+        lanes = lanes[values(lanes, t_hi[lanes])[0] > cs[lanes]]
         t_hi[lanes] += 2.0
         for k in lanes[t_hi[lanes] > 710.0]:
             errors[k] = RangeError(f"no contour radius below e^710 at z={zs[k]}")
@@ -157,17 +163,17 @@ def log_radius_at(field, c, z, t_cap=1e300):
     t_lo = np.minimum(t_hi - 2.0, -1.0)
     lanes = np.array([k for k in range(n) if k not in errors], dtype=int)
     while len(lanes):
-        lanes = lanes[values(lanes, t_lo[lanes])[0] < c]
+        lanes = lanes[values(lanes, t_lo[lanes])[0] < cs[lanes]]
         t_lo[lanes] *= 2.0
         for k in lanes[-t_lo[lanes] > t_cap]:
-            errors[k] = RangeError(f"no contour bracket for level {c} at z={zs[k]} "
+            errors[k] = RangeError(f"no contour bracket for level {cs[k]} at z={zs[k]} "
                                    f"within log-radius {t_cap}")
         lanes = lanes[-t_lo[lanes] <= t_cap]
 
-    res_accept = CONTOUR_RTOL * max(1.0, c)
-    res_target = 0.5 * res_accept
     out = np.zeros(n)
     lanes = np.array([k for k in range(n) if k not in errors], dtype=int)
+    c = cs[lanes]
+    res_accept = CONTOUR_RTOL * np.maximum(1.0, c)
     lo, hi = t_lo[lanes], t_hi[lanes]
     t = t_next = 0.5 * (lo + hi)
     f = np.zeros(len(lanes))
@@ -191,7 +197,7 @@ def log_radius_at(field, c, z, t_cap=1e300):
         stalled = (f_last < INF) & ((af >= 0.5 * f_last) | ~take)
         tol = 1e-14 * np.maximum(1.0, np.abs(t))
         collapsed = hi - lo <= tol
-        done = (af <= res_target) & np.where(
+        done = (af <= 0.5 * res_accept) & np.where(
             finite, (np.abs(step) <= tol) | stalled, collapsed)
         out[lanes[done]] = t[done]
         # V jumps across a collapsed bracket: the root is below the floor
@@ -199,7 +205,7 @@ def log_radius_at(field, c, z, t_cap=1e300):
         if floored.any():
             for k, tk, fk in zip(lanes[floored], t[floored], af[floored]):
                 errors[k] = AccuracyError(
-                    f"no contour root for level {c} at z={zs[k]}: its bracket "
+                    f"no contour root for level {cs[k]} at z={zs[k]}: its bracket "
                     f"collapsed at r = {math.exp(tk):.3e} with residual {fk:.2e}; "
                     f"over the rod quadrature does not resolve V below "
                     f"MIN_QUADRATURE_RADIUS = {MIN_QUADRATURE_RADIUS:g}",
@@ -207,20 +213,22 @@ def log_radius_at(field, c, z, t_cap=1e300):
             done |= floored
         t_next = np.where(take, t_new, 0.5 * (lo + hi))
         f_last = np.where(take, af, INF)
-        keep = ~done
-        last = np.abs(t_next - t)[keep]
-        lanes, lo, hi, t, f, t_next, f_last = (
-            lanes[keep], lo[keep], hi[keep], t[keep], f[keep], t_next[keep], f_last[keep])
-    # stations still open after 300 steps keep their last point if its
+        last = np.abs(t_next - t)
+        if done.any():          # drop finished lanes
+            keep = ~done
+            lanes, c, res_accept, lo, hi, t, f, t_next, f_last, last = (
+                lanes[keep], c[keep], res_accept[keep], lo[keep], hi[keep], t[keep],
+                f[keep], t_next[keep], f_last[keep], last[keep])
+    # lanes still open after 300 steps keep their last point if its
     # residual is on target
-    for k, tk, fk in zip(lanes, t, f):
-        if abs(fk) > res_accept:
+    for k, tk, fk, acc in zip(lanes, t, f, res_accept):
+        if abs(fk) > acc:
             errors[k] = AccuracyError(f"contour residual {abs(fk):.2e} at z={zs[k]}",
                                       best_estimate=math.exp(tk) if tk > -745 else 0.0)
         out[k] = tk
     if errors:
         raise errors[min(errors)]
-    return float(out[0]) if np.ndim(z) == 0 else out
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def radius_at(field, c, z):
@@ -307,19 +315,8 @@ def _geometric_offsets(field, c, z1, z2, n):
     return d_max * ratio ** np.arange(n)
 
 
-def trace_contour(field, c, n=64, grading="geometric"):
-    """Trace the level curve V = c with n interior stations plus endpoints.
-
-    grading "geometric" concentrates stations toward z1 (ratio 0.7) so a
-    cusp is resolved over many decades of r; "uniform" spaces stations
-    evenly in z; "blended" unions a uniform grid with a geometric tail,
-    resolving the cusp without starving the rest of the curve.
-    """
-    if n < 16:
-        raise InputError("need at least 16 interior stations")
-    if grading not in ("geometric", "uniform", "blended"):
-        raise InputError(f"unknown grading {grading!r}")
-    z1, z2 = axis_crossings(field, c)
+def _stations(field, c, z1, z2, n, grading):
+    """Sorted interior station heights of the level-c curve on (z1, z2)."""
     if grading == "uniform":
         zs = z1 + (z2 - z1) * np.arange(1, n + 1) / (n + 1)
     elif grading == "geometric":
@@ -329,21 +326,56 @@ def trace_contour(field, c, n=64, grading="geometric"):
         uni = (z2 - z1) * np.arange(1, n - half + 1) / (n - half + 1)
         geo = _geometric_offsets(field, c, z1, z2, half)
         zs = z1 + np.unique(np.concatenate([uni, geo]))
-    zs = np.sort(zs)
-    n = len(zs)
+    return np.sort(zs)
 
-    ts = log_radius_at(field, c, zs)
-    rs = np.exp(ts)
-    res = np.abs(field.value_slope_log_r(ts, zs)[0] - c)
 
-    samples = np.zeros((n + 2, 2))
-    samples[0] = (z1, 0.0)
-    samples[-1] = (z2, 0.0)
-    samples[1:-1, 0] = zs
-    samples[1:-1, 1] = rs
-    log_r = np.concatenate([[-math.inf], ts, [-math.inf]])
-    return ContourCurve(level=c, z1=z1, z2=z2, samples=samples,
-                        log_r=log_r, residuals=res)
+def trace_contours(field, levels, n=64, grading="geometric"):
+    """Trace the level curves V = c of every c in levels, each with n
+    interior stations plus endpoints; one ContourCurve per level, in order.
+
+    grading "geometric" concentrates stations toward z1 (ratio 0.7) so a
+    cusp is resolved over many decades of r; "uniform" spaces stations
+    evenly in z; "blended" unions a uniform grid with a geometric tail,
+    resolving the cusp without starving the rest of the curve.  Axis
+    crossings and stations are found level by level; the radii of all
+    stations of all levels are solved in one log_radius_at batch.
+    """
+    if n < 16:
+        raise InputError("need at least 16 interior stations")
+    if grading not in ("geometric", "uniform", "blended"):
+        raise InputError(f"unknown grading {grading!r}")
+    levels = [float(c) for c in levels]
+    if not levels:
+        return []
+    ends, stations = [], []
+    for c in levels:
+        z1, z2 = axis_crossings(field, c)
+        ends.append((z1, z2))
+        stations.append(_stations(field, c, z1, z2, n, grading))
+    sizes = [len(zs) for zs in stations]
+    cs = np.repeat(levels, sizes)
+    zs = np.concatenate(stations)
+    ts = log_radius_at(field, cs, zs)
+    res = np.abs(field.value_slope_log_r(ts, zs)[0] - cs)
+
+    curves = []
+    splits = np.cumsum(sizes)[:-1]
+    for c, (z1, z2), z, t, r in zip(levels, ends, stations,
+                                    np.split(ts, splits), np.split(res, splits)):
+        samples = np.zeros((len(z) + 2, 2))
+        samples[0] = (z1, 0.0)
+        samples[-1] = (z2, 0.0)
+        samples[1:-1, 0] = z
+        samples[1:-1, 1] = np.exp(t)
+        log_r = np.concatenate([[-math.inf], t, [-math.inf]])
+        curves.append(ContourCurve(level=c, z1=z1, z2=z2, samples=samples,
+                                   log_r=log_r, residuals=r))
+    return curves
+
+
+def trace_contour(field, c, n=64, grading="geometric"):
+    """Trace the one level curve V = c (see trace_contours)."""
+    return trace_contours(field, [c], n, grading)[0]
 
 
 @dataclass

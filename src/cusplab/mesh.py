@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .contour import (ContourCurve, log_radius_at, polyline_arcs, radius_below,
-                      trace_contour)
+                      trace_contours)
 from .errors import InputError, MeshError, RangeError
 
 OUTER = "outer-level"
@@ -71,6 +71,21 @@ class CrossSection:
         return self.A - slack <= v <= self.B + slack
 
 
+def _bisect(inside, lo, hi):
+    """Bisect [lo, hi] for the point where inside(x) turns from True (at lo)
+    to False (at hi): at most 80 halvings, stopping once lo and hi are
+    adjacent doubles, where no further halving can move either end."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _truncation_height(field, c, r_min, z_hint=None):
     """Height where the level-c cusp radius equals r_min (root in z).
 
@@ -89,13 +104,7 @@ def _truncation_height(field, c, r_min, z_hint=None):
         lo /= 2.0
         if lo < 1e-300:
             raise RangeError(f"level {c} is thicker than {r_min} everywhere")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if thin(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(thin, lo, hi)
 
 
 def build_cross_section(field, A, B, r_min=None, n_trace=256):
@@ -103,8 +112,7 @@ def build_cross_section(field, A, B, r_min=None, n_trace=256):
     if not (0.0 < A < field.v00 < B):
         raise InputError(f"levels must satisfy 0 < A < V(0,0) < B; got "
                          f"A={A}, B={B}, V(0,0)={field.v00}")
-    outer = trace_contour(field, A, n=n_trace, grading="blended")
-    inner = trace_contour(field, B, n=n_trace, grading="blended")
+    outer, inner = trace_contours(field, [A, B], n=n_trace, grading="blended")
     if r_min is None:
         r_min = 1e-4 * (outer.z2 - outer.z1)
     z_cut = _truncation_height(field, B, r_min)
@@ -193,14 +201,7 @@ def _graded_steps(n_steps, first_fraction, last_fraction=None):
         if f0 >= u * 0.999:
             return [u] * K
         # growth g with f0 (g^K - 1)/(g - 1) = K u
-        lo, hi = 1.0 + 1e-9, 8.0
-        for _ in range(80):
-            g = 0.5 * (lo + hi)
-            if f0 * (g ** K - 1.0) / (g - 1.0) < K * u:
-                lo = g
-            else:
-                hi = g
-        g = 0.5 * (lo + hi)
+        g = _bisect(lambda g: f0 * (g ** K - 1.0) / (g - 1.0) < K * u, 1.0 + 1e-9, 8.0)
         return [f0 * g ** k for k in range(K)]
 
     left, right = ramp(first_fraction), ramp(last_fraction)
@@ -210,17 +211,16 @@ def _graded_steps(n_steps, first_fraction, last_fraction=None):
 
 
 class _Rail:
-    """A level curve prepared for meshing: an anchor node on the axis (the
-    z1 endpoint, or the truncation tip for cusp levels) plus the
+    """A traced level curve prepared for meshing: an anchor node on the axis
+    (the z1 endpoint, or the truncation tip for cusp levels) plus the
     arc-parameterized curve itself."""
 
-    def __init__(self, field, c, r_min, n_trace, center_z):
-        self.c = c
-        self.is_cusp = c > field.v00
-        curve = trace_contour(field, c, n=n_trace, grading="geometric")
+    def __init__(self, field, curve, r_min, center_z):
+        self.c = curve.level
+        self.is_cusp = self.c > field.v00
         self.z2 = curve.z2
         if self.is_cusp:
-            self.tip_z = _truncation_height(field, c, r_min)
+            self.tip_z = _truncation_height(field, self.c, r_min)
             keep = curve.samples[:, 0] > self.tip_z
             keep[0] = False
             # arc starts at the truncation corner, never on the axis leg:
@@ -250,16 +250,13 @@ class _Rail:
         """Station parameter reached at a given arc length from the start."""
         return float(np.interp(a, self.arc, self.sigma))
 
-    def nodes_at(self, field, fractions):
-        """Anchor, curve nodes at the given parameter fractions, top
-        endpoint.  Curve nodes are re-solved onto the contour (one batched
-        root per rail) so they satisfy the residual tolerance exactly."""
+    def station_heights(self, fractions):
+        """Heights of the curve nodes at the given parameter fractions,
+        strictly inside the curve's z range."""
         z_lo = self.polyline[0, 0] if self.is_cusp else self.tip_z
         span = self.z2 - z_lo
-        zs = np.clip(np.interp(fractions, self.sigma, self.polyline[:, 0]),
-                     z_lo + 1e-12 * abs(span), self.z2 - 1e-12 * abs(span))
-        curve = np.column_stack([zs, np.exp(log_radius_at(field, self.c, zs))])
-        return np.vstack([self.anchor, curve, [self.z2, 0.0]])
+        return np.clip(np.interp(fractions, self.sigma, self.polyline[:, 0]),
+                       z_lo + 1e-12 * abs(span), self.z2 - 1e-12 * abs(span))
 
 
 def _level_values(field, A, B, n_levels):
@@ -317,10 +314,9 @@ def triangulate(cs, n_levels=8, n_stations=32):
     z_cut = _truncation_height(field, cs.B, r_mesh)
     center_z = 0.5 * field.density.length
 
-    rails = [_Rail(field, cs.A, r_mesh, n_trace, center_z)]
-    rails += [_Rail(field, c, r_mesh, n_trace, center_z) for c in levels]
-    rail_b = _Rail(field, cs.B, r_mesh, n_trace, center_z)
-    rails.append(rail_b)
+    curves = trace_contours(field, [cs.A, *levels, cs.B], n=n_trace,
+                            grading="geometric")
+    rails = [_Rail(field, curve, r_mesh, center_z) for curve in curves]
 
     # parameter fractions: N-1 interior stations between the two anchors;
     # steps shrink toward an axis anchor when neighbouring rails anchor
@@ -347,20 +343,24 @@ def triangulate(cs, n_levels=8, n_stations=32):
             arr[:] = np.exp((np.log(pad[:-2]) + np.log(pad[1:-1])
                              + np.log(pad[2:])) / 3.0)
 
-    nodes, rail_nodes = [], []
+    heights = []
     for i, rail in enumerate(rails):
         first = rail.param_at_arc(min(first_arcs[i], 0.5 * rail.length))
         last = 1.0 - rail.param_at_arc(
             max(rail.length - min(last_arcs[i], 0.5 * rail.length), 0.0))
         fracs = np.cumsum(_graded_steps(N, first, last))[:-1]
-        pts = rail.nodes_at(field, fracs)
-        if rail is rail_b:
-            # keep the cap edge: tip (z_cut, 0) -> corner (z_cut, r_mesh)
-            pts = np.vstack([pts[0], [z_cut, r_mesh], pts[1:]])
-        rail_nodes.append(pts)
-        nodes.append(pts)
+        heights.append(rail.station_heights(fracs))
+    # the curve nodes of all rails are re-solved onto their contours in one
+    # batch, so they satisfy the residual tolerance exactly
+    heights = np.array(heights)
+    rail_levels = np.array([[rail.c] for rail in rails])
+    radii = np.exp(log_radius_at(field, rail_levels, heights))
+    rail_nodes = [np.vstack([rail.anchor, np.column_stack([z, r]), [rail.z2, 0.0]])
+                  for rail, z, r in zip(rails, heights, radii)]
+    # keep the cap edge of rail B: tip (z_cut, 0) -> corner (z_cut, r_mesh)
+    rail_nodes[-1] = np.insert(rail_nodes[-1], 1, [z_cut, r_mesh], axis=0)
     offsets = np.cumsum([0] + [len(p) for p in rail_nodes])
-    nodes = np.vstack(nodes)                       # (z, r) rows for now
+    nodes = np.vstack(rail_nodes)                  # (z, r) rows for now
 
     def gid(i, j):
         return offsets[i] + j

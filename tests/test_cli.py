@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cusplab
-from cusplab import cli
+from cusplab import cli, contour, density, potential
 from cusplab.errors import InputError
 
 # the directory holding the cusplab package this process imported
@@ -34,6 +34,19 @@ def test_contour_subcommand_and_exit_codes(tmp_path):
     assert (tmp_path / "contours.csv").exists()
     assert (tmp_path / "contour_map.svg").exists()
     assert (tmp_path / "contour_config.json").exists()
+
+
+def test_contour_rows_match_per_level_traces(tmp_path):
+    # the levels share one root batch; the rows are those of one trace per
+    # level, byte for byte
+    levels = [0.5, 0.8, 1.2, 2.0]
+    cli.run("contour", {"levels": levels, "n_stations": 32, "output_dir": str(tmp_path)})
+    field = potential.PotentialField(density.lebesgue_profile())
+    lines = ["level,z,r"]
+    for c in levels:
+        curve = contour.trace_contour(field, c, n=32, grading="blended")
+        lines += [f"{c!r},{float(z)!r},{float(r)!r}" for z, r in curve.samples]
+    assert (tmp_path / "contours.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_unknown_key_rejected(tmp_path):

@@ -242,6 +242,66 @@ def test_batched_roots_do_not_depend_on_the_batch(leb):
         assert contour.log_radius_at(leb, c, zs).tolist() == alone
 
 
+def _assert_lanes_match_per_level_roots(field, levels, stations):
+    """The (level, station) lanes, interleaved, solved in one call find the
+    roots each level finds on its own stations, bit for bit."""
+    cs = np.repeat(levels, [len(zs) for zs in stations])
+    zs = np.concatenate(stations)
+    order = np.random.default_rng(7).permutation(len(zs))
+    ts = np.empty(len(zs))
+    ts[order] = contour.log_radius_at(field, cs[order], zs[order])
+    alone = np.concatenate([contour.log_radius_at(field, c, z)
+                            for c, z in zip(levels, stations)])
+    assert ts.tolist() == alone.tolist()
+    return ts
+
+
+def test_level_lanes_match_per_level_roots(leb):
+    # closed and cusp levels in one batch, cusp stations down to log r ~ -600
+    curves = contour.trace_contours(leb, [0.5, 2.0, 1.2, 0.95], n=64,
+                                    grading="blended")
+    ts = _assert_lanes_match_per_level_roots(
+        leb, [curve.level for curve in curves], [curve.interior[:, 0] for curve in curves])
+    assert ts.min() < -590.0
+
+
+def test_quadrature_level_lanes_match_per_level_roots():
+    field = potential.PotentialField(density.power_profile(0.5))
+    _assert_lanes_match_per_level_roots(
+        field, [0.8 * field.v00, 1.3 * field.v00, 0.5 * field.v00],
+        [np.array([0.2, 0.6, 1.02]), np.array([0.3, 0.7]), np.array([-0.1, 0.5, 1.3])])
+
+
+def test_levels_broadcast_against_stations(leb):
+    zs = np.linspace(0.05, 0.95, 7)
+    row = contour.log_radius_at(leb, 2.0, zs)
+    assert contour.log_radius_at(leb, np.full(7, 2.0), zs).tolist() == row.tolist()
+    grid = contour.log_radius_at(leb, np.array([[0.5], [2.0]]), zs)
+    assert grid.shape == (2, 7)
+    assert grid[1].tolist() == row.tolist()
+    assert grid[0].tolist() == contour.log_radius_at(leb, 0.5, zs).tolist()
+    column = contour.log_radius_at(leb, np.array([0.5, 2.0]), 0.3)
+    assert column.shape == (2,)
+    assert column.tolist() == [contour.log_radius_at(leb, c, 0.3) for c in (0.5, 2.0)]
+    assert isinstance(contour.log_radius_at(leb, np.float64(2.0), np.float64(0.3)), float)
+
+
+@pytest.mark.parametrize("levels", [[0.5, 0.0, 2.0], [2.0, -1.0], [-0.5]])
+def test_nonpositive_level_lanes_raise(leb, levels):
+    with pytest.raises(InputError, match="level must be positive"):
+        contour.log_radius_at(leb, np.array(levels), 0.3)
+
+
+def test_first_failing_level_lane_raises(leb):
+    # z2(2.0) ~ 1.063 and z2(0.5) ~ 1.716: both later lanes have no root
+    with pytest.raises(RangeError, match="level 2.0 at z=1.5"):
+        contour.log_radius_at(leb, np.array([0.5, 2.0, 0.5]),
+                              np.array([1.0, 1.5, 1.9]), t_cap=1e3)
+    with pytest.raises(RangeError, match="level 0.5 at z=1.9"):
+        contour.log_radius_at(leb, np.array([0.5, 0.5, 2.0]),
+                              np.array([1.0, 1.9, 1.5]), t_cap=1e3)
+
+
 def _assert_roots_match_mpmath(field, c, zs, mp_log_radius):
     """Roots within 1e-12 max(1, |t|) of the 30-digit mpmath root, plus the
     rounding floor 4e-16 max(1, c) / |dV/dt| of a root of V = c."""

@@ -93,6 +93,31 @@ def test_nodes_with_tag_matches_string_array(canonical):
         assert np.array_equal(canonical.nodes_with_tag(tag), expected)
 
 
+def test_rail_nodes_match_per_rail_roots(cs, leb, monkeypatch):
+    # one triangulate solves its rail traces in one root batch and its rail
+    # nodes in another; each node is the root its rail finds on its own
+    batches = []
+    solve = contour.log_radius_at
+
+    def counted(*args, **kwargs):
+        batches.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(contour, "log_radius_at", counted)
+    monkeypatch.setattr(mesh, "log_radius_at", counted)
+    m = mesh.triangulate(cs, n_levels=8, n_stations=32)
+    monkeypatch.undo()
+    assert len(batches) == 2
+    levels = [0.5, *mesh._level_values(leb, 0.5, 2.0, 8), 2.0]
+    # rail by rail: anchor, 31 curve nodes, top endpoint; rail B also holds
+    # the cap corner after its anchor
+    rails = np.split(m.nodes, 33 * np.arange(1, len(levels)))
+    rails[-1] = np.delete(rails[-1], 1, axis=0)
+    for c, rail in zip(levels, rails):
+        r, z = rail[1:-1].T
+        assert r.tolist() == np.exp(solve(leb, c, z)).tolist()
+
+
 def test_refinement_growth(cs, canonical):
     fine = mesh.triangulate(cs, n_levels=16, n_stations=64)
     factor = len(fine.nodes) / len(canonical.nodes)
@@ -165,3 +190,39 @@ def test_truncation_height_predicate_matches_roots(leb, c, r_min):
     z = mesh._truncation_height(leb, c, r_min)
     assert z == pytest.approx(_truncation_height_by_roots(leb, c, r_min), rel=1e-13, abs=0.0)
     assert contour.log_radius_at(leb, c, z) == pytest.approx(math.log(r_min), rel=1e-9, abs=0.0)
+
+
+def test_bisection_stops_at_adjacent_doubles(leb):
+    def reference(inside, lo, hi):
+        # the fixed 80 halvings
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if inside(mid):
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    # the truncation-height predicates and the growth-rate predicates of
+    # _graded_steps, one of them true at both ends of its bracket
+    def thin(c, r_min):
+        return lambda z: contour.radius_below(leb, c, math.log(r_min), z)
+
+    def slow_growth(f0, K, u):
+        return lambda g: f0 * (g ** K - 1.0) / (g - 1.0) < K * u
+
+    cases = [(thin(c, r_min), 1e-3, 0.5)
+             for c, r_min in ((2.0, 1e-4), (1.6, 1e-3), (2.4, 1e-6))]
+    cases += [(slow_growth(f0, K, u), 1.0 + 1e-9, 8.0)
+              for f0, K, u in ((0.01, 8, 1 / 32), (1e-5, 16, 1 / 64), (1e-9, 2, 1 / 8))]
+    for inside, lo, hi in cases:
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return inside(x)
+
+        ref = reference(counted, lo, hi)
+        calls.clear()
+        assert mesh._bisect(counted, lo, hi) == ref
+        assert len(calls) <= 60
