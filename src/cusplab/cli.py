@@ -116,23 +116,6 @@ def _fmt(v):
     return str(v)
 
 
-def merge_reports(bundle, seed=None, tolerances=None):
-    """Single JSON summary with stable key order; byte-identical for
-    identical inputs."""
-    if not bundle:
-        raise InputError("empty report bundle")
-    summary = {
-        "versions": {"cusplab": __version__,
-                     "numpy": np.__version__},
-        "seed": seed,
-        "tolerances": tolerances or {},
-        "reports": bundle,
-        "all_pass": all(b.get("pass", True) for b in bundle.values()
-                        if isinstance(b, dict)),
-    }
-    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 

@@ -21,11 +21,13 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import AccuracyError, InputError, RangeError
 from .potential import MIN_QUADRATURE_RADIUS
 
 INF = math.inf
+EPS = np.finfo(float).eps
 
 # residual target |V - c| for roots on a contour
 CONTOUR_RTOL = 1e-10
@@ -37,23 +39,17 @@ GRADING_RATIO = 0.7
 LOG_RADIUS_FLOOR = -650.0
 
 
-def _bisect_axis(g, lo, hi, target):
-    """Bisect the decreasing function g on [lo, hi] for g = target."""
-    flo, fhi = g(lo) - target, g(hi) - target
-    if not (flo > 0 > fhi):
-        raise RangeError("axis bracket lost its sign change")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break               # adjacent doubles: no further step moves them
-        fm = g(mid) - target
-        if fm > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(mid)) and abs(fm) <= CONTOUR_RTOL:
-            break
-    return 0.5 * (lo + hi)
+def _root_in(f, lo, hi):
+    """The root of f on the bracket [lo, hi] by Brent's method: bisection's
+    worst case, superlinear convergence where f is smooth.  f must change
+    sign over the bracket (RangeError otherwise); +inf values count as
+    positive.  The ends are evaluated once, for the sign check, and handed
+    on to the solver, which stops within 4 eps relative of the root."""
+    ends = {lo: f(lo), hi: f(hi)}
+    if not min(ends.values()) <= 0.0 <= max(ends.values()):
+        raise RangeError(f"bracket [{lo!r}, {hi!r}] has no sign change")
+    return brentq(lambda x: ends[x] if x in ends else f(x), lo, hi,
+                  xtol=1e-300, rtol=4.0 * EPS)
 
 
 def axis_crossings(field, c, search_radius=1e9):
@@ -61,7 +57,7 @@ def axis_crossings(field, c, search_radius=1e9):
 
     z2 > L always exists (V(0, .) falls from infinity to 0 on (L, inf)); z1
     is the crossing below 0 when c < V(0,0) and exactly 0 otherwise.  Both
-    are found by bracketing bisection in log-offset from the rod ends.
+    are bracketed in log-offset from the rod ends and solved by _root_in.
     """
     if c <= 0:
         raise InputError("level must be positive")
@@ -85,7 +81,7 @@ def axis_crossings(field, c, search_radius=1e9):
             raise RangeError(f"no axis crossing above the rod within {search_radius}")
     if g_hi(s_lo) < c:   # enormous level: crossing closer to the rod end
         raise RangeError("level too large for the axis bracket")
-    z2 = L + math.exp(_bisect_axis(g_hi, s_lo, s_hi, c))
+    z2 = L + math.exp(_root_in(lambda s: g_hi(s) - c, s_lo, s_hi))
 
     if c >= field.v00:
         z1 = 0.0
@@ -97,7 +93,7 @@ def axis_crossings(field, c, search_radius=1e9):
             s_hi += 1.0
             if math.exp(s_hi) > search_radius:
                 raise RangeError(f"no axis crossing below the rod within {search_radius}")
-        z1 = -math.exp(_bisect_axis(g_lo, s_lo, s_hi, c))
+        z1 = -math.exp(_root_in(lambda s: g_lo(s) - c, s_lo, s_hi))
     return z1, z2
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .contour import (ContourCurve, log_radius_at, polyline_arcs, radius_below,
-                      trace_contours)
+from .contour import (ContourCurve, _level_value, _root_in, log_radius_at,
+                      polyline_arcs, radius_below, trace_contours)
 from .errors import InputError, MeshError, RangeError
 
 OUTER = "outer-level"
@@ -71,29 +71,14 @@ class CrossSection:
         return self.A - slack <= v <= self.B + slack
 
 
-def _bisect(inside, lo, hi):
-    """Bisect [lo, hi] for the point where inside(x) turns from True (at lo)
-    to False (at hi): at most 80 halvings, stopping once lo and hi are
-    adjacent doubles, where no further halving can move either end."""
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _truncation_height(field, c, r_min, z_hint=None):
-    """Height where the level-c cusp radius equals r_min (root in z).
-
-    Each step asks whether the radius at z is below r_min, which one value
-    V(r_min, z) < c answers without solving for the radius."""
+def _truncation_height(field, c, r_min):
+    """Height where the level-c cusp radius equals r_min: the root in z of
+    V(r_min, z) = c, as V falls strictly in r.  The bracket grows by halving
+    and doubling from 0.5 L, each step asking only which side of r_min the
+    radius at z lies on (radius_below)."""
     target = math.log(r_min)
     thin = lambda z: radius_below(field, c, target, z)
-    hi = z_hint if z_hint is not None else 0.5 * field.density.length
+    hi = 0.5 * field.density.length
     while thin(hi):
         hi *= 2.0
         if hi > 10.0 * field.density.length:
@@ -104,7 +89,7 @@ def _truncation_height(field, c, r_min, z_hint=None):
         lo /= 2.0
         if lo < 1e-300:
             raise RangeError(f"level {c} is thicker than {r_min} everywhere")
-    return _bisect(thin, lo, hi)
+    return _root_in(lambda z: _level_value(field, target, z) - c, lo, hi)
 
 
 def build_cross_section(field, A, B, r_min=None, n_trace=256):
@@ -142,9 +127,7 @@ class Mesh:
                                    compare=False)
 
     def signed_areas(self):
-        p = self.nodes[self.triangles]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        return _signed_areas(self.nodes[self.triangles])
 
     def min_angles(self):
         return _min_angles(self.nodes[self.triangles])
@@ -156,6 +139,13 @@ class Mesh:
     def nodes_with_tag(self, tag):
         return np.flatnonzero(np.fromiter((t == tag for t in self.node_tags),
                                           bool, len(self.node_tags)))
+
+
+def _signed_areas(p):
+    """Signed area of each triangle of a (k, 3, 2) coordinate array, positive
+    when its corners run counter-clockwise."""
+    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
 def _min_angles(p):
@@ -171,6 +161,11 @@ def _min_angles(p):
         angles[:, k] = np.degrees(np.arccos(np.clip(cosv, -1.0, 1.0)))
         angles[(na == 0.0) | (nb == 0.0), k] = 0.0
     return angles.min(axis=1)
+
+
+def _path_edges(ids):
+    """The edges (ids[k], ids[k+1]) of the path through the nodes ids."""
+    return np.column_stack([ids[:-1], ids[1:]])
 
 
 def _edge_counts(triangles):
@@ -200,8 +195,9 @@ def _graded_steps(n_steps, first_fraction, last_fraction=None):
         f0 = max(min(f0, u), 1e-9)
         if f0 >= u * 0.999:
             return [u] * K
-        # growth g with f0 (g^K - 1)/(g - 1) = K u
-        g = _bisect(lambda g: f0 * (g ** K - 1.0) / (g - 1.0) < K * u, 1.0 + 1e-9, 8.0)
+        # growth g with f0 (g^K - 1)/(g - 1) = K u, capped at 8
+        excess = lambda g: f0 * (g ** K - 1.0) / (g - 1.0) - K * u
+        g = 8.0 if excess(8.0) < 0.0 else _root_in(excess, 1.0 + 1e-9, 8.0)
         return [f0 * g ** k for k in range(K)]
 
     left, right = ramp(first_fraction), ramp(last_fraction)
@@ -311,12 +307,12 @@ def triangulate(cs, n_levels=8, n_stations=32):
 
     levels = _level_values(field, cs.A, cs.B, n_levels)
     r_mesh = _mesh_truncation_radius(field, cs.B, levels[-1], cs.r_min)
-    z_cut = _truncation_height(field, cs.B, r_mesh)
     center_z = 0.5 * field.density.length
 
     curves = trace_contours(field, [cs.A, *levels, cs.B], n=n_trace,
                             grading="geometric")
     rails = [_Rail(field, curve, r_mesh, center_z) for curve in curves]
+    z_cut = rails[-1].tip_z
 
     # parameter fractions: N-1 interior stations between the two anchors;
     # steps shrink toward an axis anchor when neighbouring rails anchor
@@ -351,96 +347,78 @@ def triangulate(cs, n_levels=8, n_stations=32):
         fracs = np.cumsum(_graded_steps(N, first, last))[:-1]
         heights.append(rail.station_heights(fracs))
     # the curve nodes of all rails are re-solved onto their contours in one
-    # batch, so they satisfy the residual tolerance exactly
-    heights = np.array(heights)
-    rail_levels = np.array([[rail.c] for rail in rails])
-    radii = np.exp(log_radius_at(field, rail_levels, heights))
-    rail_nodes = [np.vstack([rail.anchor, np.column_stack([z, r]), [rail.z2, 0.0]])
-                  for rail, z, r in zip(rails, heights, radii)]
-    # keep the cap edge of rail B: tip (z_cut, 0) -> corner (z_cut, r_mesh)
-    rail_nodes[-1] = np.insert(rail_nodes[-1], 1, [z_cut, r_mesh], axis=0)
-    offsets = np.cumsum([0] + [len(p) for p in rail_nodes])
-    nodes = np.vstack(rail_nodes)                  # (z, r) rows for now
-
-    def gid(i, j):
-        return offsets[i] + j
-
-    # quads strip by strip; the last strip pairs station j of its lower rail
-    # with station j + 1 of rail B, whose station 1 is the cap corner, and
-    # closes the cap with one extra triangle
+    # batch, so they satisfy the residual tolerance exactly.  Rail i holds
+    # nodes offsets[i] .. offsets[i+1]-1: its anchor, N-1 curve nodes and its
+    # top endpoint; rail B also holds the cap corner (z_cut, r_mesh) right
+    # after its tip (z_cut, 0), which keeps its cap edge
     m = len(rails)
-    quads = []
-    for i in range(m - 1):
-        shift = 1 if i == m - 2 else 0
-        quads += [(gid(i, j), gid(i + 1, j + shift), gid(i + 1, j + 1 + shift),
-                   gid(i, j + 1)) for j in range(len(rail_nodes[i]) - 1)]
-    q = np.asarray(quads, dtype=int)
+    heights = np.array(heights)
+    grid = np.zeros((m, N + 1, 2))                 # (z, r) rows for now
+    grid[:, 0] = [rail.anchor for rail in rails]
+    grid[:, 1:-1, 0] = heights
+    rail_levels = [[rail.c] for rail in rails]
+    grid[:, 1:-1, 1] = np.exp(log_radius_at(field, rail_levels, heights))
+    grid[:, -1, 0] = [rail.z2 for rail in rails]
+    offsets = np.append((N + 1) * np.arange(m), m * (N + 1) + 1)
+    nodes = np.insert(grid.reshape(-1, 2), offsets[-2] + 1, [z_cut, r_mesh], axis=0)
+    bottom, top = offsets[:-1], offsets[1:] - 1    # end nodes of each rail
+
+    # quads strip by strip, N per strip; the last strip pairs station j of
+    # its lower rail with station j + 1 of rail B, whose station 1 is the
+    # cap corner, and closes the cap with one extra triangle
+    i, j = np.divmod(np.arange((m - 1) * N), N)
+    lower = bottom[i] + j
+    upper = bottom[i + 1] + j + (i == m - 2)
+    q = np.column_stack([lower, upper, upper + 1, lower + 1])
     # both diagonal splits, (a, b, c) (a, c, d) and (a, b, d) (b, c, d); take
     # the one with the better worst angle, the first on a tie
     splits = q[:, [[0, 1, 2], [0, 2, 3], [0, 1, 3], [1, 2, 3]]]
     quality = _min_angles(nodes[splits.reshape(-1, 3)]).reshape(-1, 4)
-    first = (np.minimum(quality[:, 0], quality[:, 1])
-             >= np.minimum(quality[:, 2], quality[:, 3]))
-    chosen = np.where(first[:, None, None], splits[:, :2], splits[:, 2:])
-    cap = [gid(m - 1, 0), gid(m - 1, 1), gid(m - 2, 0)]
+    better = (np.minimum(quality[:, 0], quality[:, 1])
+              >= np.minimum(quality[:, 2], quality[:, 3]))
+    chosen = np.where(better[:, None, None], splits[:, :2], splits[:, 2:])
+    cap = [bottom[-1], bottom[-1] + 1, bottom[-2]]
     tris = np.vstack([chosen.reshape(-1, 3), cap])
 
     # orient all triangles CCW in the (r, z) plane
-    rz = np.column_stack([nodes[:, 1], nodes[:, 0]])
-    p = rz[tris]
-    area = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    rz = nodes[:, ::-1].copy()
+    area = _signed_areas(rz[tris])
     flat = np.flatnonzero(area == 0.0)
     if len(flat):
         raise MeshError(
             f"degenerate cell at nodes {tuple(tris[flat[0]].tolist())}")
     tris = np.where((area > 0)[:, None], tris, tris[:, [0, 2, 1]])
 
-    # node tags
-    node_tags = [INTERIOR] * len(nodes)
-    nb = len(rail_nodes[0])
-    for j in range(nb):
-        node_tags[gid(0, j)] = OUTER
-    last = m - 1
-    node_tags[gid(last, 0)] = CAP
-    node_tags[gid(last, 1)] = CAP
-    for j in range(2, len(rail_nodes[last])):
-        node_tags[gid(last, j)] = INNER
-    for i in range(1, m - 1):
-        node_tags[gid(i, 0)] = AXIS
-        node_tags[gid(i, len(rail_nodes[i]) - 1)] = AXIS
-
-    # boundary edge tags
+    # tags: rail A is the outer level; rail B's tip and cap corner form the
+    # cap, the rest of rail B the inner level; the end nodes of the rails
+    # between them lie on the axis, and so do the edges joining the end
+    # nodes of neighbouring rails
+    ids = np.arange(len(nodes))
+    tip = offsets[-2]
+    rail_a, rail_b = ids[:offsets[1]], ids[tip + 1:]   # rail B from its corner
+    node_tags = np.full(len(nodes), INTERIOR, dtype=object)
+    node_tags[rail_a] = OUTER
+    node_tags[rail_b] = INNER
+    node_tags[[tip, tip + 1]] = CAP
+    node_tags[bottom[1:-1]] = AXIS
+    node_tags[top[1:-1]] = AXIS
     edge_tags = {}
+    for tag, edges in ((OUTER, _path_edges(rail_a)), (INNER, _path_edges(rail_b)),
+                       (CAP, _path_edges(ids[tip:tip + 2])),
+                       (AXIS, _path_edges(bottom)), (AXIS, _path_edges(top))):
+        edge_tags.update(dict.fromkeys(map(tuple, edges.tolist()), tag))
 
-    def tag_edge(u, v, tag):
-        edge_tags[tuple(sorted((u, v)))] = tag
+    # normalized arc-length coordinate along each essential component; the
+    # inner one runs from the cap corner to the last curve node of rail B
+    component_arcs = {CAP: {int(tip): 0.0, int(tip) + 1: 0.0}}
+    for tag, on in ((OUTER, rail_a), (INNER, rail_b[:-1])):
+        arc = polyline_arcs(nodes[on])
+        component_arcs[tag] = dict(zip(on.tolist(), (arc / arc[-1]).tolist()))
 
-    for j in range(nb - 1):
-        tag_edge(gid(0, j), gid(0, j + 1), OUTER)
-    nlast = len(rail_nodes[last])
-    tag_edge(gid(last, 0), gid(last, 1), CAP)
-    for j in range(1, nlast - 1):
-        tag_edge(gid(last, j), gid(last, j + 1), INNER)
-    for i in range(m - 1):
-        tag_edge(gid(i, 0), gid(i + 1, 0), AXIS)
-        tag_edge(gid(i, len(rail_nodes[i]) - 1),
-                 gid(i + 1, len(rail_nodes[i + 1]) - 1), AXIS)
-
-    # normalized arc-length coordinate along each essential component
-    component_arcs = {}
-    for tag, i in ((OUTER, 0), (INNER, last)):
-        js = range(1, nlast - 1) if tag == INNER else range(nb)
-        ids = [gid(i, j) for j in js]
-        arc = polyline_arcs(nodes[ids])
-        arc /= arc[-1]
-        component_arcs[tag] = dict(zip(ids, arc))
-    component_arcs[CAP] = {gid(last, 0): 0.0, gid(last, 1): 0.0}
-
-    mesh = Mesh(nodes=rz, triangles=tris, node_tags=node_tags,
+    mesh = Mesh(nodes=rz, triangles=tris, node_tags=node_tags.tolist(),
                 edge_tags=edge_tags, component_arcs=component_arcs,
                 z_cut=z_cut)
-    bad = [e for e in mesh.boundary_edges() if e not in edge_tags]
+    bad = sorted(set(mesh.boundary_edges()) - edge_tags.keys())
     if bad:
         raise MeshError(f"untagged boundary edges: {bad[:5]}")
     return mesh
@@ -487,36 +465,20 @@ def mesh_quality(mesh):
 def rectangle_mesh(r0, r1, z0, z1, nr, nz, tag=OUTER):
     """Structured rectangle in (r, z), all boundary edges carrying one tag.
     Used by solver verification problems."""
-    rs = np.linspace(r0, r1, nr + 1)
-    zs = np.linspace(z0, z1, nz + 1)
-    nodes = np.array([(r, z) for z in zs for r in rs])
-    gid = lambda i, j: j * (nr + 1) + i
-    tris = []
-    for j in range(nz):
-        for i in range(nr):
-            a, b = gid(i, j), gid(i + 1, j)
-            c, d = gid(i + 1, j + 1), gid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    node_tags = [INTERIOR] * len(nodes)
-    edge_tags = {}
-    for i in range(nr + 1):
-        for j in (0, nz):
-            node_tags[gid(i, j)] = tag
-    for j in range(nz + 1):
-        for i in (0, nr):
-            node_tags[gid(i, j)] = tag
-    for i in range(nr):
-        edge_tags[tuple(sorted((gid(i, 0), gid(i + 1, 0))))] = tag
-        edge_tags[tuple(sorted((gid(i, nz), gid(i + 1, nz))))] = tag
-    for j in range(nz):
-        edge_tags[tuple(sorted((gid(0, j), gid(0, j + 1))))] = tag
-        edge_tags[tuple(sorted((gid(nr, j), gid(nr, j + 1))))] = tag
-    arc = {}
-    boundary_ids = [i for i, t in enumerate(node_tags) if t == tag]
-    for k, i in enumerate(boundary_ids):
-        arc[i] = k / max(1, len(boundary_ids) - 1)
-    return Mesh(nodes=np.asarray(nodes, dtype=float),
-                triangles=np.asarray(tris, dtype=int),
-                node_tags=node_tags, edge_tags=edge_tags,
-                component_arcs={tag: arc}, z_cut=0.0)
+    r, z = np.meshgrid(np.linspace(r0, r1, nr + 1), np.linspace(z0, z1, nz + 1))
+    nodes = np.column_stack([r.ravel(), z.ravel()])
+    ids = np.arange(len(nodes)).reshape(nz + 1, nr + 1)     # ids[j, i]: (r_i, z_j)
+    a, b, c, d = ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]
+    tris = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    on_boundary = np.zeros(ids.shape, dtype=bool)
+    on_boundary[[0, -1], :] = True
+    on_boundary[:, [0, -1]] = True
+    node_tags = np.where(on_boundary.ravel(), tag, INTERIOR).tolist()
+    sides = np.vstack([_path_edges(ids[0]), _path_edges(ids[-1]),
+                       _path_edges(ids[:, 0]), _path_edges(ids[:, -1])])
+    boundary_ids = ids[on_boundary]
+    arc = np.arange(len(boundary_ids)) / max(1, len(boundary_ids) - 1)
+    return Mesh(nodes=nodes, triangles=tris, node_tags=node_tags,
+                edge_tags=dict.fromkeys(map(tuple, sides.tolist()), tag),
+                component_arcs={tag: dict(zip(boundary_ids.tolist(), arc.tolist()))},
+                z_cut=0.0)

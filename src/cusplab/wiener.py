@@ -133,11 +133,11 @@ def classify(report_or_terms, j_start=None):
     """
     if isinstance(report_or_terms, WienerReport):
         rep = report_or_terms
+        if len(rep.terms) < 20:
+            raise InputError("classification needs at least 20 terms")
         fit = tails.fit_tail(rep.terms, first_index=rep.j_start)
         rep.fit = fit
         rep.classification = _CLASS_OF_TAIL[fit.classification]
-        if len(rep.terms) < 20:
-            raise InputError("classification needs at least 20 terms")
         return rep.classification
     terms = np.asarray(report_or_terms, dtype=float)
     if len(terms) < 20:

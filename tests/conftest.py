@@ -1,5 +1,5 @@
-"""Shared high-precision oracles: V(e^t, z), its slope dV/dt and contour
-roots of any density profile, by mpmath quadrature."""
+"""Shared high-precision oracles: V(e^t, z), its slope dV/dt, contour
+roots and level heights of any density profile, by mpmath quadrature."""
 
 import numpy as np
 import pytest
@@ -71,6 +71,18 @@ def _mp_log_radius(density, c, z, t0, dps=30):
             lambda t: _integral(mpmath, density, t, z, half) - c, mpmath.mpf(t0)))
 
 
+def _mp_level_height(density, c, t, z0, dps=30):
+    """The root z of V(e^t, z) = c at dps digits, by the secant method from
+    z0 and a point 1e-9 relative from it, as a float; t = -inf puts the
+    points on the axis (r = 0)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        t, c, half = mpmath.mpf(t), mpmath.mpf(c), mpmath.mpf(1) / 2
+        return float(mpmath.findroot(
+            lambda z: _integral(mpmath, density, t, z, half) - c,
+            (mpmath.mpf(z0), mpmath.mpf(z0) * (1 + mpmath.mpf(1e-9)))))
+
+
 @pytest.fixture(scope="session")
 def mp_value_slope():
     """(density, t, z) -> V(e^t, z) and dV/dt from 50-digit mpmath."""
@@ -81,3 +93,33 @@ def mp_value_slope():
 def mp_log_radius():
     """(density, c, z, t0) -> the 30-digit root of V(e^t, z) = c near t0."""
     return _mp_log_radius
+
+
+@pytest.fixture(scope="session")
+def mp_level_height():
+    """(density, c, t, z0) -> the 30-digit height z of V(e^t, z) = c near z0."""
+    return _mp_level_height
+
+
+@pytest.fixture
+def root_evaluations(monkeypatch):
+    """Route cusplab's bracketed scalar solver through a wrapper that
+    records, per solve, how often it evaluates its function (the two
+    bracket ends included); the fixture is that list of counts."""
+    from cusplab import contour, mesh
+
+    counts = []
+    solve = contour._root_in
+
+    def counted(f, lo, hi):
+        counts.append(0)
+
+        def g(x):
+            counts[-1] += 1
+            return f(x)
+
+        return solve(g, lo, hi)
+
+    monkeypatch.setattr(contour, "_root_in", counted)
+    monkeypatch.setattr(mesh, "_root_in", counted)
+    return counts

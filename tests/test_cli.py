@@ -9,7 +9,6 @@ import pytest
 
 import cusplab
 from cusplab import cli, contour, density, potential
-from cusplab.errors import InputError
 
 # the directory holding the cusplab package this process imported
 PACKAGE_ROOT = str(Path(cusplab.__file__).resolve().parents[1])
@@ -153,25 +152,6 @@ def test_probe_wos_passes_r_min(tmp_path, monkeypatch):
                       "r_min": 3e-5, "probe_levels": [1.25, 1.5], "n_stations": 3,
                       "walks": 10})
     assert seen and set(seen) == {3e-5}
-
-
-def test_merge_reports_determinism():
-    bundle = {"contour": {"max_residual": 1e-12, "pass": True},
-              "solve": {"energy": 9.42, "pass": True}}
-    a = cli.merge_reports(bundle, seed=3, tolerances={"residual": 1e-10})
-    b = cli.merge_reports(bundle, seed=3, tolerances={"residual": 1e-10})
-    assert a == b
-    assert json.loads(a)["all_pass"] is True
-
-
-def test_merge_reports_flags_failure():
-    bundle = {"solve": {"pass": False}}
-    assert json.loads(cli.merge_reports(bundle))["all_pass"] is False
-
-
-def test_merge_reports_empty_bundle():
-    with pytest.raises(InputError):
-        cli.merge_reports({})
 
 
 def test_reproduce_figures(tmp_path):

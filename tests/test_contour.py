@@ -364,38 +364,36 @@ def test_first_failing_station_raises(leb):
         contour.log_radius_at(leb, 2.0, np.array([0.5, 1.5, 3.0]), t_cap=1e3)
 
 
-def test_axis_bisection_stops_at_adjacent_doubles(leb):
-    def reference(g, lo, hi, target):
-        # 200 halvings, stopping early only on the old width test, which
-        # double spacing cannot meet once |mid| >= 0.5
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = g(mid) - target
-            if fm > 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * max(1.0, abs(mid)) and abs(fm) <= contour.CONTOUR_RTOL:
-                break
-        return 0.5 * (lo + hi)
-
+def test_axis_crossings_match_mpmath(leb, mp_level_height, root_evaluations):
+    counts = root_evaluations
     for c in np.linspace(0.3, 3.0, 7):
-        calls = []
+        z1, z2 = contour.axis_crossings(leb, c)
+        assert z2 == pytest.approx(mp_level_height(leb.density, c, -math.inf, z2),
+                                   rel=1e-14, abs=0.0)
+        if c < leb.v00:
+            assert z1 == pytest.approx(mp_level_height(leb.density, c, -math.inf, z1),
+                                       rel=1e-14, abs=0.0)
+        else:
+            assert z1 == 0.0
+    # nine brackets (two levels lie below V(0,0)), each solved in at most
+    # 20 evaluations where bisection to adjacent doubles took about 55
+    assert len(counts) == 9
+    assert max(counts) <= 20
 
-        def g(s):
-            calls.append(s)
-            return leb.value(0.0, 1.0 + math.exp(s))
 
-        s_hi = 0.0
-        while g(s_hi) > c:
-            s_hi += 1.0
-        s_lo = math.log(1e-14)
-        calls.clear()
-        ref = reference(g, s_lo, s_hi, c)
-        n_ref = len(calls)
-        calls.clear()
-        assert contour._bisect_axis(g, s_lo, s_hi, c) == ref
-        # _bisect_axis also evaluates both bracket ends
-        assert len(calls) - 2 <= min(n_ref, 70)
-        if abs(ref) >= 0.5:
-            assert n_ref == 200
+def test_root_in_brackets_across_unresolved_values(mp_level_height):
+    # V(1e-13, z) of a power-2 rod is beyond the quadrature over the rod,
+    # where it reads +inf, above every level; above the rod end z = 1 it is
+    # the axis value up to O(r^2), so the root is the axis crossing z2
+    field = potential.PotentialField(density.power_profile(2.0))
+    f = lambda z: contour._level_value(field, math.log(1e-13), z) - 10.0
+    assert f(0.5) == math.inf
+    z = contour._root_in(f, 0.5, 3.0)
+    assert z == pytest.approx(mp_level_height(field.density, 10.0, -math.inf, z),
+                              rel=1e-14, abs=0.0)
+
+
+def test_root_in_needs_a_sign_change():
+    with pytest.raises(RangeError, match="no sign change"):
+        contour._root_in(lambda x: x * x + 1.0, -1.0, 1.0)
+    assert contour._root_in(lambda x: x - 0.25, 0.25, 1.0) == 0.25

@@ -192,37 +192,30 @@ def test_truncation_height_predicate_matches_roots(leb, c, r_min):
     assert contour.log_radius_at(leb, c, z) == pytest.approx(math.log(r_min), rel=1e-9, abs=0.0)
 
 
-def test_bisection_stops_at_adjacent_doubles(leb):
-    def reference(inside, lo, hi):
-        # the fixed 80 halvings
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if inside(mid):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+@pytest.mark.parametrize("c, r_min", [(2.0, 1e-4), (1.6, 1e-3), (2.4, 1e-6),
+                                      (1.05, 1e-2), (2.0, 1e-13)])
+def test_truncation_height_matches_mpmath(leb, c, r_min, mp_level_height,
+                                          root_evaluations):
+    counts = root_evaluations
+    z = mesh._truncation_height(leb, c, r_min)
+    ref = mp_level_height(leb.density, c, math.log(r_min), z)
+    assert z == pytest.approx(ref, rel=1e-14, abs=0.0)
+    assert len(counts) == 1 and counts[0] <= 20
 
-    # the truncation-height predicates and the growth-rate predicates of
-    # _graded_steps, one of them true at both ends of its bracket
-    def thin(c, r_min):
-        return lambda z: contour.radius_below(leb, c, math.log(r_min), z)
 
-    def slow_growth(f0, K, u):
-        return lambda g: f0 * (g ** K - 1.0) / (g - 1.0) < K * u
+def test_graded_steps_ramp_sums_to_its_window():
+    # the growth rate g solves f0 (g^K - 1)/(g - 1) = K u, so each ramp
+    # subdivides exactly the K uniform steps it replaces
+    for n, f0 in ((32, 0.01), (64, 1e-5), (12, 0.02)):
+        K = n // 4
+        steps = mesh._graded_steps(n, f0)
+        assert steps[0] == pytest.approx(f0, rel=1e-14)
+        assert steps[:K].sum() == pytest.approx(K / n, rel=1e-14)
 
-    cases = [(thin(c, r_min), 1e-3, 0.5)
-             for c, r_min in ((2.0, 1e-4), (1.6, 1e-3), (2.4, 1e-6))]
-    cases += [(slow_growth(f0, K, u), 1.0 + 1e-9, 8.0)
-              for f0, K, u in ((0.01, 8, 1 / 32), (1e-5, 16, 1 / 64), (1e-9, 2, 1 / 8))]
-    for inside, lo, hi in cases:
-        calls = []
 
-        def counted(x):
-            calls.append(x)
-            return inside(x)
-
-        ref = reference(counted, lo, hi)
-        calls.clear()
-        assert mesh._bisect(counted, lo, hi) == ref
-        assert len(calls) <= 60
+def test_graded_steps_growth_capped_without_a_root():
+    # K = 2, u = 1/8: f0 (1 + g) stays below 2 u for every g <= 8, so the
+    # growth rate takes its cap g = 8
+    u = 1.0 / 8.0
+    steps = np.array([1e-9, 8e-9, u, u, u, u, u, u])
+    assert mesh._graded_steps(8, 1e-9).tolist() == (steps / steps.sum()).tolist()

@@ -95,6 +95,17 @@ def test_too_few_terms_rejected():
         wiener.classify(rep)
 
 
+@pytest.mark.parametrize("j_stop", [11, 5])
+def test_refused_report_keeps_no_verdict(j_stop):
+    # 10 and 4 terms: the length check comes before any tail fit, so the
+    # report keeps no fit and its verdict stays inconclusive
+    rep = wiener.log_series(wiener.named_profile("z^-logz"), 0.5, 2, j_stop)
+    with pytest.raises(InputError, match="at least 20 terms"):
+        wiener.classify(rep)
+    assert rep.fit is None
+    assert rep.classification == wiener.INCONCLUSIVE
+
+
 def test_contour_curve_input(leb):
     # a traced polyline only reaches z where r is representable, which caps
     # how deep q^j may go; q = 0.75 keeps stations 2..24 inside the trace
