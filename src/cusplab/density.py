@@ -129,9 +129,6 @@ class DiniReport:
     classification: str
     fit: tails.TailFit
 
-    def omega(self, t):
-        return np.interp(t, self.modulus[:, 0], self.modulus[:, 1])
-
 
 def _modulus_from_points(z, rho, t_grid):
     """sup |rho(x)-rho(y)| over sampled pairs with |x-y| <= t, per t."""

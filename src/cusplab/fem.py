@@ -72,11 +72,15 @@ class BumpData:
 
 @dataclass(frozen=True)
 class TabulatedData:
+    """Values listed along a boundary component, bound two ways.  The FEM
+    gives them to the component's nodes in arc order, one value per node.
+    The arc-length form, the call, places them at equally spaced arc
+    fractions from 0 to 1 and interpolates linearly between them."""
+
     values: tuple
 
     def __call__(self, s):
-        raise InputError("tabulated data has no arc-length form; it binds "
-                         "to boundary nodes directly")
+        return np.interp(s, np.linspace(0.0, 1.0, len(self.values)), self.values)
 
 
 class BoundaryData:
@@ -382,15 +386,25 @@ def solve_dirichlet(mesh, data, tol=1e-10):
                          residual=residual, boundary_values=bc)
 
 
+def _two_constant(field, A, B, alpha, beta, log_r, z):
+    """The two-constant solution at the points (e^log_r, z), on arrays:
+    alpha + (beta - alpha) (V - A)/(B - A).  DomainError names the first
+    point where V is not inside (A, B), nan included; rod points raise it
+    from the field."""
+    v = field.value_slope_log_r(log_r, z)[0]
+    outside = ~((A < v) & (v < B))
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise DomainError(f"point (r={np.exp(log_r[k])}, z={z[k]}) lies "
+                          f"outside the region (V = {v[k]})")
+    return alpha + (beta - alpha) * (v - A) / (B - A)
+
+
 def two_constant_oracle(field, A, B, alpha, beta, points):
     """Exact solution for data constant on each boundary component:
     alpha + (beta - alpha) (V - A)/(B - A), the harmonic affine image of V
     with the right boundary limits quasi-everywhere."""
-    out = []
-    for r, z in points:
-        v = field.value(r, z)
-        if not A < v < B:
-            raise DomainError(f"point (r={r}, z={z}) lies outside the region "
-                              f"(V = {v})")
-        out.append(alpha + (beta - alpha) * (v - A) / (B - A))
-    return out
+    r, z = np.asarray(points, dtype=float).reshape(-1, 2).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r = np.log(r)
+    return _two_constant(field, A, B, alpha, beta, log_r, z).tolist()

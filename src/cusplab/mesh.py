@@ -409,9 +409,9 @@ def triangulate(cs, n_levels=8, n_stations=32):
         edge_tags.update(dict.fromkeys(map(tuple, edges.tolist()), tag))
 
     # normalized arc-length coordinate along each essential component; the
-    # inner one runs from the cap corner to the last curve node of rail B
+    # inner one runs from the cap corner to rail B's top node on the axis
     component_arcs = {CAP: {int(tip): 0.0, int(tip) + 1: 0.0}}
-    for tag, on in ((OUTER, rail_a), (INNER, rail_b[:-1])):
+    for tag, on in ((OUTER, rail_a), (INNER, rail_b)):
         arc = polyline_arcs(nodes[on])
         component_arcs[tag] = dict(zip(on.tolist(), (arc / arc[-1]).tolist()))
 

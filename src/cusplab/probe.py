@@ -14,7 +14,7 @@ import numpy as np
 from . import wos as wos_mod
 from .contour import log_radius_at
 from .errors import DomainError, InputError
-from .fem import BoundaryData, BumpData, ConstantData
+from .fem import BoundaryData, BumpData, ConstantData, _two_constant
 
 REGULAR_LIKE = "regular-like"
 SEMIREGULAR_LIKE = "semiregular-like"
@@ -44,17 +44,6 @@ class ProbePath:
     def limit_estimate(self):
         return float(self.values[-1])
 
-    @property
-    def spread(self):
-        tail = self.values[-3:]
-        return float(tail.max() - tail.min())
-
-
-def _level_curve_stations(field, c, n, start, factor):
-    zs = start * factor ** np.arange(n)
-    ts = log_radius_at(field, c, zs)
-    return zs, ts
-
 
 def _path_points(field, spec, n_stations, start, factor):
     """(kind, z array, log-r array) for a path spec.
@@ -68,8 +57,8 @@ def _path_points(field, spec, n_stations, start, factor):
         c = float(spec[1])
         if not c > field.v00:
             raise InputError("level-curve probes need a level above V(0,0)")
-        zs, ts = _level_curve_stations(field, c, n_stations, start, factor)
-        return kind, zs, ts
+        zs = start * factor ** np.arange(n_stations)
+        return kind, zs, log_radius_at(field, c, zs)
     if kind == "axis-below":
         zs = -start * factor ** np.arange(n_stations)
         return kind, zs, np.full(n_stations, -math.inf)
@@ -101,13 +90,7 @@ def sample_path(source, field, A, B, alpha, beta, path_spec,
 
     stderrs = None
     if source == "oracle":
-        levels = field.value_slope_log_r(ts, zs)[0]
-        outside = (levels <= A) | (levels >= B)
-        if np.any(outside):
-            k = int(np.argmax(outside))
-            raise DomainError(f"station (r={rs[k]}, z={zs[k]}) lies outside "
-                              f"the region (V = {levels[k]})")
-        vals = alpha + (beta - alpha) * (levels - A) / (B - A)
+        vals = _two_constant(field, A, B, alpha, beta, ts, zs)
     elif source == "fem":
         sol = source_options["fem_field"]
         bad = zs < 2.0 * sol.mesh.z_cut

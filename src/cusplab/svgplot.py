@@ -7,6 +7,8 @@ as a polyline.
 
 from __future__ import annotations
 
+from .mesh import _edge_counts
+
 
 class SvgPlot:
     def __init__(self, width=640, height=640, margin=50, title=""):
@@ -111,15 +113,6 @@ def contour_map_svg(curves, highlight_levels, path, title="meridian contour map"
 
 def mesh_wireframe_svg(mesh, path, title="mesh wireframe"):
     plot = SvgPlot(title=title)
-    seen = set()
-    pts = mesh.nodes
-    for tri in mesh.triangles:
-        for k in range(3):
-            e = tuple(sorted((int(tri[k]), int(tri[(k + 1) % 3]))))
-            if e in seen:
-                continue
-            seen.add(e)
-            a, b = pts[e[0]], pts[e[1]]
-            plot.add_curve([a[0], b[0]], [a[1], b[1]], color="#557799",
-                           width=0.5)
+    for a, b in mesh.nodes[_edge_counts(mesh.triangles)[0]]:
+        plot.add_curve([a[0], b[0]], [a[1], b[1]], color="#557799", width=0.5)
     plot.write(path)

@@ -44,9 +44,6 @@ class WienerReport:
     classification: str
     fit: tails.TailFit | None = None
 
-    def classify(self):
-        return self.classification
-
 
 @dataclass(frozen=True)
 class LogRadiusProfile:

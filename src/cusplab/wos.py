@@ -5,8 +5,13 @@ polylines, and the distance from a walker to the surfaces of revolution
 equals the meridian-plane distance to the polylines (the closest point of a
 coaxial surface of revolution lies in the meridian half-plane through the
 query point).  A walker jumps to a uniform point on a sphere no larger than
-its boundary distance until it comes within eps of the boundary, then
-scores the boundary datum at the arc fraction of its closest boundary point.
+its boundary distance until it comes within eps of the boundary.  There it
+exits, and the walk records the exit: the segment of its closest boundary
+point and the parameter t of that point on it (segment -1 for a walk that
+STEP_CAP stopped).  The exits sample the harmonic measure of the start
+point (Kakutani 1944), so the walk needs no boundary data: one scoring pass
+per chunk maps the records to arc fractions of their components and applies
+each component's datum, a callable on arc fractions.
 
 Distances come from the polyline segments themselves, through a linear
 quadtree over the square that bounds them: adaptively sampled distance
@@ -36,7 +41,7 @@ below eps without a certificate of exactness gets the exact distance over
 all segments, so no walk ever stops farther than eps from the boundary.
 The segments, their arc fractions and the tree depend on the cross-section
 alone: they are built on the first estimate and kept on the section (see
-_geometry); the boundary data are bound per call.
+_geometry); the boundary data meet only the exit records.
 
 Randomness is counter-based: walks are processed in fixed-size chunks, each
 chunk drawing from its own Philox stream keyed by (seed, chunk index), so
@@ -54,7 +59,7 @@ import numpy as np
 
 from .contour import polyline_arcs
 from .errors import DomainError, InputError, ReliabilityError
-from .fem import BoundaryData, TabulatedData
+from .fem import BoundaryData
 
 CHUNK = 32768
 STEP_CAP = 100_000
@@ -310,41 +315,48 @@ def _geometry(cs):
     return geo
 
 
-def _datum(spec, tag):
-    """The boundary datum of one component as a function of arc fraction."""
-    if spec is None:
-        raise InputError(f"no boundary datum for component {tag!r}")
-    if isinstance(spec, TabulatedData):
-        grid = np.linspace(0.0, 1.0, len(spec.values))
-        values = np.asarray(spec.values, dtype=float)
-        return lambda s: np.interp(s, grid, values)
-    return lambda s: np.asarray(spec(s), dtype=float)
+def _walk(geo, point, n, eps, key):
+    """Exit records of n walks from the 3D point, drawn from the Philox
+    stream with the given key: the segment of each walk's closest boundary
+    point when it stopped, the parameter t there, -1 and 0 for a walk that
+    STEP_CAP stopped; with the distance queries made, one per walker and
+    loop step."""
+    rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    seg = np.full(n, -1, dtype=np.intp)
+    t = np.zeros(n)
+    # the live walkers: their indices and positions
+    live = np.arange(n)
+    pos = np.tile(point, (n, 1))
+    steps = 0
+    for _ in range(STEP_CAP):
+        if len(live) == 0:
+            break
+        steps += len(live)
+        rz = np.column_stack([np.hypot(pos[:, 0], pos[:, 1]), pos[:, 2]])
+        radius, _, at, u = geo.query(rz, eps)
+        hit = radius < eps
+        if hit.any():
+            seg[live[hit]], t[live[hit]] = at[hit], u[hit]
+            move = ~hit
+            live, pos, radius = live[move], pos[move], radius[move]
+        if len(live):
+            dirs = rng.standard_normal((len(live), 3))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            pos += radius[:, None] * dirs
+    return seg, t, steps
 
 
-class _SegmentModel:
-    """The cross-section's geometry (shared between calls) with one call's
-    boundary data."""
-
-    def __init__(self, cs, data):
-        spec = dict(data.spec) if isinstance(data, BoundaryData) else dict(data)
-        self.geo = _geometry(cs)
-        self.datums = [_datum(spec.get(tag), tag)
-                       for tag, _ in self.geo.polylines]
-
-    def query(self, rz, eps):
-        return self.geo.query(rz, eps)
-
-    def score(self, seg, t):
-        """Boundary datum at the point t of each segment seg."""
-        geo = self.geo
-        s = geo.s0[seg] + t * geo.ds[seg]
-        comp = geo.comp[seg]
-        out = np.empty(len(seg))
-        for k, datum in enumerate(self.datums):
-            mine = comp == k
-            if mine.any():
-                out[mine] = datum(s[mine])
-        return out
+def _scores(geo, datums, seg, t):
+    """The datum at each exit record (seg >= 0): datums[k], a callable on
+    arc fractions, for the records on the geometry's component k."""
+    s = geo.s0[seg] + t * geo.ds[seg]
+    comp = geo.comp[seg]
+    out = np.empty(len(seg))
+    for k, datum in enumerate(datums):
+        mine = comp == k
+        if mine.any():
+            out[mine] = datum(s[mine])
+    return out
 
 
 @dataclass
@@ -374,38 +386,26 @@ def estimate(cs, data, point3d, walks=10_000, eps=1e-4, seed=0):
     r0 = math.hypot(x, y)
     if hasattr(cs, "contains") and not cs.contains(r0, z):
         raise DomainError(f"point (r={r0}, z={z}) is not interior")
-    model = _SegmentModel(cs, data)
+    geo = _geometry(cs)
+    spec = data.spec if isinstance(data, BoundaryData) else dict(data)
+    datums = [spec.get(tag) for tag, _ in geo.polylines]
+    for (tag, _), datum in zip(geo.polylines, datums):
+        if datum is None:
+            raise InputError(f"no boundary datum for component {tag!r}")
 
-    total, total_sq, done, discarded, steps = 0.0, 0.0, 0, 0, 0
+    total, total_sq, done, steps = 0.0, 0.0, 0, 0
     for j in range(0, walks, CHUNK):
         n = min(CHUNK, walks - j)
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([seed & 0xFFFFFFFFFFFFFFFF, j], dtype=np.uint64)))
-        # the live walkers: their indices and positions
-        live = np.arange(n)
-        pos = np.tile([x, y, z], (n, 1))
-        scores = np.zeros(n)
-        for _ in range(STEP_CAP):
-            if len(live) == 0:
-                break
-            steps += len(live)
-            rz = np.column_stack([np.hypot(pos[:, 0], pos[:, 1]), pos[:, 2]])
-            radius, _, seg, t = model.query(rz, eps)
-            hit = radius < eps
-            if hit.any():
-                scores[live[hit]] = model.score(seg[hit], t[hit])
-                move = ~hit
-                live, pos, radius = live[move], pos[move], radius[move]
-            if len(live):
-                dirs = rng.standard_normal((len(live), 3))
-                dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-                pos += radius[:, None] * dirs
-        discarded += len(live)
-        good = np.delete(scores, live)
+        seg, t, chunk_steps = _walk(geo, (x, y, z), n, eps,
+                                    (seed & 0xFFFFFFFFFFFFFFFF, j))
+        steps += chunk_steps
+        ended = seg >= 0
+        good = _scores(geo, datums, seg[ended], t[ended])
         total += good.sum()
         total_sq += (good ** 2).sum()
         done += len(good)
 
+    discarded = walks - done
     if discarded > 0.01 * walks:
         raise ReliabilityError(
             f"{discarded} of {walks} walks exceeded the step cap")

@@ -189,8 +189,20 @@ def test_two_constant_oracle(leb):
         pytest.approx([leb.value(*p) for p in pts])
     assert fem.two_constant_oracle(leb, 0.5, 2.0, 0.9, 0.9, pts) == \
         pytest.approx([0.9, 0.9])
-    with pytest.raises(DomainError):
-        fem.two_constant_oracle(leb, 0.5, 2.0, 0.0, 1.0, [(3.0, 3.0)])
+    # an axis point below the rod lies in the region
+    assert fem.two_constant_oracle(leb, 0.5, 2.0, 0.5, 2.0, [(0.0, -0.3)]) == \
+        pytest.approx([leb.value(0.0, -0.3)])
+    # outside the region, a rod point and nan
+    for p in [(3.0, 3.0), (0.0, 0.5), (math.nan, 0.5)]:
+        with pytest.raises(DomainError):
+            fem.two_constant_oracle(leb, 0.5, 2.0, 0.0, 1.0, [(0.5, 0.5), p])
+
+
+def test_tabulated_arc_length_form():
+    values = (0.3, -1.0, 2.5, 0.0, 4.0)
+    s = np.concatenate([np.linspace(0.0, 1.0, 41), [0.123, 0.999]])
+    assert np.array_equal(fem.TabulatedData(values)(s),
+                          np.interp(s, np.linspace(0.0, 1.0, len(values)), values))
 
 
 def test_oracle_on_level_curve(leb):

@@ -66,6 +66,17 @@ def test_boundary_tags_partition(canonical):
     assert len(canonical.edge_tags) == len(boundary)
 
 
+def test_every_level_node_has_an_arc_of_its_own_component(canonical):
+    # the inner arc runs from the cap corner to rail B's top node on the axis
+    for tag in (mesh.OUTER, mesh.INNER):
+        ids = canonical.nodes_with_tag(tag).tolist()
+        assert set(ids) <= canonical.component_arcs[tag].keys(), tag
+    inner = canonical.nodes_with_tag(mesh.INNER)
+    top = inner[canonical.nodes[inner, 0] == 0.0]
+    assert len(top) == 1
+    assert canonical.component_arcs[mesh.INNER][int(top[0])] == 1.0
+
+
 def test_cap_edge_is_tiny(canonical, cs, leb):
     cap_edge = [e for e, t in canonical.edge_tags.items() if t == "cusp-cap"][0]
     p, q_ = canonical.nodes[list(cap_edge)]

@@ -110,9 +110,9 @@ def cs_probes(cs):
 
 def test_step_bound_is_a_lower_bound(cs, cs_probes):
     eps = 1e-4
-    model = wos._SegmentModel(cs, fem.BoundaryData.constants(0.5, 2.0))
+    geo = wos._geometry(cs)
     for name, pts in cs_probes.items():
-        radius, exact, _, _ = model.query(pts, eps)
+        radius, exact, _, _ = geo.query(pts, eps)
         true = np.array([wos.distance_to_boundary(cs, p) for p in pts])
         assert np.all(radius <= true), name
         assert np.array_equal(radius[exact], true[exact]), name
@@ -120,7 +120,7 @@ def test_step_bound_is_a_lower_bound(cs, cs_probes):
         assert np.all(true[radius < eps] < eps), name
         if name != "bulk":
             assert np.any(radius < eps) and np.any(true < eps), name
-    radius, exact, _, _ = model.query(cs_probes["bulk"], eps)
+    radius, exact, _, _ = geo.query(cs_probes["bulk"], eps)
     assert np.any(~exact) and np.all(radius > 0.0)
 
 
@@ -151,9 +151,8 @@ def test_step_bound_when_candidates_miss_the_nearest_segment():
                     ("inner-level", crowd)]
 
     sec = Crowd()
-    model = wos._SegmentModel(sec, {"outer-level": fem.ConstantData(0.0),
-                                    "inner-level": fem.ConstantData(1.0)})
-    geo = model.geo
+    geo = wos._geometry(sec)
+    datums = [fem.ConstantData(0.0), fem.ConstantData(1.0)]
     assert geo.full and all(len(full) > wos.K for full in geo.full.values())
     assert len(geo.full[geo.slot[geo.leaf(hub[None, :])[0]]]) == 24
     rng = np.random.default_rng(23)
@@ -167,7 +166,7 @@ def test_step_bound_when_candidates_miss_the_nearest_segment():
         for pts, datum in ((between, 0.0), (around, 1.0)):
             radius, exact, seg, t = _check_bound(geo, sec, pts, eps)
             hit = radius < eps
-            assert np.all(model.score(seg[hit], t[hit]) == datum)
+            assert np.all(wos._scores(geo, datums, seg[hit], t[hit]) == datum)
     radius, exact, _, _ = geo.query(around, 1e-12)
     assert np.all(exact)
 
@@ -187,8 +186,7 @@ def test_step_bound_outside_the_tree():
                     ("c", np.array([[0.38, 0.99], [0.42, 0.99]]))]
 
     sec = Open()
-    geo = wos._SegmentModel(sec, {tag: fem.ConstantData(0.0)
-                                  for tag in "abc"}).geo
+    geo = wos._geometry(sec)
     high = np.array([[0.4, 11.0]])
     slot = geo.slot[geo.leaf(high)[0]]
     assert slot >= 0 and set(geo.table[slot]) == {11}
@@ -203,7 +201,7 @@ def test_step_bound_on_leaf_edges_and_corners(cs):
     # points exactly on the edges and corners of seeded leaves, where
     # rounding may put a point in a neighbouring cell, and points within
     # 1e-9 of the cap corner
-    geo = wos._SegmentModel(cs, fem.BoundaryData.constants(0.5, 2.0)).geo
+    geo = wos._geometry(cs)
     rng = np.random.default_rng(24)
     ends = np.append(geo.start, np.uint64(4) ** np.uint64(wos.DEPTH))
     half = 0.5 * np.sqrt(np.diff(ends).astype(float)) / geo.scale
@@ -223,7 +221,7 @@ def test_step_bound_on_leaf_edges_and_corners(cs):
 
 
 def test_step_bound_in_the_criterion_11_section(deep_cs):
-    geo = wos._SegmentModel(deep_cs, fem.BoundaryData.constants(0.5, 2.0)).geo
+    geo = wos._geometry(deep_cs)
     rng = np.random.default_rng(25)
     pts = np.column_stack([rng.uniform(0.0, 1.5, 6000),
                            rng.uniform(-0.6, 2.0, 6000)])
@@ -233,8 +231,8 @@ def test_step_bound_in_the_criterion_11_section(deep_cs):
     assert np.any(exact) and np.any(~exact)
 
 
-def _step_landings(model, pts, eps, rng, n_dirs=8):
-    radius, _, _, _ = model.query(pts, eps)
+def _step_landings(geo, pts, eps, rng, n_dirs=8):
+    radius, _, _, _ = geo.query(pts, eps)
     dirs = rng.standard_normal((len(pts), n_dirs, 3))
     dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
     pos = np.column_stack([pts[:, 0], np.zeros(len(pts)), pts[:, 1]])
@@ -263,20 +261,20 @@ def test_bound_steps_stay_inside(cs, cs_probes, ball, ball_data):
     rng = np.random.default_rng(21)
     (_, outer), (_, inner) = cs.boundary_polylines()
     inner = np.vstack([inner, [[0.0, cs.z_cut]]])
-    model = wos._SegmentModel(cs, fem.BoundaryData.constants(0.5, 2.0))
+    geo = wos._geometry(cs)
     inside = lambda p: _in_polygon(outer, p) & ~_in_polygon(inner, p)
     cap = cs_probes["cap"][cs_probes["cap"][:, 1] >= cs.z_cut]
     for pts in (cs_probes["polylines"], cap, cs_probes["bulk"]):
         pts = pts[inside(pts)]
-        assert len(pts) and np.all(inside(_step_landings(model, pts, 1e-4, rng)))
+        assert len(pts) and np.all(inside(_step_landings(geo, pts, 1e-4, rng)))
     # the ball's polyline is inscribed in the sphere: inside the polygon it
     # bounds, steps land in the ball itself
     apothem = math.cos(math.pi / (2 * (len(ball.pl) - 1)))
     near = _near_polylines(ball, rng, 800, -8.0, -1.0)
     pts = near[(near[:, 0] >= 0.0) & (np.hypot(*near.T) < apothem)]
-    model = wos._SegmentModel(ball, ball_data)
+    geo = wos._geometry(ball)
     assert len(pts) and all(ball.contains(r, z)
-               for r, z in _step_landings(model, pts, 1e-3, rng))
+               for r, z in _step_landings(geo, pts, 1e-3, rng))
 
 
 def test_hit_scores_datum_at_projection(ball, ball_data):
@@ -289,8 +287,8 @@ def test_hit_scores_datum_at_projection(ball, ball_data):
     depth = 10.0 ** rng.uniform(-8.0, -4.0, 300)
     pts = (np.cos(math.pi / (2 * (len(pl) - 1))) - depth)[:, None] \
         * np.column_stack([np.sin(th), np.cos(th)])
-    model = wos._SegmentModel(ball, ball_data)
-    radius, exact, seg, t = model.query(pts, 1e-3)
+    geo = wos._geometry(ball)
+    radius, exact, seg, t = geo.query(pts, 1e-3)
     assert np.all(exact & (radius < 1e-3))
     expected = []
     for p in pts:
@@ -300,7 +298,8 @@ def test_hit_scores_datum_at_projection(ball, ball_data):
             q = a + u * (b - a)
             best = min(best, (math.hypot(*(q - p)), q[1]))
         expected.append(best[1])
-    assert model.score(seg, t) == pytest.approx(expected, abs=1e-12)
+    scores = wos._scores(geo, [ball_data["outer-level"]], seg, t)
+    assert scores == pytest.approx(expected, abs=1e-12)
 
 
 def test_distance_rejects_exterior(cs):
@@ -358,7 +357,7 @@ def test_estimate_input_contract(ball, ball_data, walks, eps):
         wos.estimate(ball, ball_data, (0.0, 0.0, 0.0), walks=walks, eps=eps)
 
 
-def test_steps_count_every_query_row(ball, ball_data, monkeypatch):
+def _counting_queries(monkeypatch):
     rows = []
     query = wos._Geometry.query
 
@@ -367,9 +366,45 @@ def test_steps_count_every_query_row(ball, ball_data, monkeypatch):
         return query(self, rz, eps)
 
     monkeypatch.setattr(wos._Geometry, "query", counted)
+    return rows
+
+
+def test_steps_count_every_query_row(ball, ball_data, monkeypatch):
+    rows = _counting_queries(monkeypatch)
     est = wos.estimate(ball, ball_data, (0.0, 0.0, 0.2), walks=500,
                        eps=1e-3, seed=4)
     assert est.steps == sum(rows) and est.steps > 5 * est.walks
+
+
+def test_missing_datum_raises_before_the_first_walk(cs, monkeypatch):
+    rows = _counting_queries(monkeypatch)
+    with pytest.raises(InputError):
+        wos.estimate(cs, {"outer-level": fem.ConstantData(0.5)},
+                     (0.5, 0.0, 0.5), walks=100, seed=1)
+    assert rows == []
+
+
+def test_one_walk_scores_every_datum(cs):
+    # the exit records of one walk, scored with two data sets, give what
+    # two estimates with the walk's seed give, bit for bit
+    geo = wos._geometry(cs)
+    point, walks, eps, seed = (0.4, 0.0, 0.3), 2000, 1e-4, 5
+    seg, t, steps = wos._walk(geo, point, walks, eps, (seed, 0))
+    ended = seg >= 0
+    means = []
+    for data in (fem.BoundaryData.constants(0.5, 2.0),
+                 fem.BoundaryData(fem.BumpData(0.5, 0.3, 1.0),
+                                  fem.ConstantData(0.0))):
+        datums = [data.spec[tag] for tag, _ in geo.polylines]
+        good = wos._scores(geo, datums, seg[ended], t[ended])
+        done = len(good)
+        mean = good.sum() / done
+        stderr = math.sqrt(max((good ** 2).sum() / done - mean * mean, 0.0) / done)
+        est = wos.estimate(cs, data, point, walks=walks, eps=eps, seed=seed)
+        assert (est.mean, est.stderr, est.walks, est.discarded, est.steps) == \
+            (mean, stderr, done, walks - done, steps)
+        means.append(mean)
+    assert 0.5 < means[0] < 2.0 and means[1] > 0.0
 
 
 def _counting_builds(monkeypatch):
