@@ -88,7 +88,9 @@ class BoundaryData:
 
     The cusp cap defaults to the inner-level datum (the continuous datum is
     B on the whole inner component including the tip), except that a bump on
-    the inner component evaluates to 0 on the cap.
+    the inner component evaluates to 0 on the cap, and a table on it gives
+    the cap its first value: the one at arc fraction 0, the cap-corner end of
+    the inner arc, which is also where the table's arc-length form reads it.
     """
 
     def __init__(self, outer, inner, cap=None):
@@ -97,6 +99,8 @@ class BoundaryData:
             self.spec[CAP] = cap
         elif isinstance(inner, BumpData):
             self.spec[CAP] = ConstantData(0.0)
+        elif isinstance(inner, TabulatedData):
+            self.spec[CAP] = ConstantData(float(inner.values[0]))
         else:
             self.spec[CAP] = inner
 

@@ -33,9 +33,15 @@ is one of two kinds:
 A cell that is neither far nor lists at most K segments is split in four,
 down to DEPTH levels.
 
-A walker's leaf is found by its Morton code at depth DEPTH and one
-searchsorted over the leaves' sorted start codes.  Both bounds hold for any
-x, in the leaf or not (rounding can put a point on a cell edge into its
+A walker's leaf is read from a dense grid over the cells of level G
+(G = 8: 256 x 256 int32 entries, 256 KB), built with the tree: each entry
+holds the index of the leaf that covers its cell, or -1 where leaves deeper
+than G split the cell.  Only a walker in such a cell is located by its
+Morton code at depth DEPTH and one searchsorted over the leaves' sorted
+start codes; both give the leaf whose code range holds the walker's code.
+On the criterion-11 section the grid answers 94% of the walker-steps from
+bulk starts and 68% from tip starts.  Both bounds hold for any x, in
+the leaf or not (rounding can put a point on a cell edge into its
 neighbour), so a step never passes the boundary; a walker whose bound falls
 below eps without a certificate of exactness gets the exact distance over
 all segments, so no walk ever stops farther than eps from the boundary.
@@ -70,6 +76,9 @@ K = 8
 F = 3.0
 # depth limit of the quadtree: Morton codes of 2 * DEPTH bits
 DEPTH = 31
+# level of the dense grid that finds a walker's leaf: 4**G int32 entries
+# (256 KB)
+G = 8
 # point-segment pairs measured per block, to bound the temporary arrays
 _PAIRS = 4096
 
@@ -121,12 +130,19 @@ def _nearest(p, s):
     return dist, seg, t
 
 
+# the shifts and masks of _spread, and the shift of _morton's odd bits
+_SPREAD = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
+    (16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+    (1, 0x5555555555555555)))
+_ODD = np.uint64(1)
+
+
 def _spread(v):
     """The bits of each uint64 v < 2**32 moved to the even bit positions."""
-    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
-                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
-                        (1, 0x5555555555555555)):
-        v = (v | (v << np.uint64(shift))) & np.uint64(mask)
+    for shift, mask in _SPREAD:
+        v = v | (v << shift)
+        v &= mask
     return v
 
 
@@ -134,7 +150,7 @@ def _morton(ij):
     """Morton codes of the rows (i, j) of integer cell coordinates below
     2**DEPTH."""
     v = _spread(ij.astype(np.uint64))
-    return v[:, 0] | (v[:, 1] << np.uint64(1))
+    return v[:, 0] | (v[:, 1] << _ODD)
 
 
 def _polylines(cs):
@@ -237,6 +253,20 @@ class _Geometry:
         start = _morton(ij)
         order = np.argsort(start)
         self.start = start[order]
+        # the grid of level G, level by level: each table doubled into the
+        # next level's cells, which then take the leaves of that level, by
+        # their index in start order; cells that deeper leaves split keep -1
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order))
+        end = np.cumsum([len(lv[1]) for lv in leaves])
+        grid = np.full((1, 1), -1, dtype=np.int32)
+        for g in range(G + 1):
+            if g:
+                grid = grid.repeat(2, 0).repeat(2, 1)
+            if g < len(leaves):
+                i, j = leaves[g][1].T
+                grid[i, j] = rank[end[g] - len(i):end[g]]
+        self.grid = grid
         self.centre = np.vstack([lv[2] for lv in leaves])[order]
         self.reach = np.concatenate([lv[3] for lv in leaves])[order]
         count = np.concatenate([lv[4] for lv in leaves])
@@ -257,10 +287,18 @@ class _Geometry:
 
     def leaf(self, rz):
         """The leaf of each row of rz: the one whose Morton code range holds
-        the row's code, for a point clamped into the square."""
-        q = np.clip((rz - self.origin) * self.scale, 0.0, 2.0 ** DEPTH - 1.0)
-        return np.searchsorted(self.start, _morton(q.astype(np.uint64)),
-                               side="right") - 1
+        the row's code, for a point clamped into the square.  The grid
+        answers rows whose leaf has level G or less; the others search the
+        leaves' start codes."""
+        q = np.clip((rz - self.origin) * self.scale, 0.0,
+                    2.0 ** DEPTH - 1.0).astype(np.int64)
+        cell = q >> (DEPTH - G)
+        leaf = self.grid[cell[:, 0], cell[:, 1]].astype(np.intp)
+        deep = np.flatnonzero(leaf < 0)
+        if len(deep):
+            leaf[deep] = np.searchsorted(self.start, _morton(q[deep]),
+                                         side="right") - 1
+        return leaf
 
     def query(self, rz, eps):
         """Step radius for each row of rz, with the closest boundary point.
@@ -271,7 +309,9 @@ class _Geometry:
         boundary point on segment seg.
         """
         leaf = self.leaf(rz)
-        off = rz - self.centre[leaf]
+        # np.take gathers rows of a two-column array several times faster
+        # than indexing does
+        off = rz - np.take(self.centre, leaf, axis=0)
         off *= off
         radius = self.reach[leaf] - np.sqrt(off[:, 0] + off[:, 1])
         exact = np.zeros(len(rz), dtype=bool)
@@ -281,7 +321,7 @@ class _Geometry:
         near = np.flatnonzero(slot >= 0)
         if len(near):
             slot = slot[near]
-            p = rz[near]
+            p = np.take(rz, near, axis=0)
             best, j, t[near] = _least(*_project(p[:, :1], p[:, 1:],
                                                  self.cells[:, slot]))
             seg[near] = self.table[slot, j]
@@ -327,21 +367,27 @@ def _walk(geo, point, n, eps, key):
     # the live walkers: their indices and positions
     live = np.arange(n)
     pos = np.tile(point, (n, 1))
+    # the meridian-plane (r, z) of the live walkers in its first rows
+    meridian = np.empty((n, 2))
     steps = 0
     for _ in range(STEP_CAP):
         if len(live) == 0:
             break
         steps += len(live)
-        rz = np.column_stack([np.hypot(pos[:, 0], pos[:, 1]), pos[:, 2]])
+        rz = meridian[:len(live)]
+        np.hypot(pos[:, 0], pos[:, 1], out=rz[:, 0])
+        rz[:, 1] = pos[:, 2]
         radius, _, at, u = geo.query(rz, eps)
         hit = radius < eps
         if hit.any():
-            seg[live[hit]], t[live[hit]] = at[hit], u[hit]
+            done = live[hit]
+            seg[done], t[done] = at[hit], u[hit]
             move = ~hit
-            live, pos, radius = live[move], pos[move], radius[move]
+            live, radius = live[move], radius[move]
+            pos = np.compress(move, pos, axis=0)
         if len(live):
             dirs = rng.standard_normal((len(live), 3))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            dirs /= np.sqrt((dirs * dirs).sum(axis=1, keepdims=True))
             pos += radius[:, None] * dirs
     return seg, t, steps
 

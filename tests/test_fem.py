@@ -205,6 +205,22 @@ def test_tabulated_arc_length_form():
                           np.interp(s, np.linspace(0.0, 1.0, len(values)), values))
 
 
+def test_tabulated_inner_datum_sets_the_cap(cs):
+    # with no cap datum, the cap nodes take the inner table's first value,
+    # the one at the cap-corner end of the inner arc
+    m = mesh.triangulate(cs, n_levels=8, n_stations=32)
+    rng = np.random.default_rng(5)
+    n_out = len(m.nodes_with_tag("outer-level"))
+    n_in = len(m.nodes_with_tag("inner-level"))
+    inner = fem.TabulatedData(tuple(rng.uniform(-1, 1, n_in)))
+    data = fem.BoundaryData(fem.TabulatedData(tuple(rng.uniform(-1, 1, n_out))),
+                            inner)
+    sol = fem.solve_dirichlet(m, data, tol=1e-10)
+    cap = m.nodes_with_tag("cusp-cap")
+    assert len(cap) and len(cap) != n_in
+    assert all(sol.values[i] == inner.values[0] for i in cap)
+
+
 def test_oracle_on_level_curve(leb):
     from cusplab import contour
     r = contour.radius_at(leb, 1.5, 0.4)

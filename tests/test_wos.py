@@ -171,6 +171,17 @@ def test_step_bound_when_candidates_miss_the_nearest_segment():
     assert np.all(exact)
 
 
+class Open:
+    """Three open polylines: a floor, a short top edge and, just below the
+    top, a short segment."""
+
+    def boundary_polylines(self):
+        return [("a", np.array([[0.0, 0.0], [1.0, 0.0]])),
+                ("b", np.column_stack([np.linspace(0.7, 0.8, 11),
+                                       np.ones(11)])),
+                ("c", np.array([[0.38, 0.99], [0.42, 0.99]]))]
+
+
 def test_step_bound_outside_the_tree():
     # the tree covers the square that bounds the segments; a point outside
     # it is looked up in the nearest border leaf.  Above the top edge at
@@ -178,13 +189,6 @@ def test_step_bound_outside_the_tree():
     # while from high enough above, the top-edge polyline 0.3 to the side
     # is nearer: the leaf does not certify such points, and they still get
     # a bound
-    class Open:
-        def boundary_polylines(self):
-            return [("a", np.array([[0.0, 0.0], [1.0, 0.0]])),
-                    ("b", np.column_stack([np.linspace(0.7, 0.8, 11),
-                                           np.ones(11)])),
-                    ("c", np.array([[0.38, 0.99], [0.42, 0.99]]))]
-
     sec = Open()
     geo = wos._geometry(sec)
     high = np.array([[0.4, 11.0]])
@@ -197,20 +201,33 @@ def test_step_bound_outside_the_tree():
         _check_bound(geo, sec, pts, eps)
 
 
+def _leaf_sizes(geo):
+    """Each leaf's share of the 4**DEPTH codes: 4**(DEPTH - level)."""
+    return np.diff(np.append(geo.start, np.uint64(4) ** np.uint64(wos.DEPTH)))
+
+
+def _deeper_than_grid(geo):
+    """Which leaves lie deeper than level G."""
+    return _leaf_sizes(geo) < np.uint64(4) ** np.uint64(wos.DEPTH - wos.G)
+
+
+def _edges_and_corners(geo, leaves):
+    """The midpoints of the edges and the corners of the given leaves."""
+    half = 0.5 * np.sqrt(_leaf_sizes(geo).astype(float)) / geo.scale
+    steps = np.array([[-1, -1], [-1, 0], [-1, 1], [0, -1], [0, 1],
+                      [1, -1], [1, 0], [1, 1]])
+    return (geo.centre[leaves][:, None, :]
+            + half[leaves][:, None, None] * steps).reshape(-1, 2)
+
+
 def test_step_bound_on_leaf_edges_and_corners(cs):
     # points exactly on the edges and corners of seeded leaves, where
     # rounding may put a point in a neighbouring cell, and points within
     # 1e-9 of the cap corner
     geo = wos._geometry(cs)
     rng = np.random.default_rng(24)
-    ends = np.append(geo.start, np.uint64(4) ** np.uint64(wos.DEPTH))
-    half = 0.5 * np.sqrt(np.diff(ends).astype(float)) / geo.scale
     leaves = rng.choice(len(geo.start), 300, replace=False)
-    steps = np.array([[-1, -1], [-1, 0], [-1, 1], [0, -1], [0, 1],
-                      [1, -1], [1, 0], [1, 1]])
-    pts = (geo.centre[leaves][:, None, :]
-           + half[leaves][:, None, None] * steps).reshape(-1, 2)
-    pts = _interior(cs, pts)
+    pts = _interior(cs, _edges_and_corners(geo, leaves))
     cap = _interior(cs, np.array([cs.r_min, cs.z_cut])
                     + _offsets(rng, 300, -12.0, -9.0))
     assert len(pts) > 1000 and len(cap) > 50
@@ -229,6 +246,57 @@ def test_step_bound_in_the_criterion_11_section(deep_cs):
     assert len(pts) == 2000
     radius, exact, _, _ = _check_bound(geo, deep_cs, pts, 5e-5)
     assert np.any(exact) and np.any(~exact)
+
+
+def _searched_leaf(geo, pts):
+    """The leaf of each point by one search over all leaves' start codes."""
+    q = np.clip((pts - geo.origin) * geo.scale, 0.0, 2.0 ** wos.DEPTH - 1.0)
+    return np.searchsorted(geo.start, wos._morton(q.astype(np.uint64)),
+                           side="right") - 1
+
+
+def _check_grid(geo, pts):
+    """Every point gets the leaf the search over start codes gives, and a
+    grid cell holds the leaf that covers it, or -1 where leaves deeper than
+    G split it.  Returns which leaves lie deeper than G."""
+    assert np.array_equal(geo.leaf(pts), _searched_leaf(geo, pts))
+    assert geo.grid.shape == (2 ** wos.G, 2 ** wos.G)
+    deep = _deeper_than_grid(geo)
+    cells = np.indices(geo.grid.shape).reshape(2, -1).T
+    first = np.searchsorted(
+        geo.start, wos._morton(cells) << np.uint64(2 * (wos.DEPTH - wos.G)),
+        side="right") - 1
+    assert np.array_equal(geo.grid.ravel(), np.where(deep[first], -1, first))
+    return deep
+
+
+def test_grid_finds_the_searched_leaf(cs, deep_cs, ball):
+    # the bulk points of the criterion-11 test
+    rng = np.random.default_rng(25)
+    pts = np.column_stack([rng.uniform(0.0, 1.5, 6000),
+                           rng.uniform(-0.6, 2.0, 6000)])
+    pts = _interior(deep_cs, pts)[:2000]
+    assert len(pts) == 2000
+    _check_grid(wos._geometry(deep_cs), pts)
+    # edges and corners of seeded leaves, half of them deeper than G
+    rng = np.random.default_rng(27)
+    geo = wos._geometry(cs)
+    deep = _deeper_than_grid(geo)
+    leaves = np.concatenate([rng.choice(np.flatnonzero(deep), 150, replace=False),
+                             rng.choice(np.flatnonzero(~deep), 150, replace=False)])
+    pts = _edges_and_corners(geo, leaves)
+    _check_grid(geo, pts)
+    assert np.any(deep[geo.leaf(pts)]) and np.any(~deep[geo.leaf(pts)])
+    # points outside the bounding square
+    _check_grid(wos._geometry(Open()), rng.uniform(-10.0, 11.0, (400, 2)))
+    # the ball, and a coarse ball whose tree is shallower than G, so that
+    # every cell of its grid holds a leaf
+    for sec in (ball, Ball(60)):
+        deep = _check_grid(wos._geometry(sec),
+                           _near_polylines(sec, rng, 400, -8.0, 0.0))
+    assert not np.any(deep)
+    assert _leaf_sizes(wos._geometry(sec)).min() > \
+        np.uint64(4) ** np.uint64(wos.DEPTH - wos.G)
 
 
 def _step_landings(geo, pts, eps, rng, n_dirs=8):
@@ -405,6 +473,23 @@ def test_one_walk_scores_every_datum(cs):
             (mean, stderr, done, walks - done, steps)
         means.append(mean)
     assert 0.5 < means[0] < 2.0 and means[1] > 0.0
+
+
+def test_walk_bits_are_frozen(deep_cs):
+    # two short estimates on the criterion-11 section, with the values the
+    # walker gave when this test was written: a change to the walker's
+    # arithmetic or to its random streams fails here and states its new
+    # values.  The second starts at the level-1.5 station at z = 0.04 and
+    # scores criterion 12's bump
+    const = fem.BoundaryData.constants(0.5, 2.0)
+    bump = fem.BoundaryData(fem.BumpData(0.5, 0.25, 1.0), fem.ConstantData(0.0))
+    for data, point, eps, seed, frozen in (
+            (const, (0.5, 0.0, 0.5), 5e-5, 17,
+             (0.8855, 0.02072775313438483, 1000, 0, 37701)),
+            (bump, (0.0002783288397971052, 0.0, 0.04), 1e-4, 19,
+             (0.07009212077501067, 0.006891345629262927, 1000, 0, 57263))):
+        est = wos.estimate(deep_cs, data, point, walks=1000, eps=eps, seed=seed)
+        assert (est.mean, est.stderr, est.walks, est.discarded, est.steps) == frozen
 
 
 def _counting_builds(monkeypatch):
