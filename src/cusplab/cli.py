@@ -1,15 +1,20 @@
 """Command-line orchestration: one subcommand per module, JSON config in,
 CSV/SVG/JSON artifacts out.
 
-Every run validates its configuration up front (unknown keys rejected),
-echoes the effective config next to the artifacts for reproducibility, and
-exits 0 on success, 1 on a validation error, 2 on a numerical failure.
-Errors go to stderr as machine-readable JSON.
+_SCHEMA declares each subcommand's keys and their defaults once.  run() is
+the one frame every subcommand goes through: it lays the given keys over
+the defaults (unknown keys rejected), resolves the output directory, runs
+the subcommand there and, when it succeeds, echoes the effective config
+next to the artifacts as <cmd>_config.json.  The echo lists every key with
+the value the run used, so passing it back with --config reruns the run.
+Exit codes: 0 on success, 1 on a validation error, 2 on a numerical
+failure.  Errors go to stderr as machine-readable JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
@@ -24,52 +29,62 @@ from .potential import PotentialField
 
 OUTDIR_ENV = "CUSPLAB_OUTDIR"
 
-# configuration schema: allowed keys per subcommand (unknown keys rejected)
-_COMMON_KEYS = {"density", "output_dir", "seed"}
+# every subcommand's keys and their defaults.  Each subcommand also takes
+# output_dir (default $CUSPLAB_OUTDIR, then '.') and subcommand, which an
+# echoed config carries and which must name the command being run
+_DENSITY = {"kind": "lebesgue"}
+_DATA = {"outer": {"constant": 0.5}, "inner": {"constant": 2.0}}
+_SECTION = {"density": _DENSITY, "levels": [0.5, 2.0], "r_min": None}
 _SCHEMA = {
-    "potential-grid": _COMMON_KEYS | {"r_range", "z_range", "n_r", "n_z"},
-    "contour": _COMMON_KEYS | {"levels", "n_stations", "grading",
-                               "highlight"},
-    "mesh": _COMMON_KEYS | {"levels", "r_min", "n_levels", "n_stations"},
-    "solve": _COMMON_KEYS | {"levels", "r_min", "n_levels", "n_stations",
-                             "data", "tol"},
-    "probe": _COMMON_KEYS | {"levels", "data", "probe_levels", "n_stations",
-                             "start", "source", "walks", "eps", "r_min"},
-    "wiener": _COMMON_KEYS | {"profile", "level", "q", "j_start", "j_stop"},
-    "wos": _COMMON_KEYS | {"levels", "r_min", "data", "points", "walks",
-                           "eps"},
-    "reproduce-figures": _COMMON_KEYS | {"levels"},
-}
-
-_DEFAULTS = {
-    "density": {"kind": "lebesgue"},
-    "seed": 0,
-    "levels": [0.5, 2.0],
-    "data": {"outer": {"constant": 0.5}, "inner": {"constant": 2.0}},
+    "potential-grid": {"density": _DENSITY, "r_range": [0.01, 1.5],
+                       "z_range": [-0.6, 2.0], "n_r": 60, "n_z": 80},
+    "contour": {"density": _DENSITY, "levels": [0.5, 2.0], "n_stations": 96,
+                "grading": "blended", "highlight": [0.5, 2.0]},
+    "mesh": {**_SECTION, "n_levels": 8, "n_stations": 32},
+    "solve": {**_SECTION, "n_levels": 8, "n_stations": 32, "data": _DATA,
+              "tol": 1e-10},
+    "probe": {**_SECTION, "data": _DATA,
+              "probe_levels": [1.05, 1.25, 1.5, 1.75, 1.95],
+              "n_stations": 10, "start": 0.2, "source": "oracle",
+              "walks": 10000, "eps": 1e-4, "seed": 0},
+    "wiener": {"density": _DENSITY, "profile": "z^-logz", "level": 2.0,
+               "q": 0.5, "j_start": 2, "j_stop": 64},
+    "wos": {**_SECTION, "data": _DATA, "points": [[0.5, 0.0, 0.5]],
+            "walks": 10000, "eps": 1e-4, "seed": 0},
+    "reproduce-figures": {"density": _DENSITY, "levels": [0.5, 2.0]},
 }
 
 
 def validate_config(cmd, cfg):
-    allowed = _SCHEMA[cmd]
+    """A fresh copy of cmd's defaults with the keys of cfg laid over them,
+    output_dir included (None when not given)."""
+    cfg = dict(cfg)
+    named = cfg.pop("subcommand", cmd)
+    if named != cmd:
+        raise InputError(f"config key 'subcommand' names {named!r}, "
+                         f"but the command run is {cmd!r}")
+    allowed = _SCHEMA[cmd].keys() | {"output_dir", "subcommand"}
     unknown = sorted(set(cfg) - allowed)
     if unknown:
         raise InputError(f"unknown config keys for {cmd!r}: {unknown} "
                          f"(allowed: {sorted(allowed)})")
-    merged = {k: v for k, v in _DEFAULTS.items() if k in allowed}
-    merged.update(cfg)
-    return merged
+    return copy.deepcopy({**_SCHEMA[cmd], "output_dir": None, **cfg})
 
 
-def _build_density(spec):
+def _field(cfg):
+    """The potential of the config's rod density."""
+    spec = cfg["density"]
     kind = spec.get("kind", "lebesgue")
     if kind == "lebesgue":
-        return density.lebesgue_profile()
-    if kind == "power":
-        return density.power_profile(float(spec["p"]),
-                                     length=float(spec.get("L", 1.0)))
-    if kind == "tabulated":
-        return density.tabulated_profile(spec["samples"])
-    raise InputError(f"unknown density kind {kind!r}")
+        rho = density.lebesgue_profile()
+    elif kind == "power":
+        rho = density.power_profile(float(spec["p"]),
+                                    length=float(spec.get("L", 1.0)))
+    elif kind == "tabulated":
+        rho = density.tabulated_profile(spec["samples"])
+    else:
+        raise InputError(f"unknown density kind {kind!r}")
+    return PotentialField(rho)
 
 
 def _build_datum(spec):
@@ -90,16 +105,9 @@ def _build_data(spec):
                             _build_datum(spec["inner"]), cap)
 
 
-def _outdir(cfg):
-    out = cfg.get("output_dir") or os.environ.get(OUTDIR_ENV) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _echo_config(cmd, cfg, out):
-    path = os.path.join(out, f"{cmd.replace('-', '_')}_config.json")
+def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump({"subcommand": cmd, **cfg}, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -107,65 +115,56 @@ def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each takes the validated config and the
+# output directory and returns its report
 
-def cmd_potential_grid(cfg):
-    out = _outdir(cfg)
-    field = PotentialField(_build_density(cfg["density"]))
-    r0, r1 = cfg.get("r_range", [0.01, 1.5])
-    z0, z1 = cfg.get("z_range", [-0.6, 2.0])
-    n_r, n_z = int(cfg.get("n_r", 60)), int(cfg.get("n_z", 80))
+def cmd_potential_grid(cfg, out):
+    field = _field(cfg)
+    r0, r1 = cfg["r_range"]
+    z0, z1 = cfg["z_range"]
+    n_r, n_z = int(cfg["n_r"]), int(cfg["n_z"])
     rows = []
     for z in np.linspace(z0, z1, n_z):
         for r in np.linspace(r0, r1, n_r):
             rows.append((float(r), float(z), field.value(r, z)))
     _write_csv(os.path.join(out, "potential_grid.csv"), "r,z,V", rows)
-    _echo_config("potential-grid", cfg, out)
     return {"file": "potential_grid.csv", "points": len(rows), "pass": True}
 
 
-def cmd_contour(cfg):
-    out = _outdir(cfg)
-    field = PotentialField(_build_density(cfg["density"]))
-    levels = [float(c) for c in cfg.get("levels", [0.5, 2.0])]
-    n = int(cfg.get("n_stations", 96))
-    grading = cfg.get("grading", "blended")
-    curves = trace_contours(field, levels, n=n, grading=grading)
+def cmd_contour(cfg, out):
+    levels = [float(c) for c in cfg["levels"]]
+    curves = trace_contours(_field(cfg), levels, n=int(cfg["n_stations"]),
+                            grading=cfg["grading"])
     max_res = max([0.0] + [curve.max_residual() for curve in curves])
     rows = [(curve.level, float(z), float(r))
             for curve in curves for z, r in curve.samples]
     _write_csv(os.path.join(out, "contours.csv"), "level,z,r", rows)
-    highlight = cfg.get("highlight", [0.5, 2.0])
-    svgplot.contour_map_svg(curves, highlight,
+    svgplot.contour_map_svg(curves, cfg["highlight"],
                             os.path.join(out, "contour_map.svg"))
-    _echo_config("contour", cfg, out)
     return {"file": "contours.csv", "max_residual": max_res,
             "pass": max_res <= 1e-10}
 
 
 def _cross_section(cfg, field):
-    A, B = (float(v) for v in cfg.get("levels", [0.5, 2.0]))
-    r_min = cfg.get("r_min")
+    A, B = (float(v) for v in cfg["levels"])
+    r_min = cfg["r_min"]
     return mesh.build_cross_section(field, A, B,
                                     r_min=None if r_min is None else float(r_min))
 
 
-def cmd_mesh(cfg):
-    out = _outdir(cfg)
-    field = PotentialField(_build_density(cfg["density"]))
-    cs = _cross_section(cfg, field)
-    m = mesh.triangulate(cs, n_levels=int(cfg.get("n_levels", 8)),
-                         n_stations=int(cfg.get("n_stations", 32)))
+def _mesh(cfg):
+    return mesh.triangulate(_cross_section(cfg, _field(cfg)),
+                            n_levels=int(cfg["n_levels"]),
+                            n_stations=int(cfg["n_stations"]))
+
+
+def cmd_mesh(cfg, out):
+    m = _mesh(cfg)
     q = mesh.mesh_quality(m)
     _write_csv(os.path.join(out, "nodes.csv"), "id,r,z,tag",
                [(i, p[0], p[1], m.node_tags[i])
@@ -173,20 +172,15 @@ def cmd_mesh(cfg):
     _write_csv(os.path.join(out, "tris.csv"), "id,n0,n1,n2",
                [(i, *map(int, t)) for i, t in enumerate(m.triangles)])
     svgplot.mesh_wireframe_svg(m, os.path.join(out, "mesh.svg"))
-    _echo_config("mesh", cfg, out)
     return {"nodes": len(m.nodes), "triangles": len(m.triangles),
             "min_angle": q.min_angle, "euler": q.euler_characteristic,
             "z_cut": m.z_cut, "pass": q.passes()}
 
 
-def cmd_solve(cfg):
-    out = _outdir(cfg)
-    field = PotentialField(_build_density(cfg["density"]))
-    cs = _cross_section(cfg, field)
-    m = mesh.triangulate(cs, n_levels=int(cfg.get("n_levels", 8)),
-                         n_stations=int(cfg.get("n_stations", 32)))
-    data = _build_data(cfg["data"])
-    sol = fem.solve_dirichlet(m, data, tol=float(cfg.get("tol", 1e-10)))
+def cmd_solve(cfg, out):
+    m = _mesh(cfg)
+    sol = fem.solve_dirichlet(m, _build_data(cfg["data"]),
+                              tol=float(cfg["tol"]))
     _write_csv(os.path.join(out, "solution.csv"), "id,r,z,value",
                [(i, p[0], p[1], float(sol.values[i]))
                 for i, p in enumerate(m.nodes)])
@@ -194,40 +188,32 @@ def cmd_solve(cfg):
     report = {"energy": sol.dirichlet_energy, "residual": sol.residual,
               "max_principle_margins": [lo, hi],
               "pass": lo >= -1e-8 and hi >= -1e-8}
-    with open(os.path.join(out, "solve_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _echo_config("solve", cfg, out)
+    _write_json(os.path.join(out, "solve_report.json"), report)
     return report
 
 
-def cmd_probe(cfg):
-    out = _outdir(cfg)
-    field = PotentialField(_build_density(cfg["density"]))
-    A, B = (float(v) for v in cfg.get("levels", [0.5, 2.0]))
+def cmd_probe(cfg, out):
+    field = _field(cfg)
+    A, B = (float(v) for v in cfg["levels"])
     data_spec = cfg["data"]
-    source = cfg.get("source", "oracle")
+    source = cfg["source"]
     if source == "oracle" and not ("constant" in data_spec["outer"]
                                    and "constant" in data_spec["inner"]):
         raise InputError("the oracle source is exact only for data constant "
                          "per boundary component")
     alpha = float(data_spec["outer"].get("constant", 0.0))
     beta = float(data_spec["inner"].get("constant", 0.0))
-    probe_levels = cfg.get("probe_levels", [1.05, 1.25, 1.5, 1.75, 1.95])
-    n_st = int(cfg.get("n_stations", 10))
-    start = float(cfg.get("start", 0.2))
     kwargs = {}
     if source == "wos":
         kwargs = dict(cross_section=_cross_section(cfg, field),
-                      data=_build_data(data_spec),
-                      walks=int(cfg.get("walks", 10000)),
-                      eps=float(cfg.get("eps", 1e-4)),
-                      seed=int(cfg.get("seed", 0)))
+                      data=_build_data(data_spec), walks=int(cfg["walks"]),
+                      eps=float(cfg["eps"]), seed=int(cfg["seed"]))
     paths, rows = [], []
-    specs = [("level-curve", c) for c in probe_levels] + [("axis-below",)]
+    specs = [("level-curve", c) for c in cfg["probe_levels"]] + [("axis-below",)]
     for pid, spec in enumerate(specs):
         p = probe.sample_path(source, field, A, B, alpha, beta, spec,
-                              n_stations=n_st, start=start, **kwargs)
+                              n_stations=int(cfg["n_stations"]),
+                              start=float(cfg["start"]), **kwargs)
         paths.append(p)
         for k in range(len(p.values)):
             err = p.stderrs[k] if p.stderrs is not None else 0.0
@@ -239,25 +225,18 @@ def cmd_probe(cfg):
     est = probe.limit_set_estimate(paths, datum_at_tip=beta)
     verdict = {"limit_lo": est.lo, "limit_hi": est.hi,
                "classification": est.classification, "pass": True}
-    with open(os.path.join(out, "probe_verdict.json"), "w") as fh:
-        json.dump(verdict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _echo_config("probe", cfg, out)
+    _write_json(os.path.join(out, "probe_verdict.json"), verdict)
     return verdict
 
 
-def cmd_wiener(cfg):
-    out = _outdir(cfg)
-    q = float(cfg.get("q", 0.5))
-    j0, j1 = int(cfg.get("j_start", 2)), int(cfg.get("j_stop", 64))
-    name = cfg.get("profile", "z^-logz")
+def cmd_wiener(cfg, out):
+    name = cfg["profile"]
     if name == "rod-contour":
-        field = PotentialField(_build_density(cfg["density"]))
-        prof = wiener.lebesgue_contour_profile(field,
-                                               float(cfg.get("level", 2.0)))
+        prof = wiener.lebesgue_contour_profile(_field(cfg), float(cfg["level"]))
     else:
         prof = wiener.named_profile(name)
-    rep = wiener.analyze(prof, q, j_start=j0, j_stop=j1)
+    rep = wiener.analyze(prof, float(cfg["q"]), j_start=int(cfg["j_start"]),
+                         j_stop=int(cfg["j_stop"]))
     report = {"profile": rep.profile_name, "q": rep.q,
               "j_start": rep.j_start,
               "classification": rep.classification,
@@ -268,48 +247,35 @@ def cmd_wiener(cfg):
                       "floor_ratio": rep.fit.floor_ratio,
                       "notes": rep.fit.notes},
               "pass": rep.classification != "inconclusive"}
-    with open(os.path.join(out, "wiener_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _echo_config("wiener", cfg, out)
+    _write_json(os.path.join(out, "wiener_report.json"), report)
     return report
 
 
-def cmd_wos(cfg):
-    out = _outdir(cfg)
-    field = PotentialField(_build_density(cfg["density"]))
-    cs = _cross_section(cfg, field)
+def cmd_wos(cfg, out):
+    cs = _cross_section(cfg, _field(cfg))
     data = _build_data(cfg["data"])
-    walks = int(cfg.get("walks", 10000))
-    eps = float(cfg.get("eps", 1e-4))
-    seed = int(cfg.get("seed", 0))
     rows = []
-    for k, pt in enumerate(cfg.get("points", [[0.5, 0.0, 0.5]])):
-        est = wos.estimate(cs, data, tuple(pt), walks=walks, eps=eps,
-                           seed=seed + k)
+    for k, pt in enumerate(cfg["points"]):
+        est = wos.estimate(cs, data, tuple(pt), walks=int(cfg["walks"]),
+                           eps=float(cfg["eps"]), seed=int(cfg["seed"]) + k)
         rows.append((f"({pt[0]};{pt[1]};{pt[2]})", est.mean, est.stderr,
                      est.walks))
     _write_csv(os.path.join(out, "wos.csv"), "point,mean,stderr,walks", rows)
-    _echo_config("wos", cfg, out)
     return {"file": "wos.csv", "points": len(rows), "pass": True}
 
 
-def cmd_reproduce_figures(cfg):
+def cmd_reproduce_figures(cfg, out):
     """Regenerate the data behind the three figures: the potential surface
     grid, the meridian contour map, and the cut-open 3D point cloud of the
     two boundary surfaces."""
-    out = _outdir(cfg)
-    field = PotentialField(_build_density(cfg["density"]))
-    A, B = (float(v) for v in cfg.get("levels", [0.5, 2.0]))
-
-    grid_report = cmd_potential_grid({**{k: cfg[k] for k in cfg
-                                         if k in _SCHEMA["potential-grid"]},
-                                      "output_dir": out})
-
+    field = _field(cfg)
+    A, B = (float(v) for v in cfg["levels"])
+    grid_report = run("potential-grid",
+                      {"density": cfg["density"], "output_dir": out})
     levels = sorted(set([A, 0.65, 0.8, 0.95, 1.1, 1.3, 1.5, 1.7, B]))
-    contour_report = cmd_contour({"density": cfg["density"],
-                                  "levels": levels, "highlight": [A, B],
-                                  "n_stations": 128, "output_dir": out})
+    contour_report = run("contour", {"density": cfg["density"],
+                                     "levels": levels, "highlight": [A, B],
+                                     "n_stations": 128, "output_dir": out})
 
     # cut-open surfaces of revolution: the outer surface misses a wedge so
     # the inner cusp is visible
@@ -322,7 +288,6 @@ def cmd_reproduce_figures(cfg):
                 rows.append((name, float(r * math.cos(th)),
                              float(r * math.sin(th)), float(z)))
     _write_csv(os.path.join(out, "domain_cloud.csv"), "surface,x,y,z", rows)
-    _echo_config("reproduce-figures", cfg, out)
     return {"grid": grid_report, "contours": contour_report,
             "cloud_points": len(rows),
             "pass": grid_report["pass"] and contour_report["pass"]}
@@ -341,9 +306,17 @@ _COMMANDS = {
 
 
 def run(cmd, cfg):
-    """Validate and execute one subcommand; returns its report dict."""
+    """Validate cfg, run one subcommand in its output directory (output_dir,
+    then $CUSPLAB_OUTDIR, then '.') and, when it succeeds, echo the
+    effective config there; returns the subcommand's report."""
     cfg = validate_config(cmd, cfg)
-    return _COMMANDS[cmd](cfg)
+    out = cfg["output_dir"] = (cfg["output_dir"] or os.environ.get(OUTDIR_ENV)
+                               or ".")
+    os.makedirs(out, exist_ok=True)
+    report = _COMMANDS[cmd](cfg, out)
+    _write_json(os.path.join(out, f"{cmd.replace('-', '_')}_config.json"),
+                {"subcommand": cmd, **cfg})
+    return report
 
 
 def main(argv=None):

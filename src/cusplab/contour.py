@@ -37,6 +37,8 @@ MIN_RADIUS = 1e-300
 GRADING_RATIO = 0.7
 # log-radius beyond which exp(t) would be subnormal/zero; traced samples stay above
 LOG_RADIUS_FLOOR = -650.0
+# farthest offset from the rod ends at which axis_crossings looks for a crossing
+AXIS_SEARCH_RADIUS = 1e9
 
 
 def _root_in(f, lo, hi):
@@ -52,7 +54,7 @@ def _root_in(f, lo, hi):
                   xtol=1e-300, rtol=4.0 * EPS)
 
 
-def axis_crossings(field, c, search_radius=1e9):
+def axis_crossings(field, c):
     """The z-axis crossings (z1, z2) of the level set V = c.
 
     z2 > L always exists (V(0, .) falls from infinity to 0 on (L, inf)); z1
@@ -72,28 +74,25 @@ def axis_crossings(field, c, search_radius=1e9):
         except AccuracyError:
             return INF
 
-    # upper crossing: z = L + e^s, V strictly decreasing in s
-    g_hi = lambda s: axis_value(L + math.exp(s))
-    s_lo, s_hi = math.log(1e-14 * max(1.0, L)), 0.0
-    while g_hi(s_hi) > c:
-        s_hi += 1.0
-        if math.exp(s_hi) > search_radius:
-            raise RangeError(f"no axis crossing above the rod within {search_radius}")
-    if g_hi(s_lo) < c:   # enormous level: crossing closer to the rod end
-        raise RangeError("level too large for the axis bracket")
-    z2 = L + math.exp(_root_in(lambda s: g_hi(s) - c, s_lo, s_hi))
-
-    if c >= field.v00:
-        z1 = 0.0
-    else:
-        # lower crossing: z = -e^s, V(0, -e^s) strictly decreasing in s
-        g_lo = lambda s: axis_value(-math.exp(s))
-        s_lo, s_hi = math.log(1e-14), 0.0
-        while g_lo(s_hi) > c:
+    def log_offset(g, s_lo, side):
+        # the root of g = c, g strictly decreasing in s: walk the upper end
+        # up from 0 by unit steps until g falls to c; an enormous level has
+        # its crossing below s_lo and _root_in finds no sign change
+        s_hi = 0.0
+        while g(s_hi) > c:
             s_hi += 1.0
-            if math.exp(s_hi) > search_radius:
-                raise RangeError(f"no axis crossing below the rod within {search_radius}")
-        z1 = -math.exp(_root_in(lambda s: g_lo(s) - c, s_lo, s_hi))
+            if math.exp(s_hi) > AXIS_SEARCH_RADIUS:
+                raise RangeError(f"no axis crossing {side} the rod within "
+                                 f"{AXIS_SEARCH_RADIUS}")
+        return _root_in(lambda s: g(s) - c, s_lo, s_hi)
+
+    # upper crossing z = L + e^s, lower crossing z = -e^s
+    z2 = L + math.exp(log_offset(lambda s: axis_value(L + math.exp(s)),
+                                 math.log(1e-14 * max(1.0, L)), "above"))
+    if c >= field.v00:
+        return 0.0, z2
+    z1 = -math.exp(log_offset(lambda s: axis_value(-math.exp(s)),
+                              math.log(1e-14), "below"))
     return z1, z2
 
 

@@ -30,6 +30,9 @@ INTERIOR = "interior"
 
 ESSENTIAL_TAGS = (OUTER, INNER, CAP)
 
+# smallest triangle angle, in degrees, of a mesh that passes its quality check
+MIN_ANGLE_FLOOR = 15.0
+
 
 @dataclass
 class CrossSection:
@@ -434,8 +437,8 @@ class QualityReport:
     n_flipped: int
     boundary_fully_tagged: bool
 
-    def passes(self, angle_floor=15.0):
-        return (self.min_angle >= angle_floor and self.min_area > 0
+    def passes(self):
+        return (self.min_angle >= MIN_ANGLE_FLOOR and self.min_area > 0
                 and self.n_flipped == 0 and self.euler_characteristic == 1
                 and self.boundary_fully_tagged)
 
@@ -462,23 +465,24 @@ def mesh_quality(mesh):
                          boundary_fully_tagged=fully_tagged)
 
 
-def rectangle_mesh(r0, r1, z0, z1, nr, nz, tag=OUTER):
-    """Structured rectangle in (r, z), all boundary edges carrying one tag.
-    Used by solver verification problems."""
+def rectangle_mesh(r0, r1, z0, z1, nr, nz):
+    """Structured rectangle in (r, z), all boundary edges tagged OUTER, whose
+    arc coordinate runs counter-clockwise round the perimeter from (r0, z0)
+    as a fraction of the perimeter.  Used by solver verification problems."""
     r, z = np.meshgrid(np.linspace(r0, r1, nr + 1), np.linspace(z0, z1, nz + 1))
     nodes = np.column_stack([r.ravel(), z.ravel()])
     ids = np.arange(len(nodes)).reshape(nz + 1, nr + 1)     # ids[j, i]: (r_i, z_j)
     a, b, c, d = ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]
     tris = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
-    on_boundary = np.zeros(ids.shape, dtype=bool)
-    on_boundary[[0, -1], :] = True
-    on_boundary[:, [0, -1]] = True
-    node_tags = np.where(on_boundary.ravel(), tag, INTERIOR).tolist()
-    sides = np.vstack([_path_edges(ids[0]), _path_edges(ids[-1]),
-                       _path_edges(ids[:, 0]), _path_edges(ids[:, -1])])
-    boundary_ids = ids[on_boundary]
-    arc = np.arange(len(boundary_ids)) / max(1, len(boundary_ids) - 1)
-    return Mesh(nodes=nodes, triangles=tris, node_tags=node_tags,
-                edge_tags=dict.fromkeys(map(tuple, sides.tolist()), tag),
-                component_arcs={tag: dict(zip(boundary_ids.tolist(), arc.tolist()))},
+    # the closed boundary path: bottom, right, top and left sides in turn
+    ring = np.concatenate([ids[0, :-1], ids[:-1, -1], ids[-1, :0:-1],
+                           ids[::-1, 0]])
+    arc = polyline_arcs(nodes[ring])
+    node_tags = np.full(len(nodes), INTERIOR, dtype=object)
+    node_tags[ring] = OUTER
+    edges = np.sort(_path_edges(ring), axis=1)
+    return Mesh(nodes=nodes, triangles=tris, node_tags=node_tags.tolist(),
+                edge_tags=dict.fromkeys(map(tuple, edges.tolist()), OUTER),
+                component_arcs={OUTER: dict(zip(ring[:-1].tolist(),
+                                                (arc[:-1] / arc[-1]).tolist()))},
                 z_cut=0.0)

@@ -22,6 +22,9 @@ STRONGLY_IRREGULAR_LIKE = "strongly-irregular-like"
 
 DEFAULT_STATIONS = 10
 DEFAULT_FACTOR = 0.5
+# how far apart two limit estimates, or a limit and the datum, may lie and
+# still count as agreeing
+LIMIT_TOLERANCE = 0.02
 
 
 @dataclass
@@ -125,20 +128,20 @@ class LimitSetEstimate:
     per_path: list
 
 
-def limit_set_estimate(paths, datum_at_tip, tolerance=0.02):
+def limit_set_estimate(paths, datum_at_tip):
     """Interval of per-path limit estimates and a boundary-behaviour verdict.
 
-    regular-like: all limits agree (within tolerance) with the datum at the
-    tip; semiregular-like: limits agree with each other but not with the
-    datum; strongly-irregular-like: the limits genuinely spread out.
+    regular-like: all limits agree (within LIMIT_TOLERANCE) with the datum
+    at the tip; semiregular-like: limits agree with each other but not with
+    the datum; strongly-irregular-like: the limits genuinely spread out.
     """
     if len(paths) < 3:
         raise InputError("need at least 3 paths")
     limits = [p.limit_estimate for p in paths]
     lo, hi = min(limits), max(limits)
-    if hi - lo <= tolerance:
+    if hi - lo <= LIMIT_TOLERANCE:
         mid = 0.5 * (lo + hi)
-        cls = REGULAR_LIKE if abs(mid - datum_at_tip) <= tolerance \
+        cls = REGULAR_LIKE if abs(mid - datum_at_tip) <= LIMIT_TOLERANCE \
             else SEMIREGULAR_LIKE
     else:
         cls = STRONGLY_IRREGULAR_LIKE

@@ -169,3 +169,83 @@ def test_outdir_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("CUSPLAB_OUTDIR", str(tmp_path / "envout"))
     cli.run("potential-grid", {"n_r": 4, "n_z": 4})
     assert (tmp_path / "envout" / "potential_grid.csv").exists()
+
+
+# one small run of every subcommand; probe walks, so its seed matters
+SMALL_RUNS = {
+    "potential-grid": ["n_r=6", "n_z=5"],
+    "contour": ["n_stations=16"],
+    "mesh": ["n_levels=4", "n_stations=8"],
+    "solve": ["n_levels=4", "n_stations=8"],
+    "probe": ['source="wos"', "walks=100", "n_stations=2",
+              "probe_levels=[1.25,1.5,1.75]", "seed=3"],
+    "wiener": ["j_stop=30"],
+    "wos": ["walks=200"],
+    "reproduce-figures": [],
+}
+
+
+def _echo(out, cmd):
+    return json.loads((out / f"{cmd.replace('-', '_')}_config.json").read_text())
+
+
+@pytest.mark.parametrize("cmd", sorted(SMALL_RUNS))
+def test_echo_reruns_as_given(tmp_path, cmd, monkeypatch):
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    a, b = tmp_path / "a", tmp_path / "b"
+    sets = [arg for item in SMALL_RUNS[cmd] for arg in ("--set", item)]
+    assert cli.main([cmd, "--output-dir", str(a)] + sets) == 0
+    # the echo lists every key the subcommand takes, with the value used
+    echo = _echo(a, cmd)
+    given = {item.partition("=")[0]: json.loads(item.partition("=")[2])
+             for item in SMALL_RUNS[cmd]}
+    assert set(echo) == set(cli._SCHEMA[cmd]) | {"output_dir", "subcommand"}
+    assert echo == {**cli.validate_config(cmd, {}), **given,
+                    "output_dir": str(a), "subcommand": cmd}
+    # passed back verbatim it reruns the run: every artifact is the same
+    assert cli.main([cmd, "--config", str(a / f"{cmd.replace('-', '_')}_config.json"),
+                     "--output-dir", str(b)]) == 0
+    artifacts = sorted(p.name for p in a.iterdir()
+                       if not p.name.endswith("_config.json"))
+    assert artifacts
+    assert artifacts == sorted(p.name for p in b.iterdir()
+                               if not p.name.endswith("_config.json"))
+    for name in artifacts:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_echo_names_the_defaults_used(tmp_path):
+    cli.run("probe", {"output_dir": str(tmp_path)})
+    echo = _echo(tmp_path, "probe")
+    assert echo["source"] == "oracle"
+    assert echo["walks"] == 10000
+    assert echo["eps"] == 0.0001
+    assert echo["seed"] == 0
+    cli.run("contour", {"output_dir": str(tmp_path)})
+    assert _echo(tmp_path, "contour")["n_stations"] == 96
+    # the table's defaults are copied: a run cannot change them
+    cfg = cli.validate_config("contour", {})
+    cfg["levels"].append(3.0)
+    assert cli.validate_config("contour", {})["levels"] == [0.5, 2.0]
+
+
+def test_seed_belongs_to_probe_and_wos(tmp_path, capsys):
+    assert cli.main(["contour", "--set", "seed=1",
+                     "--output-dir", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert "seed" in err["detail"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_echo_of_another_subcommand_rejected(tmp_path, capsys):
+    # solve takes every key of mesh; the echo's subcommand alone tells them apart
+    cli.run("mesh", {"n_levels": 4, "n_stations": 8,
+                     "output_dir": str(tmp_path / "a")})
+    echo = tmp_path / "a" / "mesh_config.json"
+    assert cli.main(["solve", "--config", str(echo),
+                     "--output-dir", str(tmp_path / "b")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert "'subcommand' names 'mesh'" in err["detail"]
+    assert not (tmp_path / "b").exists()

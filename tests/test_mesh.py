@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cusplab import contour, density, mesh, potential
+from cusplab import contour, density, fem, mesh, potential
 from cusplab.errors import InputError
 
 # axis-crossing oracles (see test_contour) and the root of r_2(z) = 1e-4
@@ -230,3 +230,33 @@ def test_graded_steps_growth_capped_without_a_root():
     u = 1.0 / 8.0
     steps = np.array([1e-9, 8e-9, u, u, u, u, u, u])
     assert mesh._graded_steps(8, 1e-9).tolist() == (steps / steps.sum()).tolist()
+
+
+def test_rectangle_arcs_run_round_the_perimeter():
+    # the arc coordinate of a rectangle's boundary nodes runs counter-clockwise
+    # from (r0, z0); each node's fraction is the length travelled over the
+    # perimeter.  Sorting the nodes by angle about the centre gives that order
+    for r0, r1, z0, z1, nr, nz in ((1.0, 2.0, 0.0, 1.0, 2, 2),
+                                   (0.5, 2.0, -1.0, 0.25, 3, 5)):
+        m = mesh.rectangle_mesh(r0, r1, z0, z1, nr, nz)
+        arcs = m.component_arcs[mesh.OUTER]
+        ids = np.array([i for i, t in enumerate(m.node_tags) if t == mesh.OUTER])
+        assert sorted(arcs) == ids.tolist()
+        p = m.nodes[ids] - [0.5 * (r0 + r1), 0.5 * (z0 + z1)]
+        turn = np.mod(np.arctan2(p[:, 1], p[:, 0]) - np.arctan2(z0 - z1, r0 - r1),
+                      2.0 * np.pi)
+        path = ids[np.argsort(turn)]
+        assert path[0] == 0
+        s = np.array([arcs[i] for i in path])
+        assert np.all(np.diff(s) > 0.0)
+        steps = np.hypot(*np.diff(m.nodes[path], axis=0).T)
+        travelled = np.concatenate([[0.0], np.cumsum(steps)])
+        perimeter = 2.0 * ((r1 - r0) + (z1 - z0))
+        assert s == pytest.approx(travelled / perimeter, rel=0.0, abs=1e-15)
+    # on the 2x2 square a bump at fraction 1/2 peaks at the corner (2, 1) alone
+    m = mesh.rectangle_mesh(1.0, 2.0, 0.0, 1.0, 2, 2)
+    values = fem.BoundaryData(fem.BumpData(0.5, 0.2, 1.0),
+                              fem.ConstantData(0.0)).node_values(m)
+    assert m.nodes[8].tolist() == [2.0, 1.0]
+    assert values[8] == 1.0
+    assert max(v for i, v in values.items() if i != 8) < 1.0
