@@ -17,6 +17,7 @@ import argparse
 import copy
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -55,20 +56,65 @@ _SCHEMA = {
 }
 
 
+# the JSON type a key with a null default takes when it is given a value
+_NULLABLE = {"r_min": "number", "output_dir": "string"}
+# keys read as a pair (lo, hi); contour's levels are any number of levels
+_PAIRS = ("levels", "r_range", "z_range")
+
+
+def _json_type(value):
+    """The JSON type name of a config value; a bool is not a number."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, numbers.Real):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    if isinstance(value, (list, tuple)):
+        return "array"
+    if isinstance(value, dict):
+        return "object"
+    return type(value).__name__
+
+
+def _check_type(cmd, key, value, default):
+    """InputError unless value has the JSON type of its default: a number
+    for a number, null or the _NULLABLE type for null, and numbers only in
+    an array whose default holds numbers, two of them for a pair."""
+    got = _json_type(value)
+    allowed = ["null", _NULLABLE[key]] if default is None else [_json_type(default)]
+    if got not in allowed:
+        raise InputError(f"config key {key!r} must be a JSON "
+                         f"{' or '.join(allowed)}, got {got} {value!r}")
+    if got == "array" and default and all(_json_type(v) == "number"
+                                          for v in default):
+        pair = key in _PAIRS and (cmd, key) != ("contour", "levels")
+        if (not all(_json_type(v) == "number" for v in value)
+                or pair and len(value) != 2):
+            raise InputError(f"config key {key!r} must hold "
+                             f"{'two numbers' if pair else 'numbers'}, "
+                             f"got {value!r}")
+
+
 def validate_config(cmd, cfg):
     """A fresh copy of cmd's defaults with the keys of cfg laid over them,
-    output_dir included (None when not given)."""
+    output_dir included (None when not given).  Each given value must have
+    its default's JSON type (see _check_type)."""
     cfg = dict(cfg)
     named = cfg.pop("subcommand", cmd)
     if named != cmd:
         raise InputError(f"config key 'subcommand' names {named!r}, "
                          f"but the command run is {cmd!r}")
-    allowed = _SCHEMA[cmd].keys() | {"output_dir", "subcommand"}
-    unknown = sorted(set(cfg) - allowed)
+    defaults = {**_SCHEMA[cmd], "output_dir": None}
+    unknown = sorted(set(cfg) - defaults.keys())
     if unknown:
         raise InputError(f"unknown config keys for {cmd!r}: {unknown} "
-                         f"(allowed: {sorted(allowed)})")
-    return copy.deepcopy({**_SCHEMA[cmd], "output_dir": None, **cfg})
+                         f"(allowed: {sorted(defaults.keys() | {'subcommand'})})")
+    for key, value in cfg.items():
+        _check_type(cmd, key, value, defaults[key])
+    return copy.deepcopy({**defaults, **cfg})
 
 
 def _field(cfg):
@@ -340,7 +386,10 @@ def main(argv=None):
     try:
         if args.config:
             with open(args.config) as fh:
-                cfg.update(json.load(fh))
+                cfg = json.load(fh)
+            if not isinstance(cfg, dict):
+                raise InputError(f"--config {args.config} holds a JSON "
+                                 f"{_json_type(cfg)}, not an object")
         for item in args.set:
             key, _, raw = item.partition("=")
             if not _:

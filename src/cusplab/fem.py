@@ -9,10 +9,13 @@ stored energy is the full 2 pi weighted discrete Dirichlet integral.
 
 A mesh is assembled and factored once per fixed-node set: the stiffness
 matrix, the reduced blocks and the LU factor live in private state on the
-mesh and serve every later datum with the same constrained nodes.  Point
-location scans only the triangles of one cell of a uniform bucket grid,
-built on the first lookup.  The state keeps copies of the nodes and
-triangles it was built from and is rebuilt when they change.
+mesh and serve every later datum with the same constrained nodes.  The
+state also holds each essential tag's nodes with their arc fractions, so a
+datum is evaluated on arrays, and a uniform bucket grid built on the first
+lookup: point location scans only the triangles of one of its cells.  The
+state keeps copies of the nodes, triangles, node tags and component arcs
+it was built from and is rebuilt when they change.  A solution keeps the
+state it was solved with and looks points up there.
 
 Axis nodes carry no essential condition: the weight r vanishes there, so
 the discrete problem needs none.
@@ -111,44 +114,35 @@ class BoundaryData:
 
     def node_values(self, mesh):
         """Values at every constrained node of the mesh, keyed by node id."""
-        return self._node_values(mesh, _essential_codes(mesh))
+        ids, values = self._node_values(_state(mesh))
+        return dict(zip(ids.tolist(), values.tolist()))
 
-    def _node_values(self, mesh, codes):
-        out = {}
+    def _node_values(self, state):
+        """The constrained node ids, tag after tag, and their values: in id
+        order for a spec of arc fraction, in arc order for a table."""
+        ids, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
         for tag, spec in self.spec.items():
-            ids = np.flatnonzero(codes == ESSENTIAL_TAGS.index(tag))
-            if not len(ids):
+            tag_ids, s = state.boundary[tag]
+            if not len(tag_ids):
                 continue
-            s = _arc_fractions(mesh.component_arcs.get(tag), len(codes))[ids]
             if isinstance(spec, TabulatedData):
-                if len(spec.values) != len(ids):
+                if len(spec.values) != len(tag_ids):
                     raise InputError(
                         f"tabulated data for {tag} has {len(spec.values)} "
-                        f"values for {len(ids)} tagged nodes")
-                ids = ids[np.argsort(s, kind="stable")]
-                out.update(zip(ids.tolist(), map(float, spec.values)))
+                        f"values for {len(tag_ids)} tagged nodes")
+                ids.append(tag_ids[np.argsort(s, kind="stable")])
+                values.append(np.asarray(spec.values, dtype=float))
             else:
-                out.update(zip(ids.tolist(), spec(s).tolist()))
-        return out
+                ids.append(tag_ids)
+                values.append(np.asarray(spec(s), dtype=float))
+        return np.concatenate(ids), np.concatenate(values)
 
 
-def _essential_codes(mesh):
-    """Each node's index in ESSENTIAL_TAGS, -1 for any other tag: one pass
-    over the tag list, about 3x cheaper than a numpy string array of it."""
+def _essential_codes(tags):
+    """Each tag's index in ESSENTIAL_TAGS, -1 for any other tag."""
     index = {tag: k for k, tag in enumerate(ESSENTIAL_TAGS)}
-    tags = mesh.node_tags
     return np.fromiter(map(index.get, tags, repeat(-1)), dtype=np.int8,
                        count=len(tags))
-
-
-def _arc_fractions(arc, n):
-    """Arc fraction of each of n nodes by id: arc[i], or 0 for a node that
-    arc (which may be None) does not list."""
-    s = np.zeros(n)
-    if arc:
-        s[np.fromiter(arc.keys(), dtype=int, count=len(arc))] = \
-            np.fromiter(arc.values(), dtype=float, count=len(arc))
-    return s
 
 
 def assemble(mesh):
@@ -180,6 +174,12 @@ class SolutionField:
     residual is the relative residual of the reduced system.  iterations is
     always 0, as the solve is direct; it stays because the benchmark reports
     it as fem.cg_iterations.
+
+    A solution keeps the FEM state of the mesh it was solved on and looks
+    points up in that state's grid and triangles, so it interpolates on the
+    mesh as solved even after the mesh changes, with no staleness check per
+    point.  A copy drops the state, as a copy of a mesh does, and looks
+    points up in the current state of its mesh.
     """
 
     mesh: object
@@ -188,10 +188,12 @@ class SolutionField:
     residual: float
     boundary_values: dict = dataclass_field(repr=False, default_factory=dict)
     iterations: int = 0
+    _mesh_state: object = dataclass_field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __call__(self, r, z):
         """Barycentric interpolation at a point inside the mesh."""
-        tri = _locate(self.mesh, r, z)
+        tri = _locate(self._mesh_state or _state(self.mesh), r, z)
         if tri is None:
             raise DomainError(f"point (r={r}, z={z}) lies outside the mesh")
         idx, lam = tri
@@ -203,22 +205,36 @@ class SolutionField:
 
 
 class _MeshState:
-    """What the FEM derives from one mesh's nodes and triangles, each part
-    built on first use: the stiffness matrix K, the reduced system of the
-    last fixed-node set with its LU factor, and the point-location grid.
-    It keeps copies of the arrays it was built from (see _state) and no
-    reference to the mesh, so it is freed with the mesh."""
+    """What the FEM derives from one mesh.  Built at once: each node's index
+    in ESSENTIAL_TAGS (codes) and, per essential tag, its node ids in
+    ascending order with their arc fractions (boundary).  Built on first
+    use: the stiffness matrix K, the reduced system of the last fixed-node
+    set with its LU factor, and the point-location grid.  It keeps copies
+    of the mesh fields it was built from (see _state) and no reference to
+    the mesh, so it is freed with the mesh and the solutions solved on it."""
 
     def __init__(self, mesh):
         self.nodes = mesh.nodes.copy()
         self.triangles = mesh.triangles.copy()
+        self.node_tags = list(mesh.node_tags)
+        self.component_arcs = {tag: dict(arc)
+                               for tag, arc in mesh.component_arcs.items()}
+        self.codes = _essential_codes(self.node_tags)
+        self.boundary = {}
+        for k, tag in enumerate(ESSENTIAL_TAGS):
+            ids = np.flatnonzero(self.codes == k)
+            # a node the tag's arc does not list sits at arc fraction 0
+            arc = self.component_arcs.get(tag, {})
+            s = np.array([arc.get(i, 0.0) for i in ids.tolist()], dtype=float)
+            self.boundary[tag] = ids, s
         self.K = None
         self.system = None
         self.grid = None
 
     def __reduce__(self):
         # a SuperLU factor can be neither pickled nor copied: a copy of the
-        # mesh starts without state and builds its own
+        # mesh or of a solution starts without state, and the mesh builds
+        # its own
         return type(None), ()
 
     def stiffness(self, mesh):
@@ -241,11 +257,14 @@ class _MeshState:
 
 
 def _state(mesh):
-    """The mesh's FEM state, made afresh when the mesh's nodes or triangles
-    no longer equal the copies the state was built from."""
+    """The mesh's FEM state, made afresh when the mesh's nodes, triangles,
+    node tags or component arcs no longer equal the copies the state was
+    built from."""
     state = mesh._fem
     if state is None or not (np.array_equal(state.nodes, mesh.nodes)
-                             and np.array_equal(state.triangles, mesh.triangles)):
+                             and np.array_equal(state.triangles, mesh.triangles)
+                             and state.node_tags == mesh.node_tags
+                             and state.component_arcs == mesh.component_arcs):
         state = mesh._fem = _MeshState(mesh)
     return state
 
@@ -329,12 +348,13 @@ class _BucketGrid:
         return self.members[self.start[cell]:self.start[cell + 1]]
 
 
-def _locate(mesh, r, z):
+def _locate(state, r, z):
     """First triangle in mesh order whose barycentric coordinates of (r, z)
     are all >= -_LOCATE_TOL, with those coordinates; None outside the mesh.
-    Only the triangles listed in the bucket-grid cell of (r, z) are tested,
-    and triangles with a zero determinant are never listed."""
-    grid = _state(mesh).locator()
+    The mesh is the one the FEM state was built from.  Only the triangles
+    listed in the bucket-grid cell of (r, z) are tested, and triangles with
+    a zero determinant are never listed."""
+    grid = state.locator()
     tris = grid.candidates(r, z)
     a_r, a_z, e1_r, e1_z, e2_r, e2_z, det = grid.coef[tris].T
     dr, dz = r - a_r, z - a_z
@@ -347,7 +367,7 @@ def _locate(mesh, r, z):
     if len(hits) == 0:
         return None
     k = hits[0]
-    return mesh.triangles[tris[k]], np.array([lam0[k], lam1[k], lam2[k]])
+    return state.triangles[tris[k]], np.array([lam0[k], lam1[k], lam2[k]])
 
 
 def solve_dirichlet(mesh, data, tol=1e-10):
@@ -361,20 +381,23 @@ def solve_dirichlet(mesh, data, tol=1e-10):
     state = _state(mesh)
     K = state.stiffness(mesh)
     n = K.shape[0]
-    codes = _essential_codes(mesh)
-    bc = data._node_values(mesh, codes) if isinstance(data, BoundaryData) \
-        else dict(data)
+    if isinstance(data, BoundaryData):
+        ids, fixed_values = data._node_values(state)
+        bc = dict(zip(ids.tolist(), fixed_values.tolist()))
+    else:
+        bc = dict(data)
+        ids = np.fromiter(bc, dtype=int, count=len(bc))
+        fixed_values = np.fromiter(bc.values(), dtype=float, count=len(bc))
     is_fixed = np.zeros(n, dtype=bool)
-    ids = np.fromiter(bc, dtype=int, count=len(bc))
     is_fixed[ids] = True
-    missing = codes[~is_fixed & (codes >= 0)]
+    missing = state.codes[~is_fixed & (state.codes >= 0)]
     if len(missing):
         raise InputError("boundary data missing for tag "
                          f"{ESSENTIAL_TAGS[missing.min()]!r}")
 
     system = state.reduced(is_fixed)
     u = np.zeros(n)
-    u[ids] = np.fromiter(bc.values(), dtype=float, count=len(bc))
+    u[ids] = fixed_values
     rhs = -(system.K_fb @ u[system.fixed])
     x = system.lu.solve(rhs)
     rhs_norm = np.linalg.norm(rhs)
@@ -386,8 +409,10 @@ def solve_dirichlet(mesh, data, tol=1e-10):
             stats={"residual": residual})
     u[system.free] = x
     energy = 2.0 * math.pi * float(u @ (K @ u))
-    return SolutionField(mesh=mesh, values=u, dirichlet_energy=energy,
-                         residual=residual, boundary_values=bc)
+    sol = SolutionField(mesh=mesh, values=u, dirichlet_energy=energy,
+                        residual=residual, boundary_values=bc)
+    sol._mesh_state = state
+    return sol
 
 
 def _two_constant(field, A, B, alpha, beta, log_r, z):

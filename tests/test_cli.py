@@ -9,6 +9,7 @@ import pytest
 
 import cusplab
 from cusplab import cli, contour, density, potential
+from cusplab.errors import InputError
 
 # the directory holding the cusplab package this process imported
 PACKAGE_ROOT = str(Path(cusplab.__file__).resolve().parents[1])
@@ -249,3 +250,31 @@ def test_echo_of_another_subcommand_rejected(tmp_path, capsys):
     assert err["error"] == "validation"
     assert "'subcommand' names 'mesh'" in err["detail"]
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["contour", "--set", 'n_stations="abc"'],
+    ["probe", "--set", "levels=[0.5]"],
+    ["contour", "--config", "list.json"],
+])
+def test_wrong_type_exits_with_json_error(tmp_path, args, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1, 2]")
+    assert cli.main(args + ["--output-dir", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "validation"
+    assert not (tmp_path / "out").exists()
+
+
+def test_values_checked_against_default_types():
+    ok = {"r_min": 1e-4, "levels": [0.5, 2], "tol": 1, "output_dir": None}
+    assert cli.validate_config("solve", ok)["levels"] == [0.5, 2]
+    assert cli.validate_config("solve", {"r_min": None})["r_min"] is None
+    # contour traces any number of levels
+    assert cli.validate_config("contour", {"levels": [0.5]})["levels"] == [0.5]
+    for key, value in [("n_levels", True), ("tol", "1e-10"), ("r_min", "0"),
+                       ("levels", [0.5, 1.0, 2.0]), ("levels", [0.5, "2"]),
+                       ("data", [0.5]), ("output_dir", 3)]:
+        with pytest.raises(InputError, match=key):
+            cli.validate_config("solve", {key: value})

@@ -1,9 +1,11 @@
 import copy
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from cusplab import density, fem, mesh, potential
 from cusplab.errors import ConvergenceError, DomainError, InputError, MeshError
@@ -315,6 +317,86 @@ def test_mesh_state_is_never_stale(cs):
         fem.solve_dirichlet(m, outer_only)
     with pytest.raises(ConvergenceError):
         fem.solve_dirichlet(m, data, tol=1e-20)
+    # retagged in place: an interior node joins the outer level, at arc
+    # fraction 0, and fixes one more node
+    m.node_tags[int(m.nodes_with_tag(mesh.INTERIOR)[5])] = mesh.OUTER
+    check(data)
+    # an arc fraction moved in place onto the bump's peak
+    arc = m.component_arcs[mesh.OUTER]
+    node = min(arc, key=arc.get)
+    arc[node] = 0.4
+    check(data)
+
+
+def test_solution_reads_the_mesh_it_was_solved_on(cs):
+    m = mesh.triangulate(cs, n_levels=8, n_stations=32)
+    sol = fem.solve_dirichlet(m, fem.BoundaryData(fem.BumpData(0.4, 0.25, 2.5),
+                                                  fem.ConstantData(-0.5)))
+    centroids = [tuple(m.nodes[m.triangles[k]].mean(axis=0)) for k in (10, 40, 90)]
+    nodes = [int(m.triangles[k, 0]) for k in (10, 40, 90)]
+    before = [sol(r, z) for r, z in centroids]
+    m.nodes[:, 0] *= 1.25          # moved in place after the solve
+    assert [sol(r, z) for r, z in centroids] == before
+    for i in nodes:
+        assert sol(1.0 / 1.25 * m.nodes[i, 0], m.nodes[i, 1]) \
+            == pytest.approx(sol.values[i], abs=1e-12)
+    # a copy keeps no FEM state and looks points up in the moved mesh
+    for twin in (dataclasses.replace(sol), copy.deepcopy(sol)):
+        assert twin._mesh_state is None
+        got = [twin(1.25 * r, z) for r, z in centroids]
+        assert got == pytest.approx(before, abs=1e-12)
+
+
+def _solve_reference(m, bc):
+    """The solve written out in full from the node-value dict bc: values,
+    energy and residual."""
+    K = fem.assemble(m)
+    n = len(m.nodes)
+    ids = np.fromiter(bc, dtype=int, count=len(bc))
+    is_fixed = np.zeros(n, dtype=bool)
+    is_fixed[ids] = True
+    free, fixed = np.flatnonzero(~is_fixed), np.flatnonzero(is_fixed)
+    K_ff = K[free][:, free].tocsc()
+    u = np.zeros(n)
+    u[ids] = np.fromiter(bc.values(), dtype=float, count=len(bc))
+    rhs = -(K[free][:, fixed] @ u[fixed])
+    x = splu(K_ff, permc_spec=fem.ORDERING).solve(rhs)
+    residual = float(np.linalg.norm(rhs - K_ff @ x) / np.linalg.norm(rhs))
+    u[free] = x
+    return u, 2.0 * math.pi * float(u @ (K @ u)), residual
+
+
+def _interpolate_reference(m, values, r, z):
+    """Barycentric interpolation in the first triangle, in mesh order, of a
+    scan over all triangles with the locator's formula."""
+    a = m.nodes[m.triangles[:, 0]]
+    e1 = m.nodes[m.triangles[:, 1]] - a
+    e2 = m.nodes[m.triangles[:, 2]] - a
+    det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+    dr, dz = r - a[:, 0], z - a[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam1 = (dr * e2[:, 1] - e2[:, 0] * dz) / det
+        lam2 = (e1[:, 0] * dz - dr * e1[:, 1]) / det
+    lam0 = 1.0 - (lam1 + lam2)
+    tol = fem._LOCATE_TOL
+    k = np.flatnonzero((lam0 >= -tol) & (lam1 >= -tol) & (lam2 >= -tol))[0]
+    lam = np.array([lam0[k], lam1[k], lam2[k]])
+    return float(np.dot(lam, values[m.triangles[k]]))
+
+
+def test_solution_matches_reference_bit_for_bit(canonical):
+    pick = np.random.default_rng(5).choice(len(canonical.triangles), 8, replace=False)
+    points = [tuple(canonical.nodes[canonical.triangles[k]].mean(axis=0)) for k in pick]
+    for kind, data in _canonical_data(canonical).items():
+        bc = _node_values_reference(data, canonical)
+        values, energy, residual = _solve_reference(canonical, bc)
+        sol = fem.solve_dirichlet(canonical, data, tol=1e-12)
+        assert np.array_equal(sol.values, values), kind
+        assert sol.dirichlet_energy == energy, kind
+        assert sol.residual == residual, kind
+        assert list(sol.boundary_values.items()) == list(bc.items()), kind
+        assert [sol(r, z) for r, z in points] == \
+            [_interpolate_reference(canonical, values, r, z) for r, z in points], kind
 
 
 def _node_values_reference(data, m):
@@ -426,7 +508,7 @@ def test_locate_matches_linear_scan(cs, canonical):
 
     for m, points in cases:
         for r, z in points:
-            got, want = fem._locate(m, r, z), _locate_reference(m, r, z)
+            got, want = fem._locate(fem._state(m), r, z), _locate_reference(m, r, z)
             if want is None:
                 assert got is None
             else:
