@@ -60,6 +60,10 @@ _SCHEMA = {
 _NULLABLE = {"r_min": "number", "output_dir": "string"}
 # keys read as a pair (lo, hi); contour's levels are any number of levels
 _PAIRS = ("levels", "r_range", "z_range")
+# the keys nested in density and data objects, each with a value of its type
+_NESTED = {"p": 0.5, "L": 1.0, "samples": [[0.0, 0.0]], "outer": {},
+           "inner": {}, "cap": {}, "constant": 0.5, "bump": {}, "center": 0.5,
+           "width": 0.5, "amplitude": 0.5, "tabulated": [0.5]}
 
 
 def _json_type(value):
@@ -79,29 +83,46 @@ def _json_type(value):
     return type(value).__name__
 
 
+def _numbers(value, n=None):
+    """True for a JSON array of numbers, of n of them if n is given."""
+    return (_json_type(value) == "array" and len(value) == (n or len(value))
+            and all(_json_type(v) == "number" for v in value))
+
+
 def _check_type(cmd, key, value, default):
     """InputError unless value has the JSON type of its default: a number
-    for a number, null or the _NULLABLE type for null, and numbers only in
-    an array whose default holds numbers, two of them for a pair."""
+    for a number, null or the _NULLABLE type for null, numbers only in an
+    array whose default holds numbers, two of them for a pair, and arrays
+    of as many numbers as the default's in an array of such arrays."""
     got = _json_type(value)
     allowed = ["null", _NULLABLE[key]] if default is None else [_json_type(default)]
     if got not in allowed:
         raise InputError(f"config key {key!r} must be a JSON "
                          f"{' or '.join(allowed)}, got {got} {value!r}")
-    if got == "array" and default and all(_json_type(v) == "number"
-                                          for v in default):
-        pair = key in _PAIRS and (cmd, key) != ("contour", "levels")
-        if (not all(_json_type(v) == "number" for v in value)
-                or pair and len(value) != 2):
+    if got == "array" and _numbers(default):
+        n = 2 if key in _PAIRS and (cmd, key) != ("contour", "levels") else None
+        if not _numbers(value, n):
             raise InputError(f"config key {key!r} must hold "
-                             f"{'two numbers' if pair else 'numbers'}, "
-                             f"got {value!r}")
+                             f"{'two numbers' if n else 'numbers'}, got {value!r}")
+    elif got == "array" and _numbers(default[0]):
+        n = len(default[0])
+        if not all(_numbers(v, n) for v in value):
+            raise InputError(f"config key {key!r} must hold arrays of {n} "
+                             f"numbers, got {value!r}")
+
+
+def _entry(spec, key, name):
+    """spec[name], checked against the type of _NESTED[name] by _check_type,
+    whose InputError names the key path key.name (a missing key reads null)."""
+    _check_type(None, f"{key}.{name}", spec.get(name), _NESTED[name])
+    return spec.get(name)
 
 
 def validate_config(cmd, cfg):
     """A fresh copy of cmd's defaults with the keys of cfg laid over them,
     output_dir included (None when not given).  Each given value must have
-    its default's JSON type (see _check_type)."""
+    its default's JSON type (see _check_type), and each value nested in the
+    density and data objects that of its _NESTED entry."""
     cfg = dict(cfg)
     named = cfg.pop("subcommand", cmd)
     if named != cmd:
@@ -114,7 +135,11 @@ def validate_config(cmd, cfg):
                          f"(allowed: {sorted(defaults.keys() | {'subcommand'})})")
     for key, value in cfg.items():
         _check_type(cmd, key, value, defaults[key])
-    return copy.deepcopy({**defaults, **cfg})
+    cfg = copy.deepcopy({**defaults, **cfg})
+    _field(cfg)                # building the objects checks the nested values
+    if "data" in cfg:
+        _build_data(cfg["data"])
+    return cfg
 
 
 def _field(cfg):
@@ -124,31 +149,36 @@ def _field(cfg):
     if kind == "lebesgue":
         rho = density.lebesgue_profile()
     elif kind == "power":
-        rho = density.power_profile(float(spec["p"]),
-                                    length=float(spec.get("L", 1.0)))
+        length = float(_entry(spec, "density", "L")) if "L" in spec else 1.0
+        rho = density.power_profile(float(_entry(spec, "density", "p")),
+                                    length=length)
     elif kind == "tabulated":
-        rho = density.tabulated_profile(spec["samples"])
+        rho = density.tabulated_profile(_entry(spec, "density", "samples"))
     else:
         raise InputError(f"unknown density kind {kind!r}")
     return PotentialField(rho)
 
 
-def _build_datum(spec):
+def _build_datum(spec, key):
     if "constant" in spec:
-        return fem.ConstantData(float(spec["constant"]))
+        return fem.ConstantData(float(_entry(spec, key, "constant")))
     if "bump" in spec:
-        b = spec["bump"]
-        return fem.BumpData(float(b["center"]), float(b["width"]),
-                            float(b["amplitude"]))
+        b = _entry(spec, key, "bump")
+        return fem.BumpData(*(float(_entry(b, f"{key}.bump", name))
+                              for name in ("center", "width", "amplitude")))
     if "tabulated" in spec:
-        return fem.TabulatedData(tuple(float(v) for v in spec["tabulated"]))
-    raise InputError(f"datum spec needs constant/bump/tabulated: {spec}")
+        values = _entry(spec, key, "tabulated")
+        return fem.TabulatedData(tuple(float(v) for v in values))
+    raise InputError(f"config key {key!r} needs constant, bump or tabulated, "
+                     f"got {spec!r}")
 
 
 def _build_data(spec):
-    cap = _build_datum(spec["cap"]) if "cap" in spec else None
-    return fem.BoundaryData(_build_datum(spec["outer"]),
-                            _build_datum(spec["inner"]), cap)
+    """The boundary data of a config's data object: outer, inner and an
+    optional cap datum."""
+    datum = lambda name: _build_datum(_entry(spec, "data", name), f"data.{name}")
+    return fem.BoundaryData(datum("outer"), datum("inner"),
+                            datum("cap") if "cap" in spec else None)
 
 
 def _write_json(path, obj):

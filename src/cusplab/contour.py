@@ -9,10 +9,11 @@ perfectly ordinary float.  Over the rod V is nearly linear in t
 few steps.  There is one root path for every density: log_radius_at solves
 any number of (level, station) lanes in one batch of array evaluations of
 PotentialField.value_slope_log_r (the closed form of the lebesgue profile,
-the panel quadrature of every other density), and trace_contours solves
-the stations of all its levels in one such batch.  Where only the side of a
-root matters, no root is solved: V falls strictly in r, so the level-c
-radius at z lies below e^t exactly when V(e^t, z) < c (radius_below).
+the panel quadrature of every other density, continued linearly in t next
+to the rod), and trace_contours solves the stations of all its levels in
+one such batch.  Where only the side of a root matters, no root is
+solved: V falls strictly in r, so the level-c radius at z lies below e^t
+exactly when V(e^t, z) < c (radius_below).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import AccuracyError, InputError, RangeError
-from .potential import MIN_QUADRATURE_RADIUS
 
 INF = math.inf
 EPS = np.finfo(float).eps
@@ -44,9 +44,9 @@ AXIS_SEARCH_RADIUS = 1e9
 def _root_in(f, lo, hi):
     """The root of f on the bracket [lo, hi] by Brent's method: bisection's
     worst case, superlinear convergence where f is smooth.  f must change
-    sign over the bracket (RangeError otherwise); +inf values count as
-    positive.  The ends are evaluated once, for the sign check, and handed
-    on to the solver, which stops within 4 eps relative of the root."""
+    sign over the bracket (RangeError otherwise).  The ends are evaluated
+    once, for the sign check, and handed on to the solver, which stops
+    within 4 eps relative of the root."""
     ends = {lo: f(lo), hi: f(hi)}
     if not min(ends.values()) <= 0.0 <= max(ends.values()):
         raise RangeError(f"bracket [{lo!r}, {hi!r}] has no sign change")
@@ -65,15 +65,6 @@ def axis_crossings(field, c):
         raise InputError("level must be positive")
     L = field.density.length
 
-    def axis_value(z):
-        # quadrature cannot certify values right at the rod ends where the
-        # integrand spike is unresolvably narrow, but monotonicity says the
-        # value there exceeds everything certifiable further out
-        try:
-            return field.value(0.0, z)
-        except AccuracyError:
-            return INF
-
     def log_offset(g, s_lo, side):
         # the root of g = c, g strictly decreasing in s: walk the upper end
         # up from 0 by unit steps until g falls to c; an enormous level has
@@ -87,24 +78,13 @@ def axis_crossings(field, c):
         return _root_in(lambda s: g(s) - c, s_lo, s_hi)
 
     # upper crossing z = L + e^s, lower crossing z = -e^s
-    z2 = L + math.exp(log_offset(lambda s: axis_value(L + math.exp(s)),
+    z2 = L + math.exp(log_offset(lambda s: field.value(0.0, L + math.exp(s)),
                                  math.log(1e-14 * max(1.0, L)), "above"))
     if c >= field.v00:
         return 0.0, z2
-    z1 = -math.exp(log_offset(lambda s: axis_value(-math.exp(s)),
+    z1 = -math.exp(log_offset(lambda s: field.value(0.0, -math.exp(s)),
                               math.log(1e-14), "below"))
     return z1, z2
-
-
-def _level_value(field, t, z):
-    """V(e^t, z), or +inf where quadrature cannot resolve the peak at tiny r
-    over the rod: by monotonicity the value there is above any level."""
-    try:
-        return field.value_log_r(t, z)
-    except AccuracyError:
-        if 0.0 < z <= field.density.length:
-            return INF
-        raise
 
 
 def log_radius_at(field, c, z, t_cap=1e300):
@@ -112,8 +92,8 @@ def log_radius_at(field, c, z, t_cap=1e300):
 
     Levels c and stations z are arrays broadcast against each other, one
     root per (level, station) lane; the result is a float only when both
-    are scalars.  Works arbitrarily deep in the cusp; the returned t can be
-    far below the underflow threshold of r itself.
+    are scalars.  Works arbitrarily deep in the cusp of every density; the
+    returned t can be far below the underflow threshold of r itself.
 
     Every lane brackets its root by stepping t up from 0 and then
     doubling it down from -1.  All lanes are solved together: Newton
@@ -126,13 +106,9 @@ def log_radius_at(field, c, z, t_cap=1e300):
     floor of V, where the steps are noise (a root of slope dV/dt is then
     known to about 1e-16 max(1, c) / |dV/dt|).  Each lane keeps its own
     level, bracket and Newton state and its arithmetic is elementwise, so
-    its root is the one it finds alone, bit for bit.  Where quadrature
-    cannot resolve V over the rod (r below MIN_QUADRATURE_RADIUS) it reads
-    +inf, above every level, as V is there.  A lane whose root lies below
-    that floor sees its bracket collapse onto the floor with the residual
-    off target; it is retired at once with an AccuracyError that names the
-    floor.  A failing lane raises its RangeError or AccuracyError; with
-    several, the first lane in (level, station) order does.
+    its root is the one it finds alone, bit for bit.  A failing lane raises
+    its RangeError or AccuracyError; with several, the first lane in
+    (level, station) order does.
     """
     cs, zs = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(z, dtype=float))
     shape = cs.shape
@@ -142,15 +118,12 @@ def log_radius_at(field, c, z, t_cap=1e300):
     n = len(zs)
     errors = {}
 
-    def values(lanes, t):
-        return field.value_slope_log_r(t, zs[lanes], strict=False)
-
     # bracket: t_hi steps up until V(t_hi) <= c, t_lo doubles down until
     # V(t_lo) >= c
     t_hi = np.zeros(n)
     lanes = np.arange(n)
     while len(lanes):
-        lanes = lanes[values(lanes, t_hi[lanes])[0] > cs[lanes]]
+        lanes = lanes[field.value_slope_log_r(t_hi[lanes], zs[lanes])[0] > cs[lanes]]
         t_hi[lanes] += 2.0
         for k in lanes[t_hi[lanes] > 710.0]:
             errors[k] = RangeError(f"no contour radius below e^710 at z={zs[k]}")
@@ -158,7 +131,7 @@ def log_radius_at(field, c, z, t_cap=1e300):
     t_lo = np.minimum(t_hi - 2.0, -1.0)
     lanes = np.array([k for k in range(n) if k not in errors], dtype=int)
     while len(lanes):
-        lanes = lanes[values(lanes, t_lo[lanes])[0] < cs[lanes]]
+        lanes = lanes[field.value_slope_log_r(t_lo[lanes], zs[lanes])[0] < cs[lanes]]
         t_lo[lanes] *= 2.0
         for k in lanes[-t_lo[lanes] > t_cap]:
             errors[k] = RangeError(f"no contour bracket for level {cs[k]} at z={zs[k]} "
@@ -178,7 +151,7 @@ def log_radius_at(field, c, z, t_cap=1e300):
         if not len(lanes):
             break
         t = t_next
-        v, slope = values(lanes, t)
+        v, slope = field.value_slope_log_r(t, zs[lanes])
         f = v - c
         up = f > 0
         lo = np.where(up, t, lo)
@@ -191,21 +164,9 @@ def log_radius_at(field, c, z, t_cap=1e300):
         af = np.abs(f)
         stalled = (f_last < INF) & ((af >= 0.5 * f_last) | ~take)
         tol = 1e-14 * np.maximum(1.0, np.abs(t))
-        collapsed = hi - lo <= tol
         done = (af <= 0.5 * res_accept) & np.where(
-            finite, (np.abs(step) <= tol) | stalled, collapsed)
+            finite, (np.abs(step) <= tol) | stalled, hi - lo <= tol)
         out[lanes[done]] = t[done]
-        # V jumps across a collapsed bracket: the root is below the floor
-        floored = collapsed & (af > res_accept)
-        if floored.any():
-            for k, tk, fk in zip(lanes[floored], t[floored], af[floored]):
-                errors[k] = AccuracyError(
-                    f"no contour root for level {cs[k]} at z={zs[k]}: its bracket "
-                    f"collapsed at r = {math.exp(tk):.3e} with residual {fk:.2e}; "
-                    f"over the rod quadrature does not resolve V below "
-                    f"MIN_QUADRATURE_RADIUS = {MIN_QUADRATURE_RADIUS:g}",
-                    best_estimate=math.exp(tk) if tk > -745 else 0.0)
-            done |= floored
         t_next = np.where(take, t_new, 0.5 * (lo + hi))
         f_last = np.where(take, af, INF)
         last = np.abs(t_next - t)
@@ -242,8 +203,9 @@ def radius_at(field, c, z):
 def radius_below(field, c, t, z):
     """True when the level-c contour radius at z lies below e^t, i.e.
     log_radius_at(field, c, z) < t, told by one evaluation V(e^t, z) < c
-    (V falls strictly in r) instead of a root."""
-    return _level_value(field, t, z) < c
+    (V falls strictly in r) instead of a root; t may lie far below the
+    underflow threshold of e^t."""
+    return field.value_log_r(t, z) < c
 
 
 @dataclass

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .contour import (ContourCurve, _level_value, _root_in, log_radius_at,
-                      polyline_arcs, radius_below, trace_contours)
+from .contour import (ContourCurve, _root_in, log_radius_at, polyline_arcs,
+                      radius_below, trace_contours)
 from .errors import InputError, MeshError, RangeError
 
 OUTER = "outer-level"
@@ -92,7 +92,7 @@ def _truncation_height(field, c, r_min):
         lo /= 2.0
         if lo < 1e-300:
             raise RangeError(f"level {c} is thicker than {r_min} everywhere")
-    return _root_in(lambda z: _level_value(field, target, z) - c, lo, hi)
+    return _root_in(lambda z: field.value_log_r(target, z) - c, lo, hi)
 
 
 def build_cross_section(field, A, B, r_min=None, n_trace=256):

@@ -11,7 +11,11 @@ densities toward zeta = 0 as well, where the panel touching 0 takes the
 Gauss-Jacobi rule of the weight zeta^p; tabulated densities split at their
 knots.  The 28-node sum is the value, its distance to the 20-node sum the
 error estimate.  Panel ends are offsets from the split point, so zeta - z
-does not cancel at radii near 1e-12.
+does not cancel at small radii.  Over the rod (0 < z < L), below the switch
+radius r_sw = NEAR_ROD min(z, L - z), V is linear in t = log r to within
+about 0.05 (r/z)^2 relative, with slope -2 rho(z): there the rule runs at
+r_sw and V continues as V(r_sw) - 2 rho(z) (t - log r_sw), which holds
+also where e^t underflows.
 
 The closed forms are evaluated in log-space wherever a difference
 sqrt(w^2 + r^2) - w with w > 0 would cancel: the identity
@@ -40,8 +44,8 @@ from .errors import AccuracyError, DomainError, InputError
 INF = math.inf
 EPS = float(np.finfo(float).eps)
 
-# the quadrature does not resolve an integrand peak of width r below this
-MIN_QUADRATURE_RADIUS = 1e-12
+# over the rod V is continued linearly in log r below NEAR_ROD min(z, L - z)
+NEAR_ROD = 1e-12
 # panel rule: the HIGH-node sum is the value, |HIGH - LOW| its error estimate
 LOW_NODES, HIGH_NODES = 20, 28
 # length ratio of neighbouring panels graded toward a peak or a singularity
@@ -272,7 +276,7 @@ class PotentialField:
             return lebesgue_closed_form(0.0, z, log_r=t)
         if t == -INF and 0.0 < z <= self.density.length:
             return INF
-        return self._value(math.exp(t) if t > -745 else 0.0, z)
+        return self._value(math.exp(t) if t > -745 else 0.0, z, t)
 
     def value_by_quadrature(self, r, z):
         """V by the panel quadrature, also for the lebesgue profile (the
@@ -282,15 +286,10 @@ class PotentialField:
             return INF
         return self._value(r, z)
 
-    def value_slope_log_r(self, t, z, strict=True):
+    def value_slope_log_r(self, t, z):
         """V(e^t, z) and its slope dV/dt = r dV/dr on arrays of log-radius t
         and height z (broadcast against each other): the closed form of the
-        lebesgue profile, the panel quadrature of every other density.
-
-        Over the rod below MIN_QUADRATURE_RADIUS the quadrature raises
-        AccuracyError, or with strict=False reads V = +inf (V exceeds every
-        level there) with a nan slope.
-        """
+        lebesgue profile, the panel quadrature of every other density."""
         if self.density.kind == LEBESGUE:
             return lebesgue_value_slope(t, z)
         t, z = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(z, dtype=float))
@@ -298,38 +297,41 @@ class PotentialField:
             raise DomainError("rod point (r=0, 0 < z <= L) is outside the domain of V")
         with np.errstate(over="ignore"):
             r = np.where(t > -745.0, np.exp(t), 0.0)
-        v, slope = self._evaluate(r.ravel(), z.ravel(), strict)
+        v, slope = self._evaluate(r.ravel(), t.ravel(), z.ravel())
         return v.reshape(t.shape), slope.reshape(t.shape)
 
-    def _value(self, r, z):
-        return float(self._evaluate(np.array([r]), np.array([z]), True)[0][0])
+    def _value(self, r, z, t=None):
+        t = _log_radius_of(r, t)
+        return float(self._evaluate(np.array([r]), np.array([t]), np.array([z]))[0][0])
 
-    def _evaluate(self, r, z, strict):
-        """V and dV/dt by quadrature on 1-d arrays; the light end (0, 0) reads
-        V(0,0).  AccuracyError where the error estimate exceeds
-        10 rel_tol |V| (first such lane) and, when strict, over the rod below
-        MIN_QUADRATURE_RADIUS; otherwise V = +inf there."""
-        unresolved = (r < MIN_QUADRATURE_RADIUS) & (z > 0.0) & (z <= self.density.length)
-        if strict and unresolved.any():
-            k = int(np.argmax(unresolved))
-            raise AccuracyError(
-                f"integrand peak of width r={r[k]} near zeta={z[k]} is not "
-                "resolvable by quadrature; use a closed form")
+    def _evaluate(self, r, t, z):
+        """V and dV/dt on 1-d arrays of radius r, its log t (r = 0 where e^t
+        underflows) and height z: the quadrature, continued linearly in t
+        below the switch radius over the rod; the light end (0, 0) reads
+        V(0,0).  AccuracyError where the error estimate is not within
+        10 rel_tol |V|, nan included (first such lane)."""
+        L = self.density.length
+        r_sw = NEAR_ROD * np.minimum(z, L - z)
+        deep = r < r_sw                    # never off the rod, where r_sw <= 0
+        r = np.where(deep, r_sw, r)
         tip = (r == 0.0) & (z == 0.0)
-        v = np.where(tip, self.v00, INF)
-        slope = np.where(tip, 0.0, np.nan)
-        lanes = np.flatnonzero(~(unresolved | tip))
+        v = np.where(tip, self.v00, 0.0)
+        slope = np.zeros(len(z))
+        lanes = np.flatnonzero(~tip)
         # in chunks: a lane holds about 15 panels of 48 nodes
         for start in range(0, len(lanes), QUADRATURE_CHUNK):
             chunk = lanes[start:start + QUADRATURE_CHUNK]
             v_q, slope_q, err = self._quadrature(r[chunk], z[chunk])
-            bad = err > 10.0 * self.rel_tol * v_q
+            bad = ~(err <= 10.0 * self.rel_tol * v_q)
             if bad.any():
                 k = int(np.argmax(bad))
                 raise AccuracyError(
                     f"quadrature for V({r[chunk[k]]}, {z[chunk[k]]}) reached "
                     f"error {err[k]:.2e} only", best_estimate=float(v_q[k]))
             v[chunk], slope[chunk] = v_q, slope_q
+        if deep.any():
+            slope[deep] = -2.0 * self.density(z[deep])
+            v[deep] += slope[deep] * (t[deep] - np.log(r[deep]))
         return v, slope
 
     def _quadrature(self, r, z):

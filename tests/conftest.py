@@ -61,6 +61,46 @@ def _mp_value_slope(density, t, z, dps=50):
                 float(-mpmath.exp(2 * t) * _integral(mpmath, density, t, z, three_halves)))
 
 
+def _rho_minus(mpmath, density, a, b, z):
+    """zeta -> rho(zeta) - rho(z) on the piece [a, b], free of cancellation
+    where zeta - z lies below the working precision: a power density as
+    z^p expm1(p log1p((zeta - z)/z)), a linear piece that holds z as its
+    slope times (zeta - z)."""
+    if density.kind == "power":
+        p = mpmath.mpf(density.power)
+        return lambda x: z ** p * mpmath.expm1(p * mpmath.log1p((x - z) / z))
+    rho = _rho(mpmath, density, a, b)
+    if a <= z <= b:
+        slope = rho(mpmath.mpf(1)) - rho(mpmath.mpf(0))
+        return lambda x: slope * (x - z)
+    rho_z = _rho(mpmath, density, z, z)(z)
+    return lambda x: rho(x) - rho_z
+
+
+def _mp_rod_value_slope(density, t, z, dps=30):
+    """V(e^t, z) and dV/dt over the rod (0 < z < L), for any t however
+    negative: the singular part rho(z) (asinh((L - z)/r) + asinh(z/r)) and
+    its slope are exact, and mpmath integrates only rho(zeta) - rho(z)
+    against the kernels.  Those integrands are bounded by |rho'| near z, so
+    the cut points stop at distance 1e-20 from z, and none has to resolve
+    r itself.  Returned as floats."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        t, z = mpmath.mpf(t), mpmath.mpf(z)
+        r = mpmath.exp(t)
+        L = mpmath.mpf(density.length)
+        rho_z = _rho(mpmath, density, z, z)(z)
+        v = rho_z * (mpmath.asinh((L - z) / r) + mpmath.asinh(z / r))
+        slope = -rho_z * ((L - z) / mpmath.hypot(L - z, r) + z / mpmath.hypot(z, r))
+        cuts = _cuts(mpmath, density, z, max(r, mpmath.mpf(10) ** -20))
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            d = _rho_minus(mpmath, density, a, b, z)
+            v += mpmath.quad(lambda x: d(x) / mpmath.sqrt((x - z) ** 2 + r * r), [a, b])
+            slope -= mpmath.quad(lambda x: d(x) * r * r / ((x - z) ** 2 + r * r) ** 1.5,
+                                 [a, b])
+        return float(v), float(slope)
+
+
 def _mp_log_radius(density, c, z, t0, dps=30):
     """The root t of V(e^t, z) = c at dps digits, by the secant method from
     t0, as a float."""
@@ -87,6 +127,13 @@ def _mp_level_height(density, c, t, z0, dps=30):
 def mp_value_slope():
     """(density, t, z) -> V(e^t, z) and dV/dt from 50-digit mpmath."""
     return _mp_value_slope
+
+
+@pytest.fixture(scope="session")
+def mp_rod_value_slope():
+    """(density, t, z) -> V(e^t, z) and dV/dt over the rod, at any depth,
+    from 30-digit mpmath with the singular part taken out."""
+    return _mp_rod_value_slope
 
 
 @pytest.fixture(scope="session")

@@ -267,6 +267,51 @@ def test_wrong_type_exits_with_json_error(tmp_path, args, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args, key", [
+    (["solve", "--set", 'data={"outer":{"constant":"x"},"inner":{"constant":2}}'],
+     "data.outer.constant"),
+    (["wos", "--set", "points=[[0.5,0.5]]"], "points"),
+    (["contour", "--set", 'density={"kind":"power"}'], "density.p"),
+])
+def test_nested_values_checked(tmp_path, args, key, capsys):
+    assert cli.main(args + ["--output-dir", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "validation"
+    assert f"config key {key!r}" in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_nested_values_of_every_form_checked():
+    for key, value, path in [
+            ("density", {"kind": "power", "p": 0.5, "L": "2"}, "density.L"),
+            ("density", {"kind": "tabulated", "samples": [[0, 0], [1, "a"]]},
+             "density.samples"),
+            ("data", {"inner": {"constant": 2}}, "data.outer"),
+            ("data", {"outer": {"bump": {"center": 0.5}}, "inner": {"constant": 2}},
+             "data.outer.bump.width"),
+            ("data", {"outer": {"tabulated": [1, "a"]}, "inner": {"constant": 2}},
+             "data.outer.tabulated"),
+            ("data", {"outer": {"constant": 1}, "inner": {"constant": 2}, "cap": 3},
+             "data.cap")]:
+        with pytest.raises(InputError, match=f"config key '{path}'"):
+            cli.validate_config("solve", {key: value})
+    data = {"outer": {"bump": {"center": 0.5, "width": 0.2, "amplitude": 1}},
+            "inner": {"tabulated": [1, 2]}, "cap": {"constant": 3}}
+    assert cli.validate_config("solve", {"data": data})["data"] == data
+
+
+def test_power_rod_contour_reaches_its_cusp(tmp_path):
+    # the level 2.5 lies above V(0,0) = 2 of the z^(1/2) rod: its cusp
+    # stations lie far below r = 1e-12 next to the rod
+    res = run_cli(["contour", "--set", 'density={"kind":"power","p":0.5}',
+                   "--set", "levels=[1.0,2.5]", "--output-dir", str(tmp_path)],
+                  tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["max_residual"] <= 1e-10
+
+
 def test_values_checked_against_default_types():
     ok = {"r_min": 1e-4, "levels": [0.5, 2], "tol": 1, "output_dir": None}
     assert cli.validate_config("solve", ok)["levels"] == [0.5, 2]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cusplab import contour, density, potential
-from cusplab.errors import AccuracyError, InputError, RangeError
+from cusplab.errors import InputError, RangeError
 
 # frozen bisection oracles on the axis closed forms (400-digit arithmetic):
 #   z log(z/(z-1)) - 1 = 2    ->  z2(2)
@@ -182,14 +182,7 @@ def bisection_log_radius(field, c, z):
     """Reference root of V(e^t, z) = c: the scalar bisection of the same
     bracket, halved up to 300 times until |V - c| <= CONTOUR_RTOL max(1, c)/2
     and the bracket is below 1e-14 max(1, |t|); returns its midpoint."""
-    def val(t):
-        try:
-            return field.value_log_r(t, z)
-        except AccuracyError:
-            if 0.0 < z <= field.density.length:
-                return math.inf
-            raise
-
+    val = lambda t: field.value_log_r(t, z)
     t_hi = 0.0
     while val(t_hi) > c:
         t_hi += 2.0
@@ -325,17 +318,16 @@ def test_quadrature_roots_match_mpmath(p, c_over_v00, zs, mp_log_radius):
 
 
 def test_quadrature_root_bracket_below_the_rod_floor(mp_log_radius):
-    # the bracket doubles t down to -32, below log 1e-12, where quadrature
-    # reads +inf over the rod; the root lies at t = -18.8
+    # the bracket doubles t down to -32, below the switch radius 5e-14 at
+    # z = 0.05, where V is continued linearly in log r; the root lies at
+    # t = -18.8, above it
     field = potential.PotentialField(density.power_profile(0.5))
     _assert_roots_match_mpmath(field, 9.0, [0.05], mp_log_radius)
 
 
-def test_root_below_the_rod_floor_fails_fast(monkeypatch):
-    # the root of c = 3 at z = 1e-4 lies far below MIN_QUADRATURE_RADIUS,
-    # where V reads +inf: the bracket collapses onto the floor with the
-    # residual off target, and the station is retired then, not after 300
-    # steps with a bare residual
+def test_root_far_below_the_switch_radius(monkeypatch):
+    # the root of c = 3 at z = 1e-4 lies at r ~ 2e-26, far below the switch
+    # radius 1e-16, where V is linear in t: Newton finds it in a few steps
     field = potential.PotentialField(density.power_profile(0.5))
     calls = []
     value_slope = field.value_slope_log_r
@@ -345,9 +337,17 @@ def test_root_below_the_rod_floor_fails_fast(monkeypatch):
         return value_slope(*args, **kwargs)
 
     monkeypatch.setattr(field, "value_slope_log_r", counted)
-    with pytest.raises(AccuracyError, match="MIN_QUADRATURE_RADIUS = 1e-12"):
-        contour.log_radius_at(field, 3.0, 1e-4)
+    assert contour.log_radius_at(field, 3.0, 1e-4) == pytest.approx(-59.14090, abs=5e-6)
     assert len(calls) <= 80
+
+
+def test_power_rod_roots_reach_the_cusp():
+    # the near-rod closed form t_c(z) = (rho log 4z(L - z) + H(z) - c) / 2 rho
+    # at the level V(0,0) + 0.5 of the power-1/2 rod
+    field = potential.PotentialField(density.power_profile(0.5))
+    t = contour.log_radius_at(field, field.v00 + 0.5, [1e-3, 1e-4])
+    assert t[0] == pytest.approx(-14.765641, abs=5e-7)
+    assert t[1] == pytest.approx(-34.14090, abs=5e-6)
 
 
 def test_tabulated_roots_match_mpmath(mp_log_radius):
@@ -381,13 +381,14 @@ def test_axis_crossings_match_mpmath(leb, mp_level_height, root_evaluations):
     assert max(counts) <= 20
 
 
-def test_root_in_brackets_across_unresolved_values(mp_level_height):
-    # V(1e-13, z) of a power-2 rod is beyond the quadrature over the rod,
-    # where it reads +inf, above every level; above the rod end z = 1 it is
-    # the axis value up to O(r^2), so the root is the axis crossing z2
+def test_root_in_brackets_across_finite_values(mp_level_height):
+    # V(1e-13, z) of a power-2 rod is finite over the rod, where it is
+    # continued below the switch radius, and above every level there; above
+    # the rod end z = 1 it is the axis value up to O(r^2), so the root is the
+    # axis crossing z2
     field = potential.PotentialField(density.power_profile(2.0))
-    f = lambda z: contour._level_value(field, math.log(1e-13), z) - 10.0
-    assert f(0.5) == math.inf
+    f = lambda z: field.value_log_r(math.log(1e-13), z) - 10.0
+    assert math.isfinite(f(0.5)) and f(0.5) > 0.0
     z = contour._root_in(f, 0.5, 3.0)
     assert z == pytest.approx(mp_level_height(field.density, 10.0, -math.inf, z),
                               rel=1e-14, abs=0.0)

@@ -85,17 +85,30 @@ def test_kellogg_variant():
         potential.kellogg_closed_form(0.0, 0.5)
 
 
-def test_quadrature_refuses_unresolvable_peak():
+def test_lanes_next_to_the_rod_match_mpmath(mp_value_slope):
+    # r = 1e-13 lies below the switch radius 5e-13 at z = 0.5, where V is
+    # continued linearly in log r, and on the axis above the rod at z = 2
     field = potential.PotentialField(density.power_profile(2.0))
-    with pytest.raises(AccuracyError):
-        field.value(1e-13, 0.5)
     t = np.log([1e-13, 1e-13, 1e-3])
-    with pytest.raises(AccuracyError):
-        field.value_slope_log_r(t, [0.5, 2.0, 0.5])
-    # inside a root the unresolved lane reads +inf, above every level
-    v, slope = field.value_slope_log_r(t, [0.5, 2.0, 0.5], strict=False)
-    assert v[0] == math.inf and np.isnan(slope[0])
-    assert v[1] == field.value(1e-13, 2.0) and v[2] == field.value(1e-3, 0.5)
+    z = [0.5, 2.0, 0.5]
+    v, slope = field.value_slope_log_r(t, z)
+    for tk, zk, vk, sk in zip(t, z, v, slope):
+        v_ref, slope_ref = mp_value_slope(field.density, tk, zk)
+        assert vk == pytest.approx(v_ref, rel=1e-12, abs=0.0)
+        assert sk == pytest.approx(slope_ref, rel=1e-12, abs=0.0)
+    assert v.tolist() == [field.value(1e-13, 0.5), field.value(1e-13, 2.0),
+                          field.value(1e-3, 0.5)]
+
+
+def test_nan_estimate_raises():
+    # the peak of width 1e-300 (1e-170) underflows: the integrand and the
+    # error estimate turn nan, which must not pass the accuracy check
+    field = potential.PotentialField(density.power_profile(0.5))
+    with np.errstate(all="ignore"):
+        with pytest.raises(AccuracyError):
+            field.value(0.0, -1e-300)
+        with pytest.raises(AccuracyError):
+            field.value_slope_log_r(math.log(1e-200), -1e-170)
 
 
 def test_power_field_quadrature():
@@ -275,7 +288,7 @@ ROD_HEIGHTS = st.one_of(st.floats(0.0, 1.0), st.sampled_from(KNOTS.tolist()),
 
 @pytest.mark.parametrize("name", sorted(QUADRATURE_PROFILES))
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(t=st.floats(math.log(potential.MIN_QUADRATURE_RADIUS), math.log(3.0)),
+@given(t=st.floats(math.log(1e-12), math.log(3.0)),
        z=ROD_HEIGHTS)
 @example(t=math.log(1e-12), z=1.0)
 @example(t=math.log(1e-12), z=0.0)
@@ -288,6 +301,22 @@ def test_quadrature_matches_mpmath(name, t, z, mp_value_slope):
     v_ref, slope_ref = mp_value_slope(rod, t, z)
     assert float(v) == pytest.approx(v_ref, rel=1e-12, abs=0.0)
     assert float(slope) == pytest.approx(slope_ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURE_PROFILES))
+def test_deep_lanes_match_mpmath(name, mp_rod_value_slope):
+    # over the rod far below the switch radius NEAR_ROD min(z, L - z), where
+    # e^t underflows for t <= -746, at a knot (z = 0.5) and between knots
+    rod = QUADRATURE_PROFILES[name]
+    field = potential.PotentialField(rod)
+    t = np.array([-30.0, -200.0, -600.0, -1000.0])
+    for z in [1e-8, 1e-3, 0.3, 0.5, 1.0 - 1e-6]:
+        v, slope = field.value_slope_log_r(t, z)
+        for tk, vk, sk in zip(t, v, slope):
+            v_ref, slope_ref = mp_rod_value_slope(rod, tk, z)
+            assert vk == pytest.approx(v_ref, rel=1e-12, abs=0.0), (tk, z)
+            assert sk == pytest.approx(slope_ref, rel=1e-12, abs=0.0), (tk, z)
+        assert v.tolist() == [field.value_log_r(tk, z) for tk in t]
 
 
 def test_quadrature_one_lane_forms_agree_with_the_array_form():
