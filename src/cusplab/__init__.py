@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 
 from .density import (DensityProfile, DiniReport, dini_report,
                       lebesgue_profile, power_profile, tabulated_profile)
-from .potential import (PotentialField, kellogg_closed_form, lebesgue_closed_form,
-                        sector_bound_check)
+from .potential import PotentialField, lebesgue_closed_form, sector_bound_check
 from .contour import (ContourCurve, CuspRateReport, axis_crossings,
                       cusp_rate_bounds, log_radius_at, radius_at,
                       trace_contour, trace_contours)

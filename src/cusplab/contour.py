@@ -31,6 +31,8 @@ EPS = np.finfo(float).eps
 
 # residual target |V - c| for roots on a contour
 CONTOUR_RTOL = 1e-10
+# a root's bracket doubles down in log-radius no further than -BRACKET_DEPTH
+BRACKET_DEPTH = 1e300
 # smallest radius radius_at() will report as a plain float
 MIN_RADIUS = 1e-300
 # geometric grading ratio toward the cusp endpoint
@@ -87,7 +89,7 @@ def axis_crossings(field, c):
     return z1, z2
 
 
-def log_radius_at(field, c, z, t_cap=1e300):
+def log_radius_at(field, c, z):
     """log of the contour radius: the unique t with V(e^t, z) = c.
 
     Levels c and stations z are arrays broadcast against each other, one
@@ -133,10 +135,10 @@ def log_radius_at(field, c, z, t_cap=1e300):
     while len(lanes):
         lanes = lanes[field.value_slope_log_r(t_lo[lanes], zs[lanes])[0] < cs[lanes]]
         t_lo[lanes] *= 2.0
-        for k in lanes[-t_lo[lanes] > t_cap]:
+        for k in lanes[-t_lo[lanes] > BRACKET_DEPTH]:
             errors[k] = RangeError(f"no contour bracket for level {cs[k]} at z={zs[k]} "
-                                   f"within log-radius {t_cap}")
-        lanes = lanes[-t_lo[lanes] <= t_cap]
+                                   f"within log-radius {BRACKET_DEPTH}")
+        lanes = lanes[-t_lo[lanes] <= BRACKET_DEPTH]
 
     out = np.zeros(n)
     lanes = np.array([k for k in range(n) if k not in errors], dtype=int)

@@ -32,6 +32,8 @@ ESSENTIAL_TAGS = (OUTER, INNER, CAP)
 
 # smallest triangle angle, in degrees, of a mesh that passes its quality check
 MIN_ANGLE_FLOOR = 15.0
+# CrossSection.contains admits points up to this far outside [A, B] in V
+CONTAINS_TOL = 1e-9
 
 
 @dataclass
@@ -67,11 +69,11 @@ class CrossSection:
             (INNER, np.column_stack([inn[:, 1], inn[:, 0]])),
         ]
 
-    def contains(self, r, z, slack=1e-9):
-        """True on the closed region (boundary points included up to slack
-        in the potential value)."""
+    def contains(self, r, z):
+        """True on the closed region (boundary points included up to
+        CONTAINS_TOL in the potential value)."""
         v = self.field.value(r, z)
-        return self.A - slack <= v <= self.B + slack
+        return self.A - CONTAINS_TOL <= v <= self.B + CONTAINS_TOL
 
 
 def _truncation_height(field, c, r_min):
@@ -95,6 +97,15 @@ def _truncation_height(field, c, r_min):
     return _root_in(lambda z: field.value_log_r(target, z) - c, lo, hi)
 
 
+def _truncate_cusp(field, curve, r_min):
+    """z_cut, where the level curve's cusp thins to r_min, and the curve's
+    (z, r) samples above it led by the corner (z_cut, r_min)."""
+    z_cut = _truncation_height(field, curve.level, r_min)
+    keep = curve.samples[:, 0] > z_cut
+    keep[0] = False                       # drop the tip on the axis
+    return z_cut, np.vstack([[z_cut, r_min], curve.samples[keep]])
+
+
 def build_cross_section(field, A, B, r_min=None, n_trace=256):
     """Trace the two boundary contours and fix the cusp truncation height."""
     if not (0.0 < A < field.v00 < B):
@@ -103,10 +114,7 @@ def build_cross_section(field, A, B, r_min=None, n_trace=256):
     outer, inner = trace_contours(field, [A, B], n=n_trace, grading="blended")
     if r_min is None:
         r_min = 1e-4 * (outer.z2 - outer.z1)
-    z_cut = _truncation_height(field, B, r_min)
-    keep = inner.samples[:, 0] > z_cut
-    keep[0] = False                       # drop the (0, 0) tip
-    trunc = np.vstack([[z_cut, r_min], inner.samples[keep]])
+    z_cut, trunc = _truncate_cusp(field, inner, r_min)
     axis_segments = ((outer.z1, 0.0), (inner.z2, outer.z2))
     return CrossSection(field=field, A=A, B=B, r_min=r_min, z_cut=z_cut,
                         outer=outer, inner=inner, inner_truncated=trunc,
@@ -219,12 +227,9 @@ class _Rail:
         self.is_cusp = self.c > field.v00
         self.z2 = curve.z2
         if self.is_cusp:
-            self.tip_z = _truncation_height(field, self.c, r_min)
-            keep = curve.samples[:, 0] > self.tip_z
-            keep[0] = False
             # arc starts at the truncation corner, never on the axis leg:
             # stations must stay strictly on the contour
-            pts = np.vstack([[self.tip_z, r_min], curve.samples[keep]])
+            self.tip_z, pts = _truncate_cusp(field, curve, r_min)
             self.anchor = np.array([self.tip_z, 0.0])
         else:
             self.tip_z = curve.z1

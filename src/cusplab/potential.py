@@ -1,20 +1,23 @@
 """The rod potential V(r, z), its closed forms and its panel quadrature.
 
 V(r, z) = integral_0^L rho(zeta) / sqrt((zeta - z)^2 + r^2) dzeta in meridian
-coordinates (r = distance to the axis).  For the linear density on [0, 1]
-("lebesgue") the integral has a closed form.  Every density, that one
-included, also has one array quadrature rule (PotentialField
-.value_slope_log_r and its one-lane forms): Gauss rules of 20 and 28 nodes
-on panels graded geometrically (ratio 0.15) toward the split point
-zeta = clamp(z, 0, L), down to the distance of (r, z) from it, and for power
-densities toward zeta = 0 as well, where the panel touching 0 takes the
+coordinates (r = distance to the axis).  PotentialField has a scalar door
+(value, value_log_r, value_by_quadrature), which reads +inf on the rod
+(r = 0, 0 < z <= L), and an array door (value_slope_log_r), which raises
+DomainError there; both raise RangeError where e^t overflows.  For the linear
+density on [0, 1] ("lebesgue") V has a closed form in t = log r and z.  Every
+density, that one included, also has one quadrature rule: Gauss rules of 20
+and 28 nodes on panels graded geometrically (ratio 0.15) toward the split
+point zeta = clamp(z, 0, L), down to the distance of (r, z) from it, and for
+power densities toward zeta = 0 as well, where the panel touching 0 takes the
 Gauss-Jacobi rule of the weight zeta^p; tabulated densities split at their
 knots.  The 28-node sum is the value, its distance to the 20-node sum the
 error estimate.  Panel ends are offsets from the split point, so zeta - z
-does not cancel at small radii.  Over the rod (0 < z < L), below the switch
-radius r_sw = NEAR_ROD min(z, L - z), V is linear in t = log r to within
-about 0.05 (r/z)^2 relative, with slope -2 rho(z): there the rule runs at
-r_sw and V continues as V(r_sw) - 2 rho(z) (t - log r_sw), which holds
+does not cancel at small radii; the rule raises RangeError where the peak
+width is subnormal or beyond MAX_DISTANCE.  Over the rod (0 < z < L), below
+the switch radius r_sw = NEAR_ROD min(z, L - z), V is linear in t = log r to
+within about 0.05 (r/z)^2 relative, with slope -2 rho(z): there the rule runs
+at r_sw and V continues as V(r_sw) - 2 rho(z) (t - log r_sw), which holds
 also where e^t underflows.
 
 The closed forms are evaluated in log-space wherever a difference
@@ -39,10 +42,12 @@ from fractions import Fraction
 import numpy as np
 
 from .density import LEBESGUE, POWER, TABULATED, lebesgue_profile
-from .errors import AccuracyError, DomainError, InputError
+from .errors import AccuracyError, DomainError, InputError, RangeError
 
 INF = math.inf
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
+MAX_LOG_RADIUS = math.log(np.finfo(float).max)   # e^t overflows above it
 
 # over the rod V is continued linearly in log r below NEAR_ROD min(z, L - z)
 NEAR_ROD = 1e-12
@@ -50,6 +55,9 @@ NEAR_ROD = 1e-12
 LOW_NODES, HIGH_NODES = 20, 28
 # length ratio of neighbouring panels graded toward a peak or a singularity
 PANEL_GRADING = 0.15
+# beyond this distance to the rod the quadrature's slope terms
+# rho / q^(3/2) underflow (and beyond about 1e154 so do V's, as q overflows)
+MAX_DISTANCE = float(np.finfo(float).max) ** (1.0 / 3.0)
 # lanes per array pass of the quadrature, which bounds its scratch memory
 QUADRATURE_CHUNK = 256
 # distance from (2/3, 0) beyond which the lebesgue V is a multipole sum:
@@ -67,18 +75,6 @@ def _multipole_moments(n_terms):
 
 
 _MOMENTS = _multipole_moments(14)
-
-
-def _on_rod(profile_length, r, z):
-    return r == 0.0 and 0.0 < z <= profile_length
-
-
-def _log_radius_of(r, log_r):
-    if log_r is not None:
-        return float(log_r)
-    if r < 0:
-        raise DomainError("radius must be nonnegative")
-    return math.log(r) if r > 0 else -INF
 
 
 def _lebesgue_multipole(r, z, s):
@@ -100,14 +96,10 @@ def _lebesgue_multipole(r, z, s):
     return v, -(r * inv) ** 2 * g
 
 
-def lebesgue_closed_form(r, z, log_r=None):
-    """Closed form of V for rho(z) = z on [0, 1].
-
-    Pass log_r for radii too small to represent; r is then ignored.
-    """
-    t = _log_radius_of(r, log_r)
-    if t == -INF and 0.0 < z <= 1.0:
-        raise DomainError(f"rod point (r=0, z={z}) is outside the domain of V")
+def lebesgue_closed_form(t, z):
+    """V(e^t, z) of rho(z) = z on [0, 1] at log-radius t <= MAX_LOG_RADIUS,
+    which may lie far below the underflow threshold of e^t; +inf on the rod
+    (t = -inf, 0 < z <= 1)."""
     r = math.exp(t) if t > -745 else 0.0       # underflow to 0 is harmless here
     # far field: the exact formula cancels its leading terms to O(1/s)
     s = math.hypot(r, z - 2.0 / 3.0)
@@ -131,7 +123,8 @@ def lebesgue_closed_form(r, z, log_r=None):
 
 def lebesgue_value_slope(t, z):
     """V(e^t, z) of rho(z) = z on [0, 1] and its slope dV/dt = r dV/dr, on
-    arrays of log-radius t and height z (broadcast against each other).
+    arrays of log-radius t <= MAX_LOG_RADIUS and height z (broadcast
+    against each other), off the rod.
 
     Same branches, multipole and underflow handling as
     lebesgue_closed_form.  With
@@ -143,8 +136,6 @@ def lebesgue_value_slope(t, z):
     t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
     if t.shape != z.shape:
         t, z = np.broadcast_arrays(t, z)
-    if np.any((t == -INF) & (z > 0.0) & (z <= 1.0)):
-        raise DomainError("rod point (r=0, 0 < z <= 1) is outside the domain of V")
     with np.errstate(all="ignore"):
         r = np.where(t > -745.0, np.exp(t), 0.0)
         a = np.hypot(1.0 - z, r)
@@ -171,22 +162,6 @@ def lebesgue_value_slope(t, z):
             v, slope = np.array(v), np.array(slope)
             v[far], slope[far] = _lebesgue_multipole(r[far], z[far], s[far])
     return v, slope
-
-
-def kellogg_closed_form(r, z, log_r=None):
-    """The half-line variant  z log(sqrt(z^2+r^2) - z) + sqrt(z^2+r^2),
-    harmonic off the ray {r = 0, z >= 0}."""
-    t = _log_radius_of(r, log_r)
-    if t == -INF and z >= 0.0:
-        raise DomainError(f"point (r=0, z={z}) lies on the singular ray")
-    r = math.exp(t) if t > -745 else 0.0
-    if z == 0.0:
-        return r
-    if z > 0.0:
-        log_term = 2.0 * t - math.log(math.hypot(z, r) + z)
-    else:
-        log_term = math.log(math.hypot(z, r) - z)
-    return z * log_term + math.hypot(z, r)
 
 
 def _gauss_jacobi(n, beta):
@@ -231,11 +206,17 @@ def _gauss_rules(beta=0.0):
     return np.concatenate([x_lo, x_hi]), w_lo, w_hi
 
 
+def _out_of_range(bad, r, z, why):
+    """RangeError naming the first lane (r, z) that bad flags, if any."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise RangeError(f"V({r[k]}, {z[k]}): {why}")
+
+
 def _graded_offsets(top, depth):
     """Rows of the points top * PANEL_GRADING^k, k = 1, 2, ..., each row
     ending at its first point at or below its depth (nan beyond)."""
-    with np.errstate(divide="ignore"):
-        k = np.maximum(np.ceil(np.log(top / depth) / -math.log(PANEL_GRADING)), 0.0)
+    k = np.maximum(np.ceil(np.log(top / depth) / -math.log(PANEL_GRADING)), 0.0)
     ks = np.arange(1, int(k.max()) + 1)
     return np.where(ks <= k[:, None], top * PANEL_GRADING ** ks, np.nan)
 
@@ -258,51 +239,57 @@ class PotentialField:
     # -- core evaluation -------------------------------------------------
 
     def value(self, r, z):
-        """V(r, z); +inf on the rod limit (r = 0, 0 < z <= L)."""
-        r, z = float(r), float(z)
-        if r < 0:
-            raise DomainError("radius must be nonnegative")
-        if _on_rod(self.density.length, r, z):
-            return INF
-        if self.density.kind == LEBESGUE:
-            return lebesgue_closed_form(r, z)
-        return self._value(r, z)
+        """V(r, z) for r >= 0; +inf on the rod (r = 0, 0 < z <= L)."""
+        return self._scalar(float(r), None, float(z))
 
     def value_log_r(self, t, z):
-        """V(e^t, z) with the radius given in log space (t may be far below
-        the underflow threshold; handled exactly for the lebesgue profile)."""
-        z = float(z)
-        if self.density.kind == LEBESGUE:
-            return lebesgue_closed_form(0.0, z, log_r=t)
-        if t == -INF and 0.0 < z <= self.density.length:
-            return INF
-        return self._value(math.exp(t) if t > -745 else 0.0, z, t)
+        """V(e^t, z) at log-radius t, also far below the underflow threshold
+        of e^t; +inf on the rod (t = -inf, 0 < z <= L)."""
+        return self._scalar(None, float(t), float(z))
 
     def value_by_quadrature(self, r, z):
-        """V by the panel quadrature, also for the lebesgue profile (the
-        cross-check of its closed form)."""
-        r, z = float(r), float(z)
-        if _on_rod(self.density.length, r, z):
+        """V(r, z) by the panel quadrature, also for the lebesgue profile
+        (the cross-check of its closed form); +inf on the rod."""
+        return self._scalar(float(r), None, float(z), closed_form=False)
+
+    def _scalar(self, r, t, z, closed_form=True):
+        """The scalar door: V at the radius r (t None) or the log-radius t
+        (r None), by the lebesgue closed form or else the one-lane
+        quadrature.  +inf on the rod, RangeError where e^t overflows."""
+        if t is None:
+            if r < 0:
+                raise DomainError("radius must be nonnegative")
+            t = math.log(r) if r > 0 else -INF
+        if t == -INF and 0.0 < z <= self.density.length:
             return INF
-        return self._value(r, z)
+        if t > MAX_LOG_RADIUS:
+            raise RangeError(f"radius e^{t} at z={z} overflows")
+        if closed_form and self.density.kind == LEBESGUE:
+            return lebesgue_closed_form(t, z)
+        if r is None:
+            r = math.exp(t) if t > -745 else 0.0
+        return float(self._evaluate(np.array([r]), np.array([t]), np.array([z]))[0][0])
 
     def value_slope_log_r(self, t, z):
-        """V(e^t, z) and its slope dV/dt = r dV/dr on arrays of log-radius t
-        and height z (broadcast against each other): the closed form of the
-        lebesgue profile, the panel quadrature of every other density."""
-        if self.density.kind == LEBESGUE:
-            return lebesgue_value_slope(t, z)
-        t, z = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(z, dtype=float))
+        """The array door: V(e^t, z) and its slope dV/dt = r dV/dr on arrays
+        of log-radius t and height z (broadcast against each other), by the
+        closed form of the lebesgue profile and the panel quadrature of every
+        other density.  DomainError on the rod (t = -inf, 0 < z <= L),
+        RangeError where e^t overflows."""
+        t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
+        if t.shape != z.shape:
+            t, z = np.broadcast_arrays(t, z)
         if np.any((t == -INF) & (z > 0.0) & (z <= self.density.length)):
             raise DomainError("rod point (r=0, 0 < z <= L) is outside the domain of V")
-        with np.errstate(over="ignore"):
-            r = np.where(t > -745.0, np.exp(t), 0.0)
+        over = t > MAX_LOG_RADIUS
+        if over.any():
+            k = int(np.argmax(over))
+            raise RangeError(f"radius e^{t.flat[k]} at z={z.flat[k]} overflows")
+        if self.density.kind == LEBESGUE:
+            return lebesgue_value_slope(t, z)
+        r = np.where(t > -745.0, np.exp(t), 0.0)
         v, slope = self._evaluate(r.ravel(), t.ravel(), z.ravel())
         return v.reshape(t.shape), slope.reshape(t.shape)
-
-    def _value(self, r, z, t=None):
-        t = _log_radius_of(r, t)
-        return float(self._evaluate(np.array([r]), np.array([t]), np.array([z]))[0][0])
 
     def _evaluate(self, r, t, z):
         """V and dV/dt on 1-d arrays of radius r, its log t (r = 0 where e^t
@@ -343,13 +330,17 @@ class PotentialField:
         so that no panel but the ones at s and at 0 is longer than 5.67
         times its distance from either point.
         The error estimate is |HIGH - LOW| summed over the panels, plus one
-        rounding unit of V."""
+        rounding unit of V.  RangeError for the first lane out of range."""
         rho = self.density
         L = rho.length
         n = len(z)
         s = np.clip(z, 0.0, L)
         d = z - s                          # 0 over the rod
         peak = np.hypot(r, d)
+        # graded below floor, panel ends turn subnormal or L / depth overflows
+        floor = TINY * max(L, 1.0)
+        _out_of_range(~((floor <= peak) & (peak <= MAX_DISTANCE)), r, z,
+                      "the peak width is subnormal or beyond MAX_DISTANCE")
         toward_peak = _graded_offsets(L, peak)
         ends = [-s[:, None], (L - s)[:, None], np.zeros((n, 1)), toward_peak, -toward_peak]
         if rho.kind == POWER:
@@ -357,6 +348,8 @@ class PotentialField:
             # nearest other panel end, so that only the panel at 0 touches it
             others = s[:, None] + np.concatenate(ends, axis=1)
             nearest = np.min(np.where(others > 0.0, others, L), axis=1)
+            _out_of_range(~(nearest >= floor), r, z, "the panel ends near "
+                          "zeta = 0 are below the smallest normal float")
             ends.append(_graded_offsets(L, nearest) - s[:, None])
         elif rho.kind == TABULATED:
             ends.append(rho.samples[None, :, 0] - s[:, None])   # kinks

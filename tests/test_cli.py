@@ -70,6 +70,15 @@ def test_numerical_failure_exit_code(tmp_path):
     res = run_cli(["contour", "--set", "levels=[1e9]"], tmp_path)
     assert res.returncode == 2
     assert json.loads(res.stderr)["error"] == "numerical"
+    # a peak width of 1e-310 is subnormal: the quadrature's RangeError keeps
+    # the contract of one JSON line on stderr
+    res = run_cli(["potential-grid", "--set", 'density={"kind":"power","p":0.5}',
+                   "--set", "r_range=[0.0,1.0]", "--set", "z_range=[-1e-310,-1e-310]",
+                   "--set", "n_r=2", "--set", "n_z=2"], tmp_path)
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "numerical"
 
 
 def test_round_trip_reproducibility(tmp_path):

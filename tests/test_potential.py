@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cusplab import density, potential
-from cusplab.errors import AccuracyError, DomainError, InputError
+from cusplab.errors import AccuracyError, DomainError, InputError, RangeError
 
 # frozen oracle values: antiderivative of the linear density gives
 # V(r, 0) = sqrt(1 + r^2) - r, and on the axis above the rod
@@ -27,7 +27,7 @@ def test_v00_is_one(leb):
 
 def test_value_at_unit_radius(leb):
     assert leb.value(1.0, 0.0) == pytest.approx(SQRT2_M1, rel=1e-12)
-    assert potential.lebesgue_closed_form(1.0, 0.0) == pytest.approx(SQRT2_M1, rel=1e-12)
+    assert potential.lebesgue_closed_form(0.0, 0.0) == pytest.approx(SQRT2_M1, rel=1e-12)
 
 
 def test_axis_value_above_rod(leb):
@@ -43,9 +43,17 @@ def test_rod_points_hit_infinity_sentinel(leb):
     assert leb.value(0.0, 1.0) == math.inf
 
 
-def test_closed_form_raises_on_rod():
+RODS = {"lebesgue": density.lebesgue_profile(), "power 1/2": density.power_profile(0.5)}
+
+
+@pytest.mark.parametrize("name", sorted(RODS))
+def test_scalar_door_reads_inf_and_array_door_raises_on_the_rod(name):
+    field = potential.PotentialField(RODS[name])
+    assert field.value(0.0, 0.5) == math.inf
+    assert field.value_log_r(-math.inf, 0.5) == math.inf
+    assert field.value_by_quadrature(0.0, 0.5) == math.inf
     with pytest.raises(DomainError):
-        potential.lebesgue_closed_form(0.0, 0.5)
+        field.value_slope_log_r(-math.inf, 0.5)
 
 
 def test_monotone_decrease_in_r(leb):
@@ -77,12 +85,6 @@ def test_tiny_radius_is_stable(leb):
     # and far below the underflow threshold via the log-radius entry
     v2 = leb.value_log_r(-2500.0, 1e-4)
     assert math.isfinite(v2)
-
-
-def test_kellogg_variant():
-    assert potential.kellogg_closed_form(1.0, 0.0) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        potential.kellogg_closed_form(0.0, 0.5)
 
 
 def test_lanes_next_to_the_rod_match_mpmath(mp_value_slope):
@@ -223,7 +225,7 @@ def _mpmath_value_slope(t, z):
 @given(t=st.floats(-700.0, 7.0), z=HEIGHTS)
 def test_array_closed_form_matches_scalar(t, z):
     v, slope = potential.lebesgue_value_slope(t, z)
-    ref = potential.lebesgue_closed_form(0.0, z, log_r=t)
+    ref = potential.lebesgue_closed_form(t, z)
     # numpy's exp/hypot/log round differently from math's in rare last bits
     assert abs(float(v) - ref) <= 4.0 * EPS * _rounding_scale(t, z, ref)
     assert math.isfinite(float(slope)) and float(slope) <= 0.0
@@ -261,7 +263,7 @@ def test_array_closed_form_broadcasts_and_guards_the_rod(leb):
     np.testing.assert_allclose(v, [leb.value_log_r(tk, 0.25) for tk in t],
                                rtol=4.0 * EPS, atol=0.0)
     with pytest.raises(DomainError):
-        potential.lebesgue_value_slope(-math.inf, 0.5)
+        leb.value_slope_log_r(-math.inf, 0.5)
     # every density has the array form; over the rod it is the quadrature's
     field = potential.PotentialField(density.power_profile(2.0))
     v, slope = field.value_slope_log_r(t[1:, None], np.array([0.25, 1.5]))
@@ -340,6 +342,35 @@ def test_unmeetable_tolerance_raises():
     field = potential.PotentialField(rod, rel_tol=1e-12)
     for r, z in [(1e-12, 0.5), (1e-12, 1.0), (1e-9, 1e-9), (1e-3, -1e-9), (2.0, 3.0)]:
         assert math.isfinite(field.value(r, z))
+
+
+def test_subnormal_grading_depth_raises_range_error():
+    # the peak width is 1e-310 off the rod end and NEAR_ROD * 1e-300 = 1e-312
+    # over it: top / depth would overflow the panel count
+    field = potential.PotentialField(QUADRATURE_PROFILES["power 1/2"])
+    with pytest.raises(RangeError, match=r"V\(0\.0, -1e-310\)"):
+        field.value(0.0, -1e-310)
+    with pytest.raises(RangeError, match=r"1e-300\)"):
+        field.value_slope_log_r(-800.0, 1e-300)
+
+
+@pytest.mark.parametrize("name", sorted(RODS))
+@pytest.mark.parametrize("t", [300.0, 356.0, 400.0, 710.0, 800.0])
+def test_doors_agree_at_huge_radii(name, t):
+    # the quadrature's r^3 overflows from t = 236.6 (its slope terms would
+    # underflow, and from t = 355 so would V's) and e^t from t = 709.8; the
+    # lebesgue closed form reads V ~ 1/(2 e^t) until e^t overflows
+    field = potential.PotentialField(RODS[name])
+    if name == "lebesgue" and t < potential.MAX_LOG_RADIUS:
+        v, slope = field.value_slope_log_r(t, 0.5)
+        assert float(v) == pytest.approx(field.value_log_r(t, 0.5), rel=4.0 * EPS)
+        assert float(v) == pytest.approx(0.5 * math.exp(-t), rel=1e-12)
+        assert float(slope) == pytest.approx(-float(v), rel=1e-12)
+        return
+    with pytest.raises(RangeError):
+        field.value_log_r(t, 0.5)
+    with pytest.raises(RangeError):
+        field.value_slope_log_r(t, 0.5)
 
 
 @pytest.mark.parametrize("name", sorted(QUADRATURE_PROFILES))
