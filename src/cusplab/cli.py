@@ -58,6 +58,8 @@ _SCHEMA = {
 
 # the JSON type a key with a null default takes when it is given a value
 _NULLABLE = {"r_min": "number", "output_dir": "string"}
+# the probe sources a config can name: the FEM one needs a solution object
+_SOURCES = ("oracle", "wos")
 # keys read as a pair (lo, hi); contour's levels are any number of levels
 _PAIRS = ("levels", "r_range", "z_range")
 # the keys nested in density and data objects, each with a value of its type
@@ -135,6 +137,9 @@ def validate_config(cmd, cfg):
                          f"(allowed: {sorted(defaults.keys() | {'subcommand'})})")
     for key, value in cfg.items():
         _check_type(cmd, key, value, defaults[key])
+    if cfg.get("source", "oracle") not in _SOURCES:
+        raise InputError(f"config key 'source' must be one of {list(_SOURCES)}, "
+                         f"got {cfg['source']!r}")
     cfg = copy.deepcopy({**defaults, **cfg})
     _field(cfg)                # building the objects checks the nested values
     if "data" in cfg:
@@ -279,11 +284,12 @@ def cmd_probe(cfg, out):
                          "per boundary component")
     alpha = float(data_spec["outer"].get("constant", 0.0))
     beta = float(data_spec["inner"].get("constant", 0.0))
+    data = _build_data(data_spec)
     kwargs = {}
     if source == "wos":
-        kwargs = dict(cross_section=_cross_section(cfg, field),
-                      data=_build_data(data_spec), walks=int(cfg["walks"]),
-                      eps=float(cfg["eps"]), seed=int(cfg["seed"]))
+        kwargs = dict(cross_section=_cross_section(cfg, field), data=data,
+                      walks=int(cfg["walks"]), eps=float(cfg["eps"]),
+                      seed=int(cfg["seed"]))
     paths, rows = [], []
     specs = [("level-curve", c) for c in cfg["probe_levels"]] + [("axis-below",)]
     for pid, spec in enumerate(specs):
@@ -298,7 +304,9 @@ def cmd_probe(cfg, out):
                          float(err)))
     _write_csv(os.path.join(out, "probe.csv"),
                "path,station,r,z,value,stderr", rows)
-    est = probe.limit_set_estimate(paths, datum_at_tip=beta)
+    # the tip is the inner arc's end at arc fraction 0
+    tip = float(data.spec[mesh.INNER](0.0))
+    est = probe.limit_set_estimate(paths, datum_at_tip=tip)
     verdict = {"limit_lo": est.lo, "limit_hi": est.hi,
                "classification": est.classification, "pass": True}
     _write_json(os.path.join(out, "probe_verdict.json"), verdict)

@@ -19,7 +19,7 @@ exactly when V(e^t, z) < c (radius_below).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
 from scipy.optimize import brentq
@@ -108,15 +108,20 @@ def log_radius_at(field, c, z):
     floor of V, where the steps are noise (a root of slope dV/dt is then
     known to about 1e-16 max(1, c) / |dV/dt|).  Each lane keeps its own
     level, bracket and Newton state and its arithmetic is elementwise, so
-    its root is the one it finds alone, bit for bit.  A failing lane raises
-    its RangeError or AccuracyError; with several, the first lane in
-    (level, station) order does.
+    its root is the one it finds alone, bit for bit.  A level at or below
+    CONTOUR_RTOL, where the residual target is at least half the level,
+    raises InputError before any evaluation.  A radius beyond the field's
+    range makes the field raise its RangeError while t_hi steps up, for the
+    whole batch.  Otherwise a failing lane raises its RangeError or
+    AccuracyError; with several, the first lane in (level, station) order
+    does.
     """
     cs, zs = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(z, dtype=float))
     shape = cs.shape
     cs, zs = cs.ravel(), zs.ravel()
-    if not np.all(cs > 0):
-        raise InputError("level must be positive")
+    if not np.all(cs > CONTOUR_RTOL):
+        raise InputError(f"level must be positive, above the residual target "
+                         f"CONTOUR_RTOL = {CONTOUR_RTOL}")
     n = len(zs)
     errors = {}
 
@@ -127,11 +132,8 @@ def log_radius_at(field, c, z):
     while len(lanes):
         lanes = lanes[field.value_slope_log_r(t_hi[lanes], zs[lanes])[0] > cs[lanes]]
         t_hi[lanes] += 2.0
-        for k in lanes[t_hi[lanes] > 710.0]:
-            errors[k] = RangeError(f"no contour radius below e^710 at z={zs[k]}")
-        lanes = lanes[t_hi[lanes] <= 710.0]
     t_lo = np.minimum(t_hi - 2.0, -1.0)
-    lanes = np.array([k for k in range(n) if k not in errors], dtype=int)
+    lanes = np.arange(n)
     while len(lanes):
         lanes = lanes[field.value_slope_log_r(t_lo[lanes], zs[lanes])[0] < cs[lanes]]
         t_lo[lanes] *= 2.0
@@ -210,9 +212,25 @@ def radius_below(field, c, t, z):
     return field.value_log_r(t, z) < c
 
 
-@dataclass
+def _read_only(a, dtype=float):
+    """A read-only copy of the array a."""
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+def _rebuild(value):
+    """__reduce__ of a frozen dataclass: a copy or pickle is rebuilt through
+    __init__ from the fields it takes, so it is frozen again and carries no
+    private state."""
+    return type(value), tuple(getattr(value, f.name) for f in fields(value)
+                              if f.init)
+
+
+@dataclass(frozen=True)
 class ContourCurve:
-    """A traced level set in the meridian half-plane.
+    """A traced level set in the meridian half-plane, a frozen value whose
+    arrays are read-only copies.
 
     samples holds (z, r) rows with z strictly increasing; the two endpoint
     rows carry r = 0 exactly (the curve closes on the axis) and are skipped
@@ -226,6 +244,12 @@ class ContourCurve:
     samples: np.ndarray
     log_r: np.ndarray = dataclass_field(repr=False)
     residuals: np.ndarray = dataclass_field(repr=False)
+
+    def __post_init__(self):
+        for name in ("samples", "log_r", "residuals"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
+    __reduce__ = _rebuild
 
     @property
     def interior(self):

@@ -7,15 +7,14 @@ the element centroid.  Dirichlet values are eliminated (not penalized), the
 reduced system is solved directly by a sparse LU factorisation, and the
 stored energy is the full 2 pi weighted discrete Dirichlet integral.
 
-A mesh is assembled and factored once per fixed-node set: the stiffness
-matrix, the reduced blocks and the LU factor live in private state on the
-mesh and serve every later datum with the same constrained nodes.  The
-state also holds each essential tag's nodes with their arc fractions, so a
-datum is evaluated on arrays, and a uniform bucket grid built on the first
-lookup: point location scans only the triangles of one of its cells.  The
-state keeps copies of the nodes, triangles, node tags and component arcs
-it was built from and is rebuilt when they change.  A solution keeps the
-state it was solved with and looks points up there.
+Every node with an essential tag is fixed, so a mesh is assembled and
+factored once: the stiffness matrix, the reduced blocks and the LU factor
+live in private state on the mesh and serve every datum.  The state also
+holds each essential tag's nodes with their arc fractions, so a datum is
+evaluated on arrays, and a uniform bucket grid built on the first lookup:
+point location scans only the triangles of one of its cells.  A mesh is a
+frozen value, so its state is built once and never goes stale; a copy or
+pickle of a mesh starts without it.
 
 Axis nodes carry no essential condition: the weight r vanishes there, so
 the discrete problem needs none.
@@ -113,12 +112,12 @@ class BoundaryData:
         return cls(ConstantData(outer_value), ConstantData(inner_value), cap)
 
     def node_values(self, mesh):
-        """Values at every constrained node of the mesh, keyed by node id."""
+        """Values at every essential node of the mesh, keyed by node id."""
         ids, values = self._node_values(_state(mesh))
         return dict(zip(ids.tolist(), values.tolist()))
 
     def _node_values(self, state):
-        """The constrained node ids, tag after tag, and their values: in id
+        """The essential node ids, tag after tag, and their values: in id
         order for a spec of arc fraction, in arc order for a table."""
         ids, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
         for tag, spec in self.spec.items():
@@ -174,12 +173,6 @@ class SolutionField:
     residual is the relative residual of the reduced system.  iterations is
     always 0, as the solve is direct; it stays because the benchmark reports
     it as fem.cg_iterations.
-
-    A solution keeps the FEM state of the mesh it was solved on and looks
-    points up in that state's grid and triangles, so it interpolates on the
-    mesh as solved even after the mesh changes, with no staleness check per
-    point.  A copy drops the state, as a copy of a mesh does, and looks
-    points up in the current state of its mesh.
     """
 
     mesh: object
@@ -188,12 +181,10 @@ class SolutionField:
     residual: float
     boundary_values: dict = dataclass_field(repr=False, default_factory=dict)
     iterations: int = 0
-    _mesh_state: object = dataclass_field(default=None, init=False, repr=False,
-                                          compare=False)
 
     def __call__(self, r, z):
         """Barycentric interpolation at a point inside the mesh."""
-        tri = _locate(self._mesh_state or _state(self.mesh), r, z)
+        tri = _locate(_state(self.mesh), r, z)
         if tri is None:
             raise DomainError(f"point (r={r}, z={z}) lies outside the mesh")
         idx, lam = tri
@@ -208,47 +199,37 @@ class _MeshState:
     """What the FEM derives from one mesh.  Built at once: each node's index
     in ESSENTIAL_TAGS (codes) and, per essential tag, its node ids in
     ascending order with their arc fractions (boundary).  Built on first
-    use: the stiffness matrix K, the reduced system of the last fixed-node
-    set with its LU factor, and the point-location grid.  It keeps copies
-    of the mesh fields it was built from (see _state) and no reference to
-    the mesh, so it is freed with the mesh and the solutions solved on it."""
+    use: the factored system (see factor) and the point-location grid.  It
+    holds the mesh's read-only nodes and triangles but not the mesh, so the
+    factor is held in no reference cycle and is freed with the mesh."""
 
     def __init__(self, mesh):
-        self.nodes = mesh.nodes.copy()
-        self.triangles = mesh.triangles.copy()
-        self.node_tags = list(mesh.node_tags)
-        self.component_arcs = {tag: dict(arc)
-                               for tag, arc in mesh.component_arcs.items()}
-        self.codes = _essential_codes(self.node_tags)
+        self.nodes, self.triangles = mesh.nodes, mesh.triangles
+        self.codes = _essential_codes(mesh.node_tags)
         self.boundary = {}
         for k, tag in enumerate(ESSENTIAL_TAGS):
             ids = np.flatnonzero(self.codes == k)
             # a node the tag's arc does not list sits at arc fraction 0
-            arc = self.component_arcs.get(tag, {})
+            arc = mesh.component_arcs.get(tag, {})
             s = np.array([arc.get(i, 0.0) for i in ids.tolist()], dtype=float)
             self.boundary[tag] = ids, s
-        self.K = None
-        self.system = None
+        self.lu = None
         self.grid = None
 
-    def __reduce__(self):
-        # a SuperLU factor can be neither pickled nor copied: a copy of the
-        # mesh or of a solution starts without state, and the mesh builds
-        # its own
-        return type(None), ()
-
-    def stiffness(self, mesh):
-        if self.K is None:
+    def factor(self, mesh):
+        """Built on first use: the stiffness matrix K, the free and fixed
+        (essential) node ids, the blocks K_ff (CSC) and K_fb of K and the LU
+        factor of K_ff."""
+        if self.lu is None:
             self.K = assemble(mesh)
-        return self.K
-
-    def reduced(self, is_fixed):
-        """The reduced system for this fixed-node mask, factored anew when
-        the mask differs from the last one."""
-        if self.system is None or not np.array_equal(self.system.is_fixed,
-                                                     is_fixed):
-            self.system = _ReducedSystem(self.K, is_fixed)
-        return self.system
+            self.free = np.flatnonzero(self.codes < 0)
+            self.fixed = np.flatnonzero(self.codes >= 0)
+            K_free = self.K[self.free]
+            self.K_ff = K_free[:, self.free].tocsc()
+            self.K_fb = K_free[:, self.fixed]
+            if np.any(self.K_ff.diagonal() <= 0):
+                raise MeshError("stiffness diagonal must be positive on free nodes")
+            self.lu = splu(self.K_ff, permc_spec=ORDERING)
 
     def locator(self):
         if self.grid is None:
@@ -257,31 +238,10 @@ class _MeshState:
 
 
 def _state(mesh):
-    """The mesh's FEM state, made afresh when the mesh's nodes, triangles,
-    node tags or component arcs no longer equal the copies the state was
-    built from."""
-    state = mesh._fem
-    if state is None or not (np.array_equal(state.nodes, mesh.nodes)
-                             and np.array_equal(state.triangles, mesh.triangles)
-                             and state.node_tags == mesh.node_tags
-                             and state.component_arcs == mesh.component_arcs):
-        state = mesh._fem = _MeshState(mesh)
-    return state
-
-
-class _ReducedSystem:
-    """One fixed-node mask's free/fixed partition, the blocks K_ff (CSC) and
-    K_fb of the stiffness matrix and the LU factor of K_ff."""
-
-    def __init__(self, K, is_fixed):
-        self.is_fixed = is_fixed
-        self.free, self.fixed = np.flatnonzero(~is_fixed), np.flatnonzero(is_fixed)
-        K_free = K[self.free]
-        self.K_ff = K_free[:, self.free].tocsc()
-        self.K_fb = K_free[:, self.fixed]
-        if np.any(self.K_ff.diagonal() <= 0):
-            raise MeshError("stiffness diagonal must be positive on free nodes")
-        self.lu = splu(self.K_ff, permc_spec=ORDERING)
+    """The mesh's FEM state, built on first use and kept on the mesh."""
+    if mesh._fem is None:
+        object.__setattr__(mesh, "_fem", _MeshState(mesh))
+    return mesh._fem
 
 
 class _BucketGrid:
@@ -373,46 +333,32 @@ def _locate(state, r, z):
 def solve_dirichlet(mesh, data, tol=1e-10):
     """Solve the discrete Dirichlet problem by energy minimization.
 
-    Boundary values are eliminated; the reduced SPD system is solved by a
-    sparse LU factorisation, made once per mesh and fixed-node set and
-    reused by later data.  Its relative residual |rhs - K_ff x| / |rhs| is
-    the solve's certificate: ConvergenceError when it exceeds tol.
+    data is a BoundaryData, which gives a value to every node with an
+    essential tag.  Those values are eliminated; the reduced SPD system is
+    solved by a sparse LU factorisation, made once per mesh and reused by
+    later data.  Its relative residual |rhs - K_ff x| / |rhs| is the
+    solve's certificate: ConvergenceError when it exceeds tol.
     """
     state = _state(mesh)
-    K = state.stiffness(mesh)
-    n = K.shape[0]
-    if isinstance(data, BoundaryData):
-        ids, fixed_values = data._node_values(state)
-        bc = dict(zip(ids.tolist(), fixed_values.tolist()))
-    else:
-        bc = dict(data)
-        ids = np.fromiter(bc, dtype=int, count=len(bc))
-        fixed_values = np.fromiter(bc.values(), dtype=float, count=len(bc))
-    is_fixed = np.zeros(n, dtype=bool)
-    is_fixed[ids] = True
-    missing = state.codes[~is_fixed & (state.codes >= 0)]
-    if len(missing):
-        raise InputError("boundary data missing for tag "
-                         f"{ESSENTIAL_TAGS[missing.min()]!r}")
-
-    system = state.reduced(is_fixed)
-    u = np.zeros(n)
+    state.factor(mesh)
+    ids, fixed_values = data._node_values(state)
+    u = np.zeros(len(state.codes))
     u[ids] = fixed_values
-    rhs = -(system.K_fb @ u[system.fixed])
-    x = system.lu.solve(rhs)
+    rhs = -(state.K_fb @ u[state.fixed])
+    x = state.lu.solve(rhs)
     rhs_norm = np.linalg.norm(rhs)
-    residual = float(np.linalg.norm(rhs - system.K_ff @ x) / rhs_norm) \
+    residual = float(np.linalg.norm(rhs - state.K_ff @ x) / rhs_norm) \
         if rhs_norm > 0 else 0.0
     if not residual <= tol:             # a nan residual fails too
         raise ConvergenceError(
             f"sparse LU residual {residual:.2e} exceeds tol {tol:.1e}",
             stats={"residual": residual})
-    u[system.free] = x
-    energy = 2.0 * math.pi * float(u @ (K @ u))
-    sol = SolutionField(mesh=mesh, values=u, dirichlet_energy=energy,
-                        residual=residual, boundary_values=bc)
-    sol._mesh_state = state
-    return sol
+    u[state.free] = x
+    energy = 2.0 * math.pi * float(u @ (state.K @ u))
+    return SolutionField(mesh=mesh, values=u, dirichlet_energy=energy,
+                         residual=residual,
+                         boundary_values=dict(zip(ids.tolist(),
+                                                  fixed_values.tolist())))
 
 
 def _two_constant(field, A, B, alpha, beta, log_r, z):

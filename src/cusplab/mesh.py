@@ -9,17 +9,22 @@ truncation is collapsed onto the axis, which confines the modelling error
 to cells whose axisymmetric weight r is itself of truncation size.  The
 inner boundary keeps a single cap edge of that radius, so the cusp-cap
 boundary stays tiny while the surrounding cells keep healthy angles.
+Sections and meshes are frozen values, so the FEM and walk-on-spheres
+state kept on them is built once and never goes stale.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
+from types import MappingProxyType
 
 import numpy as np
 
-from .contour import (ContourCurve, _root_in, log_radius_at, polyline_arcs,
-                      radius_below, trace_contours)
+from .contour import (ContourCurve, _read_only, _rebuild, _root_in,
+                      log_radius_at, polyline_arcs, radius_below,
+                      trace_contours)
 from .errors import InputError, MeshError, RangeError
 
 OUTER = "outer-level"
@@ -36,10 +41,11 @@ MIN_ANGLE_FLOOR = 15.0
 CONTAINS_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrossSection:
     """The region between the level-A and level-B contours, with the cusp of
-    the inner contour truncated at z_cut (where r_B = r_min)."""
+    the inner contour truncated at z_cut (where r_B = r_min).  A frozen
+    value: inner_truncated is a read-only copy."""
 
     field: object
     A: float
@@ -47,14 +53,18 @@ class CrossSection:
     r_min: float
     z_cut: float
     outer: ContourCurve                  # full level-A curve
-    inner: ContourCurve                  # level-B curve, traced in full
     inner_truncated: np.ndarray          # (z, r) samples of level B, z >= z_cut
-    axis_segments: tuple                 # ((z1(A), 0), (z2(B), z2(A)))
     # private walk-on-spheres geometry (segments, arc fractions, distance
-    # quadtree): built by cusplab.wos on first use, rebuilt when the
-    # boundary polylines change
+    # quadtree): built by cusplab.wos on first use and kept for the
+    # section's life
     _wos: object = dataclass_field(default=None, init=False, repr=False,
                                    compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "inner_truncated",
+                           _read_only(self.inner_truncated))
+
+    __reduce__ = _rebuild
 
     def boundary_polylines(self):
         """(component, (r, z) polyline) pairs bounding the truncated region.
@@ -115,27 +125,46 @@ def build_cross_section(field, A, B, r_min=None, n_trace=256):
     if r_min is None:
         r_min = 1e-4 * (outer.z2 - outer.z1)
     z_cut, trunc = _truncate_cusp(field, inner, r_min)
-    axis_segments = ((outer.z1, 0.0), (inner.z2, outer.z2))
     return CrossSection(field=field, A=A, B=B, r_min=r_min, z_cut=z_cut,
-                        outer=outer, inner=inner, inner_truncated=trunc,
-                        axis_segments=axis_segments)
+                        outer=outer, inner_truncated=trunc)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mesh:
     """Triangulated cross-section: nodes in (r, z), CCW triangles, and a
-    boundary tag per node plus one tag per boundary edge."""
+    boundary tag per node plus one tag per boundary edge.
+
+    A frozen value: nodes and triangles are read-only copies, node_tags a
+    tuple, and edge_tags and component_arcs (tag -> node id -> arc
+    fraction) read-only mappings.  A mesh with other fields is a new mesh,
+    made by dataclasses.replace."""
 
     nodes: np.ndarray                    # (n, 2) columns r, z
     triangles: np.ndarray                # (m, 3) int indices, CCW
-    node_tags: list
-    edge_tags: dict                      # (i, j) sorted tuple -> tag
-    component_arcs: dict = dataclass_field(default_factory=dict)
+    node_tags: tuple
+    edge_tags: Mapping                   # (i, j) sorted tuple -> tag
+    component_arcs: Mapping = dataclass_field(default_factory=dict)
     z_cut: float = 0.0
     # private FEM state (stiffness, LU factor, point-location grid): built by
-    # cusplab.fem on first use, rebuilt when nodes or triangles change
+    # cusplab.fem on first use and kept for the mesh's life
     _fem: object = dataclass_field(default=None, init=False, repr=False,
                                    compare=False)
+
+    def __post_init__(self):
+        arcs = {tag: MappingProxyType(dict(arc))
+                for tag, arc in self.component_arcs.items()}
+        for name, value in (("nodes", _read_only(self.nodes)),
+                            ("triangles", _read_only(self.triangles, None)),
+                            ("node_tags", tuple(self.node_tags)),
+                            ("edge_tags", MappingProxyType(dict(self.edge_tags))),
+                            ("component_arcs", MappingProxyType(arcs))):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # mapping proxies cannot be pickled: rebuilt from plain dicts
+        arcs = {tag: dict(arc) for tag, arc in self.component_arcs.items()}
+        return Mesh, (self.nodes, self.triangles, self.node_tags,
+                      dict(self.edge_tags), arcs, self.z_cut)
 
     def signed_areas(self):
         return _signed_areas(self.nodes[self.triangles])
@@ -389,7 +418,7 @@ def triangulate(cs, n_levels=8, n_stations=32):
     tris = np.vstack([chosen.reshape(-1, 3), cap])
 
     # orient all triangles CCW in the (r, z) plane
-    rz = nodes[:, ::-1].copy()
+    rz = nodes[:, ::-1]
     area = _signed_areas(rz[tris])
     flat = np.flatnonzero(area == 0.0)
     if len(flat):

@@ -46,8 +46,8 @@ neighbour), so a step never passes the boundary; a walker whose bound falls
 below eps without a certificate of exactness gets the exact distance over
 all segments, so no walk ever stops farther than eps from the boundary.
 The segments, their arc fractions and the tree depend on the cross-section
-alone: they are built on the first estimate and kept on the section (see
-_geometry); the boundary data meet only the exit records.
+alone, a frozen value: they are built on its first estimate and kept on it
+for its life (see _geometry); the boundary data meet only the exit records.
 
 Randomness is counter-based: walks are processed in fixed-size chunks, each
 chunk drawing from its own Philox stream keyed by (seed, chunk index), so
@@ -183,8 +183,7 @@ class _Geometry:
     the quadtree of distance cells over them (see the module docstring)."""
 
     def __init__(self, polylines):
-        # copies of the polylines, to tell when the section has changed
-        self.polylines = [(tag, pl.copy()) for tag, pl in polylines]
+        self.polylines = polylines
         self.segs = _segments(polylines)
         # segment k covers arc fractions s0[k] .. s0[k] + ds[k] of comp[k]
         arcs = [polyline_arcs(pl) for _, pl in polylines]
@@ -193,12 +192,6 @@ class _Geometry:
         self.s0 = np.concatenate([arc[:-1] / arc[-1] for arc in arcs])
         self.ds = np.concatenate([np.diff(arc) / arc[-1] for arc in arcs])
         self._build_tree()
-
-    def matches(self, polylines):
-        return (len(polylines) == len(self.polylines)
-                and all(tag == mine and np.array_equal(pl, copy)
-                        for (tag, pl), (mine, copy) in zip(polylines,
-                                                           self.polylines)))
 
     def _build_tree(self):
         """Split cells level by level, carrying each cell's candidate
@@ -350,16 +343,14 @@ class _Geometry:
 
 
 def _geometry(cs):
-    """The cross-section's _Geometry: the one kept in its _wos field while
-    its polylines stay equal to the copies the geometry holds, else a new
-    one, kept there for the next call.  A section without that field gets
-    a new one on every call."""
-    polylines = _polylines(cs)
+    """The cross-section's _Geometry, built on first use and kept in its
+    _wos field.  A section without that field gets a new one on every
+    call."""
     geo = getattr(cs, "_wos", None)
-    if geo is None or not geo.matches(polylines):
-        geo = _Geometry(polylines)
+    if geo is None:
+        geo = _Geometry(_polylines(cs))
         if hasattr(cs, "_wos"):
-            cs._wos = geo
+            object.__setattr__(cs, "_wos", geo)
     return geo
 
 

@@ -164,6 +164,33 @@ def test_probe_wos_passes_r_min(tmp_path, monkeypatch):
     assert seen and set(seen) == {3e-5}
 
 
+def test_probe_judges_the_tip_against_the_inner_datum(tmp_path):
+    # a table of equal values and a constant give the same boundary
+    # function, so the same verdict: the tip datum is the inner datum at
+    # arc fraction 0, not a constant read from the config
+    verdicts = []
+    for k, inner in enumerate(({"tabulated": [2.0, 2.0]}, {"constant": 2.0})):
+        out = tmp_path / str(k)
+        cli.run("probe", {"output_dir": str(out), "source": "wos", "walks": 200,
+                          "n_stations": 2,
+                          "data": {"outer": {"constant": 2.0}, "inner": inner}})
+        verdicts.append(json.loads((out / "probe_verdict.json").read_text()))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0]["classification"] == "regular-like"
+
+
+def test_probe_source_checked_before_any_directory(tmp_path, capsys):
+    # the FEM source needs a solution object, which no config can give
+    assert cli.main(["probe", "--set", 'source="fem"',
+                     "--output-dir", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "validation"
+    assert "['oracle', 'wos']" in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_reproduce_figures(tmp_path):
     report = cli.run("reproduce-figures", {"output_dir": str(tmp_path)})
     assert report["pass"]

@@ -272,7 +272,10 @@ def test_levels_broadcast_against_stations(leb):
     assert isinstance(contour.log_radius_at(leb, np.float64(2.0), np.float64(0.3)), float)
 
 
-@pytest.mark.parametrize("levels", [[0.5, 0.0, 2.0], [2.0, -1.0], [-0.5]])
+# levels at or below CONTOUR_RTOL, whose residual target is at least half
+# the level, are refused with the nonpositive ones
+@pytest.mark.parametrize("levels", [[0.5, 0.0, 2.0], [2.0, -1.0], [-0.5],
+                                    [0.5, 1e-10], [1e-90], [1e-310, 2.0]])
 def test_nonpositive_level_lanes_raise(leb, levels):
     with pytest.raises(InputError, match="level must be positive"):
         contour.log_radius_at(leb, np.array(levels), 0.3)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from cusplab import density, fem, mesh, potential
-from cusplab.errors import ConvergenceError, DomainError, InputError, MeshError
+from cusplab.errors import ConvergenceError, DomainError, MeshError
 
 THREE_PI = 3.0 * math.pi
 
@@ -46,7 +47,7 @@ def _single_triangle():
 def test_stiffness_matches_planar_for_unit_weight():
     # right triangle with centroid radius scaled to 1
     m = _single_triangle()
-    m.nodes[:, 0] -= m.nodes[:, 0].mean() - 1.0   # r_bar = 1
+    m = dataclasses.replace(m, nodes=m.nodes - [m.nodes[:, 0].mean() - 1.0, 0.0])
     K = fem.assemble(m).toarray()
     expect = 0.5 * np.array([[2.0, -1.0, -1.0],
                              [-1.0, 1.0, 0.0],
@@ -63,8 +64,8 @@ def test_stiffness_rows_sum_to_zero(canonical):
 def test_stiffness_scales_with_radius():
     m1 = _single_triangle()
     K1 = fem.assemble(m1).toarray()
-    m2 = _single_triangle()
-    m2.nodes[:, 0] += 4.0 / 3.0    # doubles the centroid radius
+    # doubles the centroid radius
+    m2 = dataclasses.replace(m1, nodes=m1.nodes + [4.0 / 3.0, 0.0])
     K2 = fem.assemble(m2).toarray()
     assert np.allclose(K2, 2.0 * K1, rtol=1e-12)
 
@@ -75,6 +76,17 @@ def test_constant_data_gives_constant_field(canonical):
     assert sol.dirichlet_energy == pytest.approx(0.0, abs=1e-10)
 
 
+def _tables(m, values):
+    """BoundaryData giving each essential node i of m the value values[i]:
+    one table per tag, in arc order."""
+    tables = []
+    for tag in mesh.ESSENTIAL_TAGS:
+        arc = m.component_arcs.get(tag, {})
+        ids = sorted(m.nodes_with_tag(tag).tolist(), key=lambda i: arc.get(i, 0.0))
+        tables.append(fem.TabulatedData(tuple(float(values[i]) for i in ids)))
+    return fem.BoundaryData(*tables)
+
+
 def test_rectangle_quadratic_reproduced_exactly():
     # r^2 - 2 z^2 is axisymmetric-harmonic; the centroid-weight stiffness is
     # exact for the linear weight, so the interpolant solves the discrete
@@ -83,8 +95,7 @@ def test_rectangle_quadratic_reproduced_exactly():
     exact = lambda r, z: r * r - 2.0 * z * z
     m = mesh.rectangle_mesh(1.0, 2.0, 0.0, 1.0, 8, 8)
     vals = np.array([exact(r, z) for r, z in m.nodes])
-    bc = {i: vals[i] for i, t in enumerate(m.node_tags) if t == "outer-level"}
-    sol = fem.solve_dirichlet(m, bc, tol=1e-13)
+    sol = fem.solve_dirichlet(m, _tables(m, vals), tol=1e-13)
     assert np.abs(sol.values - vals).max() < 1e-9
 
 
@@ -96,8 +107,7 @@ def test_rectangle_point_source_converges_at_h2():
     for n in (4, 8, 16):
         m = mesh.rectangle_mesh(1.0, 2.0, 0.0, 1.0, n, n)
         vals = np.array([exact(r, z) for r, z in m.nodes])
-        bc = {i: vals[i] for i, t in enumerate(m.node_tags) if t == "outer-level"}
-        sol = fem.solve_dirichlet(m, bc, tol=1e-13)
+        sol = fem.solve_dirichlet(m, _tables(m, vals), tol=1e-13)
         errs.append(np.abs(sol.values - vals).max())
     rates = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert all(1.6 <= r <= 2.6 for r in rates), (errs, rates)
@@ -170,7 +180,7 @@ def test_superposition(canonical):
     s2 = fem.solve_dirichlet(canonical, d2, tol=1e-12)
     combo = {i: 2.0 * s1.boundary_values[i] + s2.boundary_values[i]
              for i in s1.boundary_values}
-    s3 = fem.solve_dirichlet(canonical, combo, tol=1e-12)
+    s3 = fem.solve_dirichlet(canonical, _tables(canonical, combo), tol=1e-12)
     assert np.abs(s3.values - (2.0 * s1.values + s2.values)).max() < 1e-8
 
 
@@ -230,13 +240,6 @@ def test_oracle_on_level_curve(leb):
     assert val == pytest.approx(1.5, abs=1e-9)
 
 
-def test_missing_tag_data_rejected(canonical):
-    bc = {i: 1.0 for i, t in enumerate(canonical.node_tags)
-          if t == "outer-level"}
-    with pytest.raises(InputError):
-        fem.solve_dirichlet(canonical, bc)
-
-
 def test_residual_certificate_raises(canonical):
     # the direct solve reaches about 1e-15, never 1e-20
     with pytest.raises(ConvergenceError) as err:
@@ -274,77 +277,61 @@ def _assert_same_solution(got, want):
 
 
 def test_reused_factor_is_exact(canonical):
-    # a deep copy of a solved mesh starts without FEM state and factors anew
+    # a deep copy or pickle of a solved mesh is frozen, starts without FEM
+    # state and factors anew; so does the mesh of a copied solution
     data = _canonical_data(canonical)
     first = {kind: fem.solve_dirichlet(canonical, d, tol=1e-12)
              for kind, d in data.items()}
-    twin = copy.deepcopy(canonical)
-    assert twin._fem is None
-    for kind, d in data.items():
-        for m in (canonical, twin):
-            _assert_same_solution(fem.solve_dirichlet(m, d, tol=1e-12),
-                                  first[kind])
+    points = [tuple(canonical.nodes[canonical.triangles[k]].mean(axis=0))
+              for k in (10, 40, 90)]
+    for twin in (copy.deepcopy(canonical), pickle.loads(pickle.dumps(canonical))):
+        assert twin._fem is None
+        assert not twin.nodes.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.z_cut = 0.0
+        for kind, d in data.items():
+            for m in (canonical, twin):
+                got = fem.solve_dirichlet(m, d, tol=1e-12)
+                _assert_same_solution(got, first[kind])
+                assert [got(*p) for p in points] == [first[kind](*p) for p in points]
+    sol = copy.deepcopy(first["bump"])
+    assert sol.mesh is not canonical and sol.mesh._fem is None
+    assert [sol(*p) for p in points] == [first["bump"](*p) for p in points]
 
 
-def _fresh(m):
-    return mesh.Mesh(nodes=m.nodes.copy(), triangles=m.triangles.copy(),
-                     node_tags=list(m.node_tags), edge_tags=dict(m.edge_tags),
-                     component_arcs=m.component_arcs, z_cut=m.z_cut)
+def _fresh(m, **changes):
+    """A mesh built from copies of m's fields, with the given ones changed."""
+    fields = dict(nodes=m.nodes.copy(), triangles=m.triangles.copy(),
+                  node_tags=list(m.node_tags), edge_tags=dict(m.edge_tags),
+                  component_arcs={tag: dict(arc)
+                                  for tag, arc in m.component_arcs.items()},
+                  z_cut=m.z_cut)
+    return mesh.Mesh(**{**fields, **changes})
 
 
-def test_mesh_state_is_never_stale(cs):
+def test_replaced_mesh_solves_like_a_fresh_one(cs):
     m = mesh.triangulate(cs, n_levels=8, n_stations=32)
     data = fem.BoundaryData(fem.BumpData(0.4, 0.25, 2.5), fem.ConstantData(-0.5))
-
-    def check(d):
-        point = tuple(m.nodes[m.triangles[40]].mean(axis=0))
-        got, want = fem.solve_dirichlet(m, d), fem.solve_dirichlet(_fresh(m), d)
+    base = fem.solve_dirichlet(m, data)
+    # an interior node joins the outer level, at arc fraction 0, and the
+    # outer arc's first node moves onto the bump's peak
+    tags = list(m.node_tags)
+    tags[int(m.nodes_with_tag(mesh.INTERIOR)[5])] = mesh.OUTER
+    outer = dict(m.component_arcs[mesh.OUTER])
+    outer[min(outer, key=outer.get)] = 0.4
+    for changes in ({"nodes": m.nodes * [1.25, 1.0]},
+                    {"triangles": m.triangles[::-1].copy()},
+                    {"node_tags": tags},
+                    {"component_arcs": {**m.component_arcs, mesh.OUTER: outer}}):
+        moved = dataclasses.replace(m, **changes)
+        assert moved._fem is None
+        got = fem.solve_dirichlet(moved, data)
+        want = fem.solve_dirichlet(_fresh(m, **changes), data)
         _assert_same_solution(got, want)
+        assert got.boundary_values == want.boundary_values
+        point = tuple(moved.nodes[moved.triangles[40]].mean(axis=0))
         assert got(*point) == want(*point)
-
-    check(data)
-    m.nodes[:, 0] *= 1.25          # moved in place: new stiffness and grid
-    check(data)
-    m.triangles = m.triangles[::-1].copy()      # same cells, new order
-    check(data)
-    # a datum that also fixes interior nodes needs its own factor
-    bc = data.node_values(m)
-    bc.update((int(i), 0.1) for i in m.nodes_with_tag(mesh.INTERIOR)[::7])
-    check(bc)
-    check(data)
-    outer_only = {i: v for i, v in bc.items() if m.node_tags[i] == mesh.OUTER}
-    with pytest.raises(InputError):
-        fem.solve_dirichlet(m, outer_only)
-    with pytest.raises(ConvergenceError):
-        fem.solve_dirichlet(m, data, tol=1e-20)
-    # retagged in place: an interior node joins the outer level, at arc
-    # fraction 0, and fixes one more node
-    m.node_tags[int(m.nodes_with_tag(mesh.INTERIOR)[5])] = mesh.OUTER
-    check(data)
-    # an arc fraction moved in place onto the bump's peak
-    arc = m.component_arcs[mesh.OUTER]
-    node = min(arc, key=arc.get)
-    arc[node] = 0.4
-    check(data)
-
-
-def test_solution_reads_the_mesh_it_was_solved_on(cs):
-    m = mesh.triangulate(cs, n_levels=8, n_stations=32)
-    sol = fem.solve_dirichlet(m, fem.BoundaryData(fem.BumpData(0.4, 0.25, 2.5),
-                                                  fem.ConstantData(-0.5)))
-    centroids = [tuple(m.nodes[m.triangles[k]].mean(axis=0)) for k in (10, 40, 90)]
-    nodes = [int(m.triangles[k, 0]) for k in (10, 40, 90)]
-    before = [sol(r, z) for r, z in centroids]
-    m.nodes[:, 0] *= 1.25          # moved in place after the solve
-    assert [sol(r, z) for r, z in centroids] == before
-    for i in nodes:
-        assert sol(1.0 / 1.25 * m.nodes[i, 0], m.nodes[i, 1]) \
-            == pytest.approx(sol.values[i], abs=1e-12)
-    # a copy keeps no FEM state and looks points up in the moved mesh
-    for twin in (dataclasses.replace(sol), copy.deepcopy(sol)):
-        assert twin._mesh_state is None
-        got = [twin(1.25 * r, z) for r, z in centroids]
-        assert got == pytest.approx(before, abs=1e-12)
+        assert "triangles" in changes or not np.array_equal(got.values, base.values)
 
 
 def _solve_reference(m, bc):
@@ -451,8 +438,10 @@ def test_assemble_matches_element_loop(canonical):
 
 def test_assemble_names_first_flipped_element():
     m = mesh.rectangle_mesh(1.0, 2.0, 0.0, 1.0, 4, 4)
+    tris = m.triangles.copy()
     for k in (5, 9):
-        m.triangles[k] = m.triangles[k, [0, 2, 1]]
+        tris[k] = tris[k, [0, 2, 1]]
+    m = dataclasses.replace(m, triangles=tris)
     with pytest.raises(MeshError, match=re.escape(str(m.triangles[5]))):
         fem.assemble(m)
 

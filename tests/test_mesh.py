@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,14 +27,6 @@ def canonical(cs):
     return mesh.triangulate(cs, n_levels=8, n_stations=32)
 
 
-def test_cross_section_axis_segments(cs):
-    (lo_a, lo_b), (hi_a, hi_b) = cs.axis_segments
-    assert lo_a == pytest.approx(-0.39795254731591654, abs=1e-6)
-    assert lo_b == 0.0
-    assert hi_a == pytest.approx(1.06328706887776254, abs=1e-6)
-    assert hi_b == pytest.approx(1.71582021485871949, abs=1e-6)
-
-
 def test_cross_section_z_cut(cs):
     assert cs.z_cut == pytest.approx(Z_CUT_1E4, abs=1e-6)
     assert cs.inner_truncated[0, 1] == pytest.approx(1e-4, rel=1e-6)
@@ -45,6 +38,31 @@ def test_cross_section_level_ordering(leb):
         mesh.build_cross_section(leb, 1.5, 2.0)      # A above V(0,0)
     with pytest.raises(InputError):
         mesh.build_cross_section(leb, 0.5, 0.9)      # B below V(0,0)
+
+
+def test_curves_sections_and_meshes_are_frozen(cs, canonical):
+    curve = cs.outer
+    writes = [(canonical.nodes, (0, 0), 1.0), (canonical.triangles, (0, 0), 1),
+              (canonical.node_tags, 0, mesh.INTERIOR),
+              (canonical.edge_tags, (0, 1), mesh.AXIS),
+              (canonical.component_arcs, mesh.AXIS, {}),
+              (canonical.component_arcs[mesh.OUTER], 0, 0.5),
+              (cs.inner_truncated, (5, 1), 1.0), (curve.samples, (1, 1), 1.0),
+              (curve.interior, (0, 1), 1.0), (curve.log_r, 1, 0.0),
+              (curve.residuals, 0, 0.0)]
+    for container, key, value in writes:
+        with pytest.raises((ValueError, TypeError)):
+            container[key] = value
+    for value in (curve, cs, canonical):
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, None)
+    # a mesh copies the arrays it is given
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    m = mesh.Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]),
+                  node_tags=["outer-level"] * 3, edge_tags={})
+    nodes[0, 0] = 5.0
+    assert m.nodes[0, 0] == 0.0 and not m.nodes.flags.writeable
 
 
 def test_canonical_mesh_invariants(canonical):

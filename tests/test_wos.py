@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -504,28 +505,27 @@ def _counting_builds(monkeypatch):
     return builds
 
 
-def test_section_keeps_its_geometry(deep_cs, monkeypatch):
+def test_section_copies_start_without_geometry(deep_cs, monkeypatch):
     builds = _counting_builds(monkeypatch)
     # a section of its own, not yet with a geometry; the points and seeds
     # of criterion 11, with fewer walks
-    sec = dataclasses.replace(copy.deepcopy(deep_cs))
+    sec = dataclasses.replace(deep_cs)
+    assert sec._wos is None
     data = fem.BoundaryData.constants(0.5, 2.0)
     points = [(0.5, 0.5), (0.3, -0.1), (0.45, 1.0), (0.2, 0.2), (0.6, 0.6)]
     run = lambda s, k, r, z: wos.estimate(s, data, (r, 0.0, z), walks=200,
                                           eps=5e-5, seed=1000 + k)
     first = [run(sec, k, r, z) for k, (r, z) in enumerate(points)]
+    assert [run(sec, k, r, z) for k, (r, z) in enumerate(points)] == first
     assert len(builds) == 1
-    # a deep copy carries the geometry and gives the same estimates
-    twin = copy.deepcopy(sec)
-    assert [run(twin, k, r, z) for k, (r, z) in enumerate(points)] == first
-    assert len(builds) == 1
-    # a changed polyline rebuilds it, once, and matches a fresh section
-    sec.inner_truncated[5, 1] *= 1.001
-    moved = run(sec, 0, *points[0])
-    assert len(builds) == 2
-    assert run(sec, 0, *points[0]) == moved and len(builds) == 2
-    assert run(dataclasses.replace(sec), 0, *points[0]) == moved
-    assert run(twin, 0, *points[0]) == first[0] and len(builds) == 3
+    # a deep copy or pickle is frozen, builds a geometry of its own and
+    # gives the same estimates
+    for n, twin in enumerate((copy.deepcopy(sec), pickle.loads(pickle.dumps(sec))), 2):
+        assert twin._wos is None and not twin.inner_truncated.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.r_min = 1e-4
+        assert [run(twin, k, r, z) for k, (r, z) in enumerate(points)] == first
+        assert len(builds) == n
 
 
 def test_preconditions(cs, ball, ball_data):
