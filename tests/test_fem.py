@@ -299,6 +299,31 @@ def test_reused_factor_is_exact(canonical):
     assert [sol(*p) for p in points] == [first["bump"](*p) for p in points]
 
 
+def test_solution_reads_the_mesh_it_was_solved_on(cs):
+    m = mesh.triangulate(cs, n_levels=8, n_stations=32)
+    sol = fem.solve_dirichlet(m, fem.BoundaryData(fem.BumpData(0.4, 0.25, 2.5),
+                                                  fem.ConstantData(-0.5)))
+    centroids = [tuple(m.nodes[m.triangles[k]].mean(axis=0)) for k in (10, 40, 90)]
+    nodes = [int(m.triangles[k, 0]) for k in (10, 40, 90)]
+    before = [sol(r, z) for r, z in centroids]
+    with pytest.raises(ValueError):
+        m.nodes[:, 0] *= 1.25          # a mesh cannot be moved in place
+    # a moved mesh is a new mesh; the solution still reads the one it was
+    # solved on
+    moved = dataclasses.replace(m, nodes=m.nodes * [1.25, 1.0])
+    assert sol.mesh is m
+    assert [sol(r, z) for r, z in centroids] == before
+    for i in nodes:
+        assert sol(*m.nodes[i]) == pytest.approx(sol.values[i], abs=1e-12)
+    assert fem.solve_dirichlet(moved, fem.BoundaryData(
+        fem.BumpData(0.4, 0.25, 2.5), fem.ConstantData(-0.5))).mesh is moved
+    assert m._fem is not moved._fem
+    # a copy looks points up in a mesh equal to the one it was solved on
+    for twin in (dataclasses.replace(sol), copy.deepcopy(sol)):
+        got = [twin(r, z) for r, z in centroids]
+        assert got == pytest.approx(before, abs=1e-12)
+
+
 def _fresh(m, **changes):
     """A mesh built from copies of m's fields, with the given ones changed."""
     fields = dict(nodes=m.nodes.copy(), triangles=m.triangles.copy(),
