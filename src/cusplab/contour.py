@@ -5,13 +5,17 @@ All radial root-finding happens in t = log r.  The cusp of a level c above
 V(0,0) spans hundreds of decades in r (r ~ e^{-alpha/rho(z)}), so bisection
 in r itself would stall at double-precision resolution, while t stays a
 perfectly ordinary float.  Over the rod V is nearly linear in t
-(V ~ -2 rho(z) t), so Newton steps in t on V and its slope converge in a
-few steps.  There is one root path for every density: log_radius_at solves
-any number of (level, station) lanes in one batch of array evaluations of
-PotentialField.value_slope_log_r (the closed form of the lebesgue profile,
-the panel quadrature of every other density, continued linearly in t next
-to the rod), and trace_contours solves the stations of all its levels in
-one such batch.  Where only the side of a root matters, no root is
+(V ~ -2 rho(z) t), and off it, next to the axis, V(0, z) - V grows like
+e^{2t}; a step on the matching model of V and its slope lands close to
+the root from far away, so each lane brackets its root by jumping past
+it along that step and then converges by Newton steps from the better
+bracket end, in a few evaluations.  There is one root path for every
+density: log_radius_at solves any number of (level, station) lanes in
+one batch of array evaluations of PotentialField.value_slope_log_r (the
+closed form of the lebesgue profile, the panel quadrature of every other
+density, continued linearly in t next to the rod), and trace_contours
+solves the stations of all its levels in one such batch, whose accepted
+residuals it keeps.  Where only the side of a root matters, no root is
 solved: V falls strictly in r, so the level-c radius at z lies below e^t
 exactly when V(e^t, z) < c (radius_below).
 """
@@ -31,7 +35,7 @@ EPS = np.finfo(float).eps
 
 # residual target |V - c| for roots on a contour
 CONTOUR_RTOL = 1e-10
-# a root's bracket doubles down in log-radius no further than -BRACKET_DEPTH
+# a root's bracket reaches down in log-radius no further than -BRACKET_DEPTH
 BRACKET_DEPTH = 1e300
 # smallest radius radius_at() will report as a plain float
 MIN_RADIUS = 1e-300
@@ -97,12 +101,20 @@ def log_radius_at(field, c, z):
     are scalars.  Works arbitrarily deep in the cusp of every density; the
     returned t can be far below the underflow threshold of r itself.
 
-    Every lane brackets its root by stepping t up from 0 and then
-    doubling it down from -1.  All lanes are solved together: Newton
-    steps in t on V and its slope, bisecting whenever a step leaves the
-    bracket, does not halve the previous step or has no finite slope.  A
-    lane is done once |V - c| <= CONTOUR_RTOL max(1, c) / 2 and either
-    the Newton step (the bracket, without a finite slope) is below
+    Every lane starts at t = 0 and steps toward its root by the model
+    step of V and its slope there: the Newton step Delta, as V is nearly
+    linear in t next to the rod, except off the rod at radii below the
+    station's distance d to it (t < log d), where V(0, z) - V ~ e^{2t}
+    and the step is the root log1p(2 Delta) / 2 of that r^2 model (the
+    Newton step where the model has no root, Delta <= -1/2).  While its
+    root is not bracketed, a lane jumps twice the step, up by at most 2
+    (by 2 without a positive step), down by any length (doubling
+    min(t, -1) without a negative step).  Once the root is bracketed,
+    Newton starts at the model root of the bracket end with the smaller
+    residual and takes the model step each time, bisecting whenever a
+    step leaves the bracket, does not halve the previous step or is not
+    finite.  A lane is done once |V - c| <= CONTOUR_RTOL max(1, c) / 2
+    and either the step (the bracket, without a finite step) is below
     1e-14 max(1, |t|) or Newton has stalled after a step: |V - c| did not
     halve or the next step is refused.  That happens only at the rounding
     floor of V, where the steps are noise (a root of slope dV/dt is then
@@ -111,84 +123,104 @@ def log_radius_at(field, c, z):
     its root is the one it finds alone, bit for bit.  A level at or below
     CONTOUR_RTOL, where the residual target is at least half the level,
     raises InputError before any evaluation.  A radius beyond the field's
-    range makes the field raise its RangeError while t_hi steps up, for the
-    whole batch.  Otherwise a failing lane raises its RangeError or
-    AccuracyError; with several, the first lane in (level, station) order
-    does.
+    range makes the field raise its RangeError while a lane steps up, for
+    the whole batch.  Otherwise a failing lane raises its RangeError (no
+    bracket above t = -BRACKET_DEPTH) or AccuracyError (its residual is
+    off target after 300 evaluations); with several, the first lane in
+    (level, station) order does.
     """
     cs, zs = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(z, dtype=float))
-    shape = cs.shape
-    cs, zs = cs.ravel(), zs.ravel()
+    ts = _log_radius_residual(field, cs.ravel(), zs.ravel())[0]
+    return float(ts[0]) if not cs.shape else ts.reshape(cs.shape)
+
+
+def _log_radius_residual(field, cs, zs):
+    """log_radius_at on 1-d arrays of levels and stations: the roots t and
+    the residuals |V(e^t, z) - c| of the evaluations that accepted them."""
     if not np.all(cs > CONTOUR_RTOL):
         raise InputError(f"level must be positive, above the residual target "
                          f"CONTOUR_RTOL = {CONTOUR_RTOL}")
     n = len(zs)
+    out, res = np.zeros(n), np.zeros(n)
     errors = {}
-
-    # bracket: t_hi steps up until V(t_hi) <= c, t_lo doubles down until
-    # V(t_lo) >= c
-    t_hi = np.zeros(n)
-    lanes = np.arange(n)
-    while len(lanes):
-        lanes = lanes[field.value_slope_log_r(t_hi[lanes], zs[lanes])[0] > cs[lanes]]
-        t_hi[lanes] += 2.0
-    t_lo = np.minimum(t_hi - 2.0, -1.0)
-    lanes = np.arange(n)
-    while len(lanes):
-        lanes = lanes[field.value_slope_log_r(t_lo[lanes], zs[lanes])[0] < cs[lanes]]
-        t_lo[lanes] *= 2.0
-        for k in lanes[-t_lo[lanes] > BRACKET_DEPTH]:
-            errors[k] = RangeError(f"no contour bracket for level {cs[k]} at z={zs[k]} "
-                                   f"within log-radius {BRACKET_DEPTH}")
-        lanes = lanes[-t_lo[lanes] <= BRACKET_DEPTH]
-
-    out = np.zeros(n)
-    lanes = np.array([k for k in range(n) if k not in errors], dtype=int)
-    c = cs[lanes]
-    res_accept = CONTOUR_RTOL * np.maximum(1.0, c)
-    lo, hi = t_lo[lanes], t_hi[lanes]
-    t = t_next = 0.5 * (lo + hi)
-    f = np.zeros(len(lanes))
-    last = hi - lo                       # length of the previous step
-    f_last = np.full(len(lanes), INF)    # |V - c| before a Newton step
-    for _ in range(300):
-        if not len(lanes):
-            break
-        t = t_next
-        v, slope = field.value_slope_log_r(t, zs[lanes])
-        f = v - c
-        up = f > 0
-        lo = np.where(up, t, lo)
-        hi = np.where(up, hi, t)
-        with np.errstate(all="ignore"):
+    # per open lane: the next point to evaluate, t_next; the bracket
+    # lo < root <= hi, V(lo) > c >= V(hi), infinite until found; the
+    # residual and model root at the last point evaluated, the other end
+    # when a bracket closes at the next one; the length of the previous
+    # Newton step (inf until the bracket closes) and |V - c| before it
+    # (inf unless it was a Newton step)
+    lanes, z, c = np.arange(n), zs, cs
+    target = 0.5 * CONTOUR_RTOL * np.maximum(1.0, c)
+    t = t_next = np.zeros(n)
+    lo, hi = np.full(n, -INF), np.full(n, INF)
+    af_prev = root_prev = last = f_last = np.full(n, INF)
+    L = field.density.length
+    # steps on a zero or infinite slope read inf or nan
+    with np.errstate(all="ignore"):
+        # log of the station's distance to the rod, -inf over the rod
+        log_d = np.where((z > 0.0) & (z <= L), -INF, np.log(np.maximum(-z, z - L)))
+        for _ in range(300):
+            if not len(lanes):
+                break
+            t = t_next
+            v, slope = field.value_slope_log_r(t, z)
+            f = v - c
+            af = np.abs(f)
             step = -f / slope
-            t_new = t + step
-        finite = np.isfinite(step)
-        take = finite & (np.abs(step) <= 0.5 * last) & (lo < t_new) & (t_new < hi)
-        af = np.abs(f)
-        stalled = (f_last < INF) & ((af >= 0.5 * f_last) | ~take)
-        tol = 1e-14 * np.maximum(1.0, np.abs(t))
-        done = (af <= 0.5 * res_accept) & np.where(
-            finite, (np.abs(step) <= tol) | stalled, hi - lo <= tol)
-        out[lanes[done]] = t[done]
-        t_next = np.where(take, t_new, 0.5 * (lo + hi))
-        f_last = np.where(take, af, INF)
-        last = np.abs(t_next - t)
-        if done.any():          # drop finished lanes
-            keep = ~done
-            lanes, c, res_accept, lo, hi, t, f, t_next, f_last, last = (
-                lanes[keep], c[keep], res_accept[keep], lo[keep], hi[keep], t[keep],
-                f[keep], t_next[keep], f_last[keep], last[keep])
-    # lanes still open after 300 steps keep their last point if its
-    # residual is on target
-    for k, tk, fk, acc in zip(lanes, t, f, res_accept):
-        if abs(fk) > acc:
-            errors[k] = AccuracyError(f"contour residual {abs(fk):.2e} at z={zs[k]}",
+            r2 = t < log_d
+            if r2.any():
+                r2 &= step > -0.5
+                step[r2] = 0.5 * np.log1p(2.0 * step[r2])
+            root = t + step
+            up = f > 0
+            lo, hi = np.where(up, t, lo), np.where(up, hi, t)
+            finite = np.isfinite(step)
+            size = np.abs(step)
+            take = (size <= 0.5 * last) & (lo < root) & (root < hi)
+            stalled = (f_last < INF) & ((af >= 0.5 * f_last) | ~take)
+            tol = 1e-14 * np.maximum(1.0, np.abs(t))
+            done = (af <= target) & np.where(finite, (size <= tol) | stalled, hi - lo <= tol)
+            seeking = np.flatnonzero(last == INF)
+            t_next = np.where(take, root, 0.5 * (lo + hi))
+            last = np.abs(t_next - t)
+            f_last = np.where(take, af, INF)
+            if len(seeking):
+                # a bracket closed at t starts Newton at the model root of the
+                # end with the smaller residual; an open one jumps on
+                s_lo, s_hi, s_t, s_step = lo[seeking], hi[seeking], t[seeking], step[seeking]
+                start = np.where(af_prev[seeking] < af[seeking], root_prev[seeking],
+                                 root[seeking])
+                start = np.where((s_lo < start) & (start < s_hi), start, 0.5 * (s_lo + s_hi))
+                jump = np.where(up[seeking],
+                                s_t + np.where(s_step > 0, np.minimum(2.0 * s_step, 2.0), 2.0),
+                                np.where(s_step < 0, s_t + 2.0 * s_step,
+                                         2.0 * np.minimum(s_t, -1.0)))
+                is_open = np.isinf(s_lo) | np.isinf(s_hi)
+                t_next[seeking] = np.where(is_open, jump, start)
+                last[seeking] = s_hi - s_lo
+                f_last[seeking] = INF
+                lost = seeking[is_open & (jump < -BRACKET_DEPTH) & ~done[seeking]]
+                for k in lanes[lost]:
+                    errors[k] = RangeError(f"no contour bracket for level {cs[k]} at "
+                                           f"z={zs[k]} within log-radius {BRACKET_DEPTH}")
+                done[lost] = True
+            out[lanes[done]], res[lanes[done]] = t[done], af[done]
+            af_prev, root_prev = af, root
+            if done.any():          # drop finished lanes
+                keep = ~done
+                (lanes, z, c, target, log_d, t, t_next, lo, hi, af_prev, root_prev, last,
+                 f_last) = (a[keep] for a in (lanes, z, c, target, log_d, t, t_next, lo, hi,
+                                              af_prev, root_prev, last, f_last))
+    # lanes open after 300 evaluations keep their last point if its residual
+    # is on target
+    for k, tk, fk, half in zip(lanes, t, af_prev, target):
+        if fk > 2.0 * half:
+            errors[k] = AccuracyError(f"contour residual {fk:.2e} at z={zs[k]}",
                                       best_estimate=math.exp(tk) if tk > -745 else 0.0)
-        out[k] = tk
+        out[k], res[k] = tk, fk
     if errors:
         raise errors[min(errors)]
-    return float(out[0]) if not shape else out.reshape(shape)
+    return out, res
 
 
 def radius_at(field, c, z):
@@ -338,8 +370,7 @@ def trace_contours(field, levels, n=64, grading="geometric"):
     sizes = [len(zs) for zs in stations]
     cs = np.repeat(levels, sizes)
     zs = np.concatenate(stations)
-    ts = log_radius_at(field, cs, zs)
-    res = np.abs(field.value_slope_log_r(ts, zs)[0] - cs)
+    ts, res = _log_radius_residual(field, cs, zs)
 
     curves = []
     splits = np.cumsum(sizes)[:-1]

@@ -86,14 +86,14 @@ class CrossSection:
         return self.A - CONTAINS_TOL <= v <= self.B + CONTAINS_TOL
 
 
-def _truncation_height(field, c, r_min):
+def _truncation_height(field, c, r_min, start=None):
     """Height where the level-c cusp radius equals r_min: the root in z of
     V(r_min, z) = c, as V falls strictly in r.  The bracket grows by halving
-    and doubling from 0.5 L, each step asking only which side of r_min the
-    radius at z lies on (radius_below)."""
+    and doubling from start (0.5 L by default), each step asking only which
+    side of r_min the radius at z lies on (radius_below)."""
     target = math.log(r_min)
     thin = lambda z: radius_below(field, c, target, z)
-    hi = 0.5 * field.density.length
+    hi = 0.5 * field.density.length if start is None else start
     while thin(hi):
         hi *= 2.0
         if hi > 10.0 * field.density.length:
@@ -109,8 +109,15 @@ def _truncation_height(field, c, r_min):
 
 def _truncate_cusp(field, curve, r_min):
     """z_cut, where the level curve's cusp thins to r_min, and the curve's
-    (z, r) samples above it led by the corner (z_cut, r_min)."""
-    z_cut = _truncation_height(field, curve.level, r_min)
+    (z, r) samples above it led by the corner (z_cut, r_min).  z_cut is
+    bracketed by the first traced sample at or above r_min and the sample
+    before it (the tip on the axis at the first)."""
+    target = math.log(r_min)
+    k = int(np.argmax(curve.log_r >= target))
+    if curve.log_r[k] < target:
+        raise RangeError(f"level {curve.level} never reaches radius {r_min}")
+    z_cut = _root_in(lambda z: field.value_log_r(target, z) - curve.level,
+                     curve.samples[k - 1, 0], curve.samples[k, 0])
     keep = curve.samples[:, 0] > z_cut
     keep[0] = False                       # drop the tip on the axis
     return z_cut, np.vstack([[z_cut, r_min], curve.samples[keep]])
@@ -190,17 +197,18 @@ def _signed_areas(p):
 
 def _min_angles(p):
     """Minimum angle (degrees) of each triangle of a (k, 3, 2) coordinate
-    array; 0 for a triangle with a zero-length edge."""
-    angles = np.empty(p.shape[:2])
-    for k in range(3):
-        a = p[:, (k + 1) % 3] - p[:, k]
-        b = p[:, (k + 2) % 3] - p[:, k]
-        na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cosv = np.sum(a * b, axis=1) / (na * nb)
-        angles[:, k] = np.degrees(np.arccos(np.clip(cosv, -1.0, 1.0)))
-        angles[(na == 0.0) | (nb == 0.0), k] = 0.0
-    return angles.min(axis=1)
+    array; 0 for a triangle with a zero-length edge.  Edge k runs from
+    corner k to corner k + 1, so the angle at corner k has the cosine
+    -(e_k . e_(k-1)) / (|e_k| |e_(k-1)|); arccos falls, so the smallest
+    angle is the arccos of the largest cosine."""
+    e = [p[:, (k + 1) % 3] - p[:, k] for k in range(3)]
+    x, y = [a[:, 0] for a in e], [a[:, 1] for a in e]
+    length = [np.sqrt(x[k] * x[k] + y[k] * y[k]) for k in range(3)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosv = [-(x[k] * x[k - 1] + y[k] * y[k - 1]) / (length[k] * length[k - 1])
+                for k in range(3)]
+    angle = np.degrees(np.arccos(np.clip(np.maximum.reduce(cosv), -1.0, 1.0)))
+    return np.where(np.minimum.reduce(length) == 0.0, 0.0, angle)
 
 
 def _path_edges(ids):
@@ -316,10 +324,11 @@ def _mesh_truncation_radius(field, B, c_last, r_floor):
     """Truncation radius for meshing: large enough that the cap edge and the
     axis gap to the neighbouring rail tip meet at a healthy angle."""
     r = max(r_floor, 1e-3)
+    z_b = z_last = None           # each pair of heights starts from the last
     for _ in range(12):
-        gap = (_truncation_height(field, B, r)
-               - _truncation_height(field, c_last, r))
-        r_new = max(r_floor, 0.40 * gap)
+        z_b = _truncation_height(field, B, r, z_b)
+        z_last = _truncation_height(field, c_last, r, z_last)
+        r_new = max(r_floor, 0.40 * (z_b - z_last))
         if abs(r_new - r) <= 0.02 * r:
             break
         r = r_new

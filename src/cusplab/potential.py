@@ -383,7 +383,11 @@ class PotentialField:
         g_hi = scale[:, 0] * (f[:, LOW_NODES:] / q[:, LOW_NODES:] * w_hi).sum(axis=1)
         v = np.bincount(lane, v_hi, minlength=n)
         err = np.bincount(lane, np.abs(v_hi - v_lo), minlength=n) + EPS * v
-        return v, -(r * r) * np.bincount(lane, g_hi, minlength=n), err
+        # the slope is r^2 times a sum that overflows within about 1e-103 of
+        # a rod end; where r^2 underflows (below r = 1e-162, off the rod) it
+        # reads 0, exact on the axis
+        r2 = r * r
+        return v, -r2 * np.where(r2 > 0.0, np.bincount(lane, g_hi, minlength=n), 0.0), err
 
 
 @dataclass

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cusplab import contour, density, potential
+from cusplab import contour, density, mesh, potential
 from cusplab.errors import InputError, RangeError
 
 # frozen bisection oracles on the axis closed forms (400-digit arithmetic):
@@ -172,9 +172,10 @@ def test_quadrature_backed_field_traces():
 # -- batched roots ------------------------------------------------------------
 
 def bisection_log_radius(field, c, z):
-    """Reference root of V(e^t, z) = c: the scalar bisection of the same
-    bracket, halved up to 300 times until |V - c| <= CONTOUR_RTOL max(1, c)/2
-    and the bracket is below 1e-14 max(1, |t|); returns its midpoint."""
+    """Reference root of V(e^t, z) = c: the scalar bisection of a bracket
+    stepped up from t = 0 by 2 and doubled down from -1, halved up to 300
+    times until |V - c| <= CONTOUR_RTOL max(1, c)/2 and the bracket is
+    below 1e-14 max(1, |t|); returns its midpoint."""
     val = lambda t: field.value_log_r(t, z)
     t_hi = 0.0
     while val(t_hi) > c:
@@ -216,6 +217,87 @@ def test_batched_roots_match_bisection(leb):
         assert np.all(np.abs(ts - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)) + floor)
         deepest = min(deepest, ts.min())
     assert deepest < -590.0
+
+
+def _assert_roots_match_bisection(field, c, zs):
+    ts = contour.log_radius_at(field, c, zs)
+    ref = np.array([bisection_log_radius(field, c, z) for z in zs])
+    v, slope = field.value_slope_log_r(ts, zs)
+    assert np.all(np.abs(v - c) <= contour.CONTOUR_RTOL * max(1.0, c))
+    floor = 4.0 * np.finfo(float).eps * max(1.0, c) / np.abs(slope)
+    assert np.all(np.abs(ts - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)) + floor)
+    return ts
+
+
+def test_model_steps_match_bisection(leb):
+    # each step of the root search against the scalar bisection: roots at
+    # t > 0, found by stepping up; stations above the rod and below it next
+    # to the axis (r << |z|), where the steps follow the r^2 model
+    z1, z2 = contour.axis_crossings(leb, 0.2)
+    ts = _assert_roots_match_bisection(leb, 0.2, np.linspace(z1, z2, 12)[1:-1])
+    assert ts.max() > 0.9
+    _assert_roots_match_bisection(leb, 2.0, 1.0 + np.geomspace(1e-12, 0.06, 6))
+    z1, z2 = contour.axis_crossings(leb, 0.5)
+    zs = np.concatenate([z1 + np.geomspace(1e-9, 1e-2, 5), z2 - np.geomspace(1e-9, 0.5, 5)])
+    ts = _assert_roots_match_bisection(leb, 0.5, zs)
+    assert np.all(ts[:4] < np.log(-zs[:4]) - 3.0)
+
+
+@pytest.mark.parametrize("rod, c_over_v00, zs", [
+    ("power 2", 0.8, [-0.05, 0.5, 1.02, 1.3]),
+    ("power 2", 1.5, [0.3, 1.05]),
+    ("tabulated", 0.9, [-0.01, 0.55, 1.01]),
+])
+def test_quadrature_model_steps_match_bisection(rod, c_over_v00, zs):
+    if rod == "power 2":
+        rho = density.power_profile(2.0)
+    else:
+        knots = np.linspace(0.0, 1.0, 17)
+        rho = density.tabulated_profile(np.column_stack([knots, knots ** 1.5]))
+    field = potential.PotentialField(rho)
+    _assert_roots_match_bisection(field, c_over_v00 * field.v00, np.array(zs))
+
+
+def _count_evaluations(monkeypatch, field):
+    calls = []
+    value_slope = field.value_slope_log_r
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return value_slope(*args, **kwargs)
+
+    monkeypatch.setattr(field, "value_slope_log_r", counted)
+    return calls
+
+
+def test_root_batches_keep_their_evaluation_budget(leb, monkeypatch):
+    # array evaluations of V per root batch, each the slowest lane's count:
+    # the rail trace of a 24x96 triangulate (26 levels, 192 geometric
+    # stations each), the 512-lane trace of a cross-section and one root
+    # of the power-1/2 rod.  Brackets stepped up by 2 and doubled down from
+    # -1, Newton from the bracket midpoint and one more evaluation for the
+    # traced residuals took 31, 24 and 7
+    calls = _count_evaluations(monkeypatch, leb)
+    levels = [0.5, *mesh._level_values(leb, 0.5, 2.0, 24), 2.0]
+    contour.trace_contours(leb, levels, n=192, grading="geometric")
+    assert len(calls) <= 10
+    calls.clear()
+    contour.trace_contours(leb, [0.5, 2.0], n=256, grading="blended")
+    assert len(calls) <= 9
+    field = potential.PotentialField(density.power_profile(0.5))
+    calls = _count_evaluations(monkeypatch, field)
+    contour.log_radius_at(field, 0.8 * field.v00, 1.02)
+    assert len(calls) <= 6
+
+
+def test_traced_residuals_are_those_of_the_roots(leb):
+    # the residuals a trace keeps come from the evaluations that accepted
+    # its roots: the same bits as evaluating V at the roots again
+    curves = contour.trace_contours(leb, [0.5, 2.0], n=64, grading="blended")
+    for curve in curves:
+        z, t = curve.interior[:, 0], curve.log_r[1:-1]
+        v = leb.value_slope_log_r(t, z)[0]
+        assert curve.residuals.tolist() == np.abs(v - curve.level).tolist()
 
 
 def test_batched_roots_do_not_depend_on_the_batch(leb):

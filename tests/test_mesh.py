@@ -127,13 +127,13 @@ def test_rail_nodes_match_per_rail_roots(cs, leb, monkeypatch):
     # nodes in another; each node is the root its rail finds on its own
     batches = []
     solve = contour.log_radius_at
+    batch = contour._log_radius_residual
 
     def counted(*args, **kwargs):
         batches.append(args)
-        return solve(*args, **kwargs)
+        return batch(*args, **kwargs)
 
-    monkeypatch.setattr(contour, "log_radius_at", counted)
-    monkeypatch.setattr(mesh, "log_radius_at", counted)
+    monkeypatch.setattr(contour, "_log_radius_residual", counted)
     m = mesh.triangulate(cs, n_levels=8, n_stations=32)
     monkeypatch.undo()
     assert len(batches) == 2
@@ -159,6 +159,37 @@ def test_triangulate_preconditions(cs):
         mesh.triangulate(cs, n_levels=2, n_stations=32)
     with pytest.raises(InputError):
         mesh.triangulate(cs, n_levels=8, n_stations=4)
+
+
+def _min_angles_corner_by_corner(p):
+    """The minimum angle of each triangle as the smallest of its three corner
+    angles, each from its own two edge vectors and lengths."""
+    angles = np.empty(p.shape[:2])
+    for k in range(3):
+        a = p[:, (k + 1) % 3] - p[:, k]
+        b = p[:, (k + 2) % 3] - p[:, k]
+        na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cosv = np.sum(a * b, axis=1) / (na * nb)
+        angles[:, k] = np.degrees(np.arccos(np.clip(cosv, -1.0, 1.0)))
+        angles[(na == 0.0) | (nb == 0.0), k] = 0.0
+    return angles.min(axis=1)
+
+
+def test_min_angles_match_corner_by_corner(cs):
+    # one arccos of the largest cosine per triangle gives the bits of the
+    # smallest of the three corner angles: on a 24x96 mesh, on triangles of
+    # random node triples of it and on triangles with a zero-length edge or
+    # collinear corners (0 and 0 degrees)
+    m = mesh.triangulate(cs, n_levels=24, n_stations=96)
+    rng = np.random.default_rng(11)
+    triples = rng.integers(0, len(m.nodes), size=(20000, 3))
+    p = np.concatenate([m.nodes[m.triangles], m.nodes[triples],
+                        [[[0.0, 0.0], [0.0, 0.0], [1.0, 2.0]],
+                         [[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]]]])
+    angles = mesh._min_angles(p)
+    assert angles.tolist() == _min_angles_corner_by_corner(p).tolist()
+    assert angles[-2:].tolist() == [0.0, 0.0]
 
 
 def test_quality_single_triangle():

@@ -344,6 +344,20 @@ def test_unmeetable_tolerance_raises():
         assert math.isfinite(field.value(r, z))
 
 
+def test_slope_is_zero_next_to_the_axis_off_the_rod():
+    # within about 1e-103 of a rod end the quadrature's slope sum overflows;
+    # where r^2 underflows it used to read 0 * inf = nan.  V(0, z) tends to
+    # V(0,0) = 2 below the power-1/2 rod.  Above the rod the nearest station,
+    # 1 + 2.2e-16 (1 + 1e-110 rounds to the rod end 1.0), reads 0 as well
+    field = potential.PotentialField(QUADRATURE_PROFILES["power 1/2"])
+    zs = np.array([-1e-103, -1e-110, -1e-130, -1e-160, np.nextafter(1.0, 2.0)])
+    for t in (-800.0, -460.0):            # r = 0, and r = 1e-200 with r^2 = 0
+        with np.errstate(over="ignore"):  # the sum that r^2 multiplies
+            v, slope = field.value_slope_log_r(np.full(len(zs), t), zs)
+        assert v[:4] == pytest.approx(field.v00, rel=1e-12, abs=0.0)
+        assert slope.tolist() == [0.0] * len(zs)
+
+
 def test_subnormal_grading_depth_raises_range_error():
     # the peak width is 1e-310 off the rod end and NEAR_ROD * 1e-300 = 1e-312
     # over it: top / depth would overflow the panel count

@@ -488,7 +488,7 @@ def test_walk_bits_are_frozen(deep_cs):
             (const, (0.5, 0.0, 0.5), 5e-5, 17,
              (0.8855, 0.02072775313438483, 1000, 0, 37701)),
             (bump, (0.0002783288397971052, 0.0, 0.04), 1e-4, 19,
-             (0.07009212077501067, 0.006891345629262927, 1000, 0, 57263))):
+             (0.07009212077499655, 0.006891345629261572, 1000, 0, 57263))):
         est = wos.estimate(deep_cs, data, point, walks=1000, eps=eps, seed=seed)
         assert (est.mean, est.stderr, est.walks, est.discarded, est.steps) == frozen
 
