@@ -4,17 +4,18 @@ meridian cross-section.
 The weak form is the weighted Dirichlet form  integral r grad(u).grad(w),
 discretized with linear triangles and one-point quadrature of the weight at
 the element centroid.  Dirichlet values are eliminated (not penalized), the
-reduced system is solved directly by a sparse LU factorisation, and the
-stored energy is the full 2 pi weighted discrete Dirichlet integral.
+reduced system is solved directly by a banded Cholesky factorisation in
+reverse Cuthill-McKee order, and the stored energy is the full 2 pi weighted
+discrete Dirichlet integral.
 
 Every node with an essential tag is fixed, so a mesh is assembled and
-factored once: the stiffness matrix, the reduced blocks and the LU factor
-live in private state on the mesh and serve every datum.  The state also
-holds each essential tag's nodes with their arc fractions, so a datum is
-evaluated on arrays, and a uniform bucket grid built on the first lookup:
-point location scans only the triangles of one of its cells.  A mesh is a
-frozen value, so its state is built once and never goes stale; a copy or
-pickle of a mesh starts without it.
+factored once: the stiffness matrix, the reduced blocks and the Cholesky
+factor live in private state on the mesh and serve every datum.  The state
+also holds each essential tag's nodes with their arc fractions, so a datum
+is evaluated on arrays, and a uniform bucket grid built on the first
+lookup: point location scans only the triangles of one of its cells.  A
+mesh is a frozen value, so its state is built once and never goes stale; a
+copy or pickle of a mesh starts without it.
 
 Axis nodes carry no essential condition: the weight r vanishes there, so
 the discrete problem needs none.
@@ -28,14 +29,12 @@ from itertools import repeat
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConvergenceError, DomainError, InputError, MeshError
 from .mesh import CAP, ESSENTIAL_TAGS, INNER, OUTER
 
-# symmetric fill-reducing column ordering for the SPD reduced system: about
-# 24% less fill than SuperLU's default COLAMD on a 32x128 mesh
-ORDERING = "MMD_AT_PLUS_A"
 # a point lies in a triangle when its barycentric coordinates are >= -tol
 _LOCATE_TOL = 1e-12
 
@@ -213,23 +212,42 @@ class _MeshState:
             arc = mesh.component_arcs.get(tag, {})
             s = np.array([arc.get(i, 0.0) for i in ids.tolist()], dtype=float)
             self.boundary[tag] = ids, s
-        self.lu = None
+        self.chol = None
         self.grid = None
 
     def factor(self, mesh):
         """Built on first use: the stiffness matrix K, the free and fixed
-        (essential) node ids, the blocks K_ff (CSC) and K_fb of K and the LU
-        factor of K_ff."""
-        if self.lu is None:
+        (essential) node ids, the CSR blocks K_ff and K_fb of K, the reverse
+        Cuthill-McKee order perm of the free nodes and the lower Cholesky
+        factor chol of K_ff in that order, in LAPACK band storage: entry
+        (i, j), i >= j, of the reordered matrix sits at chol[i - j, j].
+        MeshError when K_ff is not positive definite."""
+        if self.chol is None:
             self.K = assemble(mesh)
             self.free = np.flatnonzero(self.codes < 0)
             self.fixed = np.flatnonzero(self.codes >= 0)
             K_free = self.K[self.free]
-            self.K_ff = K_free[:, self.free].tocsc()
-            self.K_fb = K_free[:, self.fixed]
-            if np.any(self.K_ff.diagonal() <= 0):
-                raise MeshError("stiffness diagonal must be positive on free nodes")
-            self.lu = splu(self.K_ff, permc_spec=ORDERING)
+            self.K_ff, self.K_fb = K_free[:, self.free], K_free[:, self.fixed]
+            # reverse_cuthill_mckee fails on an empty matrix: every node fixed
+            perm = reverse_cuthill_mckee(self.K_ff, symmetric_mode=True) \
+                if len(self.free) else np.empty(0, dtype=np.int32)
+            # each stored entry of K_ff goes to its place in the reordered
+            # matrix; those on or below the diagonal fill the band
+            inverse = np.empty_like(perm)
+            inverse[perm] = np.arange(len(perm), dtype=perm.dtype)
+            coo = self.K_ff.tocoo()
+            i, j = inverse[coo.row], inverse[coo.col]
+            lower = i >= j
+            depth, j = i[lower] - j[lower], j[lower]
+            band = np.zeros((depth.max(initial=0) + 1, len(perm)))
+            band[depth, j] = coo.data[lower]
+            try:
+                self.chol = cholesky_banded(band, overwrite_ab=True, lower=True,
+                                            check_finite=False)
+            except LinAlgError as err:
+                raise MeshError(f"reduced stiffness matrix is not positive "
+                                f"definite: {err}") from None
+            self.perm = perm
 
     def locator(self):
         if self.grid is None:
@@ -335,9 +353,10 @@ def solve_dirichlet(mesh, data, tol=1e-10):
 
     data is a BoundaryData, which gives a value to every node with an
     essential tag.  Those values are eliminated; the reduced SPD system is
-    solved by a sparse LU factorisation, made once per mesh and reused by
-    later data.  Its relative residual |rhs - K_ff x| / |rhs| is the
-    solve's certificate: ConvergenceError when it exceeds tol.
+    solved by a banded Cholesky factorisation in reverse Cuthill-McKee
+    order, made once per mesh and reused by later data.  Its relative
+    residual |rhs - K_ff x| / |rhs| is the solve's certificate:
+    ConvergenceError when it exceeds tol.
     """
     state = _state(mesh)
     state.factor(mesh)
@@ -345,13 +364,16 @@ def solve_dirichlet(mesh, data, tol=1e-10):
     u = np.zeros(len(state.codes))
     u[ids] = fixed_values
     rhs = -(state.K_fb @ u[state.fixed])
-    x = state.lu.solve(rhs)
+    # unchecked (as in the factor): non-finite values propagate, not ValueError
+    x = np.empty_like(rhs)
+    x[state.perm] = cho_solve_banded((state.chol, True), rhs[state.perm],
+                                     overwrite_b=True, check_finite=False)
     rhs_norm = np.linalg.norm(rhs)
     residual = float(np.linalg.norm(rhs - state.K_ff @ x) / rhs_norm) \
         if rhs_norm > 0 else 0.0
     if not residual <= tol:             # a nan residual fails too
         raise ConvergenceError(
-            f"sparse LU residual {residual:.2e} exceeds tol {tol:.1e}",
+            f"banded Cholesky residual {residual:.2e} exceeds tol {tol:.1e}",
             stats={"residual": residual})
     u[state.free] = x
     energy = 2.0 * math.pi * float(u @ (state.K @ u))

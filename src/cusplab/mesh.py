@@ -152,8 +152,8 @@ class Mesh:
     edge_tags: Mapping                   # (i, j) sorted tuple -> tag
     component_arcs: Mapping = dataclass_field(default_factory=dict)
     z_cut: float = 0.0
-    # private FEM state (stiffness, LU factor, point-location grid): built by
-    # cusplab.fem on first use and kept for the mesh's life
+    # private FEM state (stiffness, Cholesky factor, point-location grid):
+    # built by cusplab.fem on first use and kept for the mesh's life
     _fem: object = dataclass_field(default=None, init=False, repr=False,
                                    compare=False)
 
@@ -220,11 +220,12 @@ def _edge_counts(triangles):
     """Distinct triangle edges as sorted (i, j) rows, with the number of
     triangles sharing each."""
     t = np.asarray(triangles, dtype=int)
-    edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
-                    axis=1)
-    # one integer key per edge: a 1-D unique sorts much faster than rows
+    a, b = t.ravel(), t[:, [1, 2, 0]].ravel()
+    # one integer key per edge, min * n + max: a 1-D unique of the keys is
+    # much faster than sorting the two-wide rows first
     n = int(t.max()) + 1
-    keys, counts = np.unique(edges[:, 0] * n + edges[:, 1], return_counts=True)
+    keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                             return_counts=True)
     return np.column_stack(np.divmod(keys, n)), counts
 
 

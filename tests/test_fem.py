@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from cusplab import density, fem, mesh, potential
@@ -359,20 +361,37 @@ def test_replaced_mesh_solves_like_a_fresh_one(cs):
         assert "triangles" in changes or not np.array_equal(got.values, base.values)
 
 
-def _solve_reference(m, bc):
-    """The solve written out in full from the node-value dict bc: values,
-    energy and residual."""
+def _reduced_system(m, bc):
+    """From the node-value dict bc: the stiffness matrix K, the free node
+    ids, K_ff (CSR), the right-hand side of the reduced system and the nodal
+    vector u holding the fixed values."""
     K = fem.assemble(m)
     n = len(m.nodes)
     ids = np.fromiter(bc, dtype=int, count=len(bc))
     is_fixed = np.zeros(n, dtype=bool)
     is_fixed[ids] = True
     free, fixed = np.flatnonzero(~is_fixed), np.flatnonzero(is_fixed)
-    K_ff = K[free][:, free].tocsc()
     u = np.zeros(n)
     u[ids] = np.fromiter(bc.values(), dtype=float, count=len(bc))
-    rhs = -(K[free][:, fixed] @ u[fixed])
-    x = splu(K_ff, permc_spec=fem.ORDERING).solve(rhs)
+    return K, free, K[free][:, free], -(K[free][:, fixed] @ u[fixed]), u
+
+
+def _solve_reference(m, bc):
+    """The solve written out in full from the node-value dict bc: values,
+    energy and residual.  K_ff is reordered by reverse Cuthill-McKee, the
+    entries on and below the diagonal of the reordered matrix fill the
+    LAPACK lower band storage (entry (i, j) in row i - j, column j), and
+    cholesky_banded and cho_solve_banded solve in that order."""
+    K, free, K_ff, rhs, u = _reduced_system(m, bc)
+    perm = reverse_cuthill_mckee(K_ff, symmetric_mode=True)
+    P = K_ff[perm][:, perm].tocoo()
+    lower = P.row >= P.col
+    depth = (P.row - P.col)[lower]
+    ab = np.zeros((depth.max() + 1, len(free)))
+    ab[depth, P.col[lower]] = P.data[lower]
+    y = cho_solve_banded((cholesky_banded(ab, lower=True), True), rhs[perm])
+    x = np.empty_like(y)
+    x[perm] = y
     residual = float(np.linalg.norm(rhs - K_ff @ x) / np.linalg.norm(rhs))
     u[free] = x
     return u, 2.0 * math.pi * float(u @ (K @ u)), residual
@@ -409,6 +428,50 @@ def test_solution_matches_reference_bit_for_bit(canonical):
         assert list(sol.boundary_values.items()) == list(bc.items()), kind
         assert [sol(r, z) for r, z in points] == \
             [_interpolate_reference(canonical, values, r, z) for r, z in points], kind
+
+
+def test_solve_agrees_with_superlu(canonical):
+    # SuperLU with its default ordering, an independent direct solver of
+    # the same reduced system
+    rect = mesh.rectangle_mesh(1.0, 2.0, 0.0, 1.0, 12, 12)
+    cases = [(canonical, data) for data in _canonical_data(canonical).values()]
+    cases.append((rect, fem.BoundaryData(fem.BumpData(0.3, 0.2, 1.5),
+                                         fem.ConstantData(0.0))))
+    for m, data in cases:
+        sol = fem.solve_dirichlet(m, data, tol=1e-12)
+        _, free, K_ff, rhs, _ = _reduced_system(m, sol.boundary_values)
+        want = splu(K_ff.tocsc()).solve(rhs)
+        assert np.abs(sol.values[free] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_later_solves_reuse_the_factor(canonical, monkeypatch):
+    calls = []
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cholesky_banded(*args, **kwargs)
+    monkeypatch.setattr(fem, "cholesky_banded", counted)
+    m = dataclasses.replace(canonical)
+    for data in _canonical_data(canonical).values():
+        fem.solve_dirichlet(m, data, tol=1e-12)
+    assert len(calls) == 1
+
+
+def test_factor_failure_is_a_mesh_error():
+    # a free node in no triangle has a zero row in K_ff, so the factor
+    # meets a zero pivot and LAPACK's LinAlgError becomes a MeshError
+    m = mesh.rectangle_mesh(1.0, 2.0, 0.0, 1.0, 4, 4)
+    lonely = dataclasses.replace(m, nodes=np.vstack([m.nodes, [[1.5, 0.5]]]),
+                                 node_tags=m.node_tags + (mesh.INTERIOR,))
+    with pytest.raises(MeshError, match="not positive definite"):
+        fem.solve_dirichlet(lonely, fem.BoundaryData.constants(1.0, 2.0))
+
+
+def test_mesh_with_every_node_fixed():
+    # no free node: an empty system, which the ordering cannot take
+    sol = fem.solve_dirichlet(_single_triangle(),
+                              fem.BoundaryData.constants(1.5, 0.0))
+    assert sol.values.tolist() == [1.5, 1.5, 1.5]
+    assert sol.residual == 0.0
 
 
 def _node_values_reference(data, m):

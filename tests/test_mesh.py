@@ -192,6 +192,25 @@ def test_min_angles_match_corner_by_corner(cs):
     assert angles[-2:].tolist() == [0.0, 0.0]
 
 
+def _edge_counts_by_rows(triangles):
+    """Sort each two-wide edge row, then take the unique row keys."""
+    t = np.asarray(triangles, dtype=int)
+    edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
+                    axis=1)
+    n = int(t.max()) + 1
+    keys, counts = np.unique(edges[:, 0] * n + edges[:, 1], return_counts=True)
+    return np.column_stack(np.divmod(keys, n)), counts
+
+
+def test_edge_counts_match_sorted_rows(canonical):
+    for m in (canonical, mesh.rectangle_mesh(1.0, 2.0, 0.0, 1.0, 5, 7)):
+        edges, counts = mesh._edge_counts(m.triangles)
+        want_edges, want_counts = _edge_counts_by_rows(m.triangles)
+        assert np.array_equal(edges, want_edges)
+        assert np.array_equal(counts, want_counts)
+        assert set(counts.tolist()) == {1, 2}
+
+
 def test_quality_single_triangle():
     m = mesh.Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                   triangles=np.array([[0, 1, 2]]),
