@@ -193,10 +193,11 @@ def _write_json(path, obj):
 
 
 def _write_csv(path, header, rows):
+    # repr of a plain float: a numpy float's repr names its type
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
                               for v in row) + "\n")
 
 

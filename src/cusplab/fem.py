@@ -43,6 +43,10 @@ _LOCATE_TOL = 1e-12
 class ConstantData:
     value: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise InputError(f"constant datum must be finite, got {self.value}")
+
     def __call__(self, s):
         return self.value + 0.0 * np.asarray(s, dtype=float)
 
@@ -79,6 +83,10 @@ class TabulatedData:
     fractions from 0 to 1 and interpolates linearly between them."""
 
     values: tuple
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.values)):
+            raise InputError("tabulated data must be finite")
 
     def __call__(self, s):
         return np.interp(s, np.linspace(0.0, 1.0, len(self.values)), self.values)
@@ -369,8 +377,9 @@ def solve_dirichlet(mesh, data, tol=1e-10):
     x[state.perm] = cho_solve_banded((state.chol, True), rhs[state.perm],
                                      overwrite_b=True, check_finite=False)
     rhs_norm = np.linalg.norm(rhs)
+    # a nan norm (non-finite data) gives a nan residual, which fails below
     residual = float(np.linalg.norm(rhs - state.K_ff @ x) / rhs_norm) \
-        if rhs_norm > 0 else 0.0
+        if rhs_norm != 0 else 0.0
     if not residual <= tol:             # a nan residual fails too
         raise ConvergenceError(
             f"banded Cholesky residual {residual:.2e} exceeds tol {tol:.1e}",

@@ -2,15 +2,19 @@
 
 The mesh is a structured contour grid: nodes sit on level curves of V
 ("rails"), rails are joined into quads by station index, quads split into
-triangles along the better diagonal.  Every cusp rail (level above V(0,0))
-is truncated where its radius falls to the mesh's truncation radius and
-anchored to the axis by a tip node; the exponentially thin sliver below the
-truncation is collapsed onto the axis, which confines the modelling error
-to cells whose axisymmetric weight r is itself of truncation size.  The
-inner boundary keeps a single cap edge of that radius, so the cusp-cap
-boundary stays tiny while the surrounding cells keep healthy angles.
-Sections and meshes are frozen values, so the FEM and walk-on-spheres
-state kept on them is built once and never goes stale.
+counter-clockwise triangles along the better diagonal.  The rails are
+traced first; every cusp rail (level above V(0,0)) is then truncated where
+its radius falls to the mesh's truncation radius and anchored to the axis
+by a tip node.  Each such cut, like the section's own, is one bracketed
+root on a traced curve, between the two samples that straddle the radius.
+The exponentially thin sliver below the truncation is collapsed onto the
+axis, which confines the modelling error to cells whose axisymmetric
+weight r is itself of truncation size.  The inner boundary keeps a single
+cap edge of that radius, so the cusp-cap boundary stays tiny while the
+surrounding cells keep healthy angles.  Cells are never reoriented: a
+folded cell stays clockwise, where mesh_quality counts it as flipped and
+the FEM refuses it.  Sections and meshes are frozen values, so the FEM and
+walk-on-spheres state kept on them is built once and never goes stale.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .contour import (ContourCurve, _read_only, _rebuild, _root_in,
-                      log_radius_at, polyline_arcs, radius_below,
-                      trace_contours)
+                      log_radius_at, polyline_arcs, trace_contours)
 from .errors import InputError, MeshError, RangeError
 
 OUTER = "outer-level"
@@ -86,32 +89,12 @@ class CrossSection:
         return self.A - CONTAINS_TOL <= v <= self.B + CONTAINS_TOL
 
 
-def _truncation_height(field, c, r_min, start=None):
-    """Height where the level-c cusp radius equals r_min: the root in z of
-    V(r_min, z) = c, as V falls strictly in r.  The bracket grows by halving
-    and doubling from start (0.5 L by default), each step asking only which
-    side of r_min the radius at z lies on (radius_below)."""
-    target = math.log(r_min)
-    thin = lambda z: radius_below(field, c, target, z)
-    hi = 0.5 * field.density.length if start is None else start
-    while thin(hi):
-        hi *= 2.0
-        if hi > 10.0 * field.density.length:
-            raise RangeError(f"level {c} never reaches radius {r_min}")
-    lo = hi / 2.0
-    while not thin(lo):
-        hi = lo
-        lo /= 2.0
-        if lo < 1e-300:
-            raise RangeError(f"level {c} is thicker than {r_min} everywhere")
-    return _root_in(lambda z: field.value_log_r(target, z) - c, lo, hi)
-
-
 def _truncate_cusp(field, curve, r_min):
-    """z_cut, where the level curve's cusp thins to r_min, and the curve's
-    (z, r) samples above it led by the corner (z_cut, r_min).  z_cut is
-    bracketed by the first traced sample at or above r_min and the sample
-    before it (the tip on the axis at the first)."""
+    """z_cut, where the traced level curve's cusp thins to r_min, and the
+    curve's (z, r) samples above it led by the corner (z_cut, r_min).  z_cut
+    is the root in z of V(r_min, z) = c, bracketed by the first traced
+    sample at or above r_min and the sample before it (the tip on the axis
+    at the first)."""
     target = math.log(r_min)
     k = int(np.argmax(curve.log_r >= target))
     if curve.log_r[k] < target:
@@ -138,8 +121,11 @@ def build_cross_section(field, A, B, r_min=None, n_trace=256):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Triangulated cross-section: nodes in (r, z), CCW triangles, and a
-    boundary tag per node plus one tag per boundary edge.
+    """Triangulated cross-section: nodes in (r, z), triangles, and a
+    boundary tag per node plus one tag per boundary edge.  triangulate
+    writes every triangle counter-clockwise in (r, z); a cell that folds
+    over its neighbours is then clockwise and shows as n_flipped in
+    mesh_quality.
 
     A frozen value: nodes and triangles are read-only copies, node_tags a
     tuple, and edge_tags and component_arcs (tag -> node id -> arc
@@ -147,7 +133,7 @@ class Mesh:
     made by dataclasses.replace."""
 
     nodes: np.ndarray                    # (n, 2) columns r, z
-    triangles: np.ndarray                # (m, 3) int indices, CCW
+    triangles: np.ndarray                # (m, 3) int indices
     node_tags: tuple
     edge_tags: Mapping                   # (i, j) sorted tuple -> tag
     component_arcs: Mapping = dataclass_field(default_factory=dict)
@@ -257,22 +243,18 @@ def _graded_steps(n_steps, first_fraction, last_fraction=None):
 
 class _Rail:
     """A traced level curve prepared for meshing: an anchor node on the axis
-    (the z1 endpoint, or the truncation tip for cusp levels) plus the
-    arc-parameterized curve itself."""
+    at tip_z (the z1 endpoint, or the truncation tip for cusp levels) plus
+    the arc-parameterized curve itself, which starts at tip_z."""
 
     def __init__(self, field, curve, r_min, center_z):
         self.c = curve.level
-        self.is_cusp = self.c > field.v00
         self.z2 = curve.z2
-        if self.is_cusp:
+        if self.c > field.v00:
             # arc starts at the truncation corner, never on the axis leg:
             # stations must stay strictly on the contour
             self.tip_z, pts = _truncate_cusp(field, curve, r_min)
-            self.anchor = np.array([self.tip_z, 0.0])
         else:
-            self.tip_z = curve.z1
-            pts = curve.samples
-            self.anchor = np.array([curve.z1, 0.0])
+            self.tip_z, pts = curve.z1, curve.samples
         self.polyline = pts                                  # (z, r) rows
         arc = polyline_arcs(pts)
         self.length = arc[-1]
@@ -295,10 +277,9 @@ class _Rail:
     def station_heights(self, fractions):
         """Heights of the curve nodes at the given parameter fractions,
         strictly inside the curve's z range."""
-        z_lo = self.polyline[0, 0] if self.is_cusp else self.tip_z
-        span = self.z2 - z_lo
+        span = self.z2 - self.tip_z
         return np.clip(np.interp(fractions, self.sigma, self.polyline[:, 0]),
-                       z_lo + 1e-12 * abs(span), self.z2 - 1e-12 * abs(span))
+                       self.tip_z + 1e-12 * abs(span), self.z2 - 1e-12 * abs(span))
 
 
 def _level_values(field, A, B, n_levels):
@@ -321,15 +302,15 @@ def _level_values(field, A, B, n_levels):
     return below + above[::-1]
 
 
-def _mesh_truncation_radius(field, B, c_last, r_floor):
+def _mesh_truncation_radius(field, inner, last, r_floor):
     """Truncation radius for meshing: large enough that the cap edge and the
-    axis gap to the neighbouring rail tip meet at a healthy angle."""
+    axis gap to the neighbouring rail tip meet at a healthy angle.  The tip
+    heights are cut on the traced inner rail and on the cusp rail next to
+    it."""
     r = max(r_floor, 1e-3)
-    z_b = z_last = None           # each pair of heights starts from the last
     for _ in range(12):
-        z_b = _truncation_height(field, B, r, z_b)
-        z_last = _truncation_height(field, c_last, r, z_last)
-        r_new = max(r_floor, 0.40 * (z_b - z_last))
+        gap = _truncate_cusp(field, inner, r)[0] - _truncate_cusp(field, last, r)[0]
+        r_new = max(r_floor, 0.40 * gap)
         if abs(r_new - r) <= 0.02 * r:
             break
         r = r_new
@@ -342,8 +323,10 @@ def triangulate(cs, n_levels=8, n_stations=32):
     n_levels intermediate contours between A and B (spacing geometric toward
     B), n_stations arc stations per contour, graded toward the cusp.  The
     mesh truncates the cusp at its own radius (never below the
-    cross-section's r_min): the cap edge must match the local cell scale or
-    the cells around it degenerate.
+    cross-section's r_min), cut on the traced rails: the cap edge must match
+    the local cell scale or the cells around it degenerate.  The cells are
+    built counter-clockwise and never reoriented, so a fold shows in
+    mesh_quality as a flipped cell.
     """
     if n_levels < 4:
         raise InputError("need at least 4 intermediate levels")
@@ -353,11 +336,10 @@ def triangulate(cs, n_levels=8, n_stations=32):
     n_trace = max(128, 2 * n_stations)
 
     levels = _level_values(field, cs.A, cs.B, n_levels)
-    r_mesh = _mesh_truncation_radius(field, cs.B, levels[-1], cs.r_min)
-    center_z = 0.5 * field.density.length
-
     curves = trace_contours(field, [cs.A, *levels, cs.B], n=n_trace,
                             grading="geometric")
+    r_mesh = _mesh_truncation_radius(field, curves[-1], curves[-2], cs.r_min)
+    center_z = 0.5 * field.density.length
     rails = [_Rail(field, curve, r_mesh, center_z) for curve in curves]
     z_cut = rails[-1].tip_z
 
@@ -365,18 +347,14 @@ def triangulate(cs, n_levels=8, n_stations=32):
     # steps shrink toward an axis anchor when neighbouring rails anchor
     # nearby (gap scales converted from arc to parameter units per rail)
     N = n_stations
-    tip_gaps = np.abs(np.diff([r.tip_z for r in rails]))
-    top_gaps = np.abs(np.diff([r.z2 for r in rails]))
 
-    def local_gap(gaps, i):
-        cands = [gaps[i - 1] if i > 0 else np.inf,
-                 gaps[i] if i < len(gaps) else np.inf]
-        return min(cands)
+    def local_gaps(ends):
+        # each rail's smaller axis gap to the ends of its neighbours
+        gaps = np.concatenate([[np.inf], np.abs(np.diff(ends)), [np.inf]])
+        return np.minimum(gaps[:-1], gaps[1:])
 
-    first_arcs = np.array([0.75 * local_gap(tip_gaps, i)
-                           for i in range(len(rails))])
-    last_arcs = np.array([0.55 * local_gap(top_gaps, i)
-                          for i in range(len(rails))])
+    first_arcs = 0.75 * local_gaps([r.tip_z for r in rails])
+    last_arcs = 0.55 * local_gaps([r.z2 for r in rails])
     first_arcs[-1] = 1.5 * r_mesh
     # smooth the ramp scales across rails: a strip whose two rails grade at
     # very different rates shears its quads
@@ -401,7 +379,7 @@ def triangulate(cs, n_levels=8, n_stations=32):
     m = len(rails)
     heights = np.array(heights)
     grid = np.zeros((m, N + 1, 2))                 # (z, r) rows for now
-    grid[:, 0] = [rail.anchor for rail in rails]
+    grid[:, 0, 0] = [rail.tip_z for rail in rails]
     grid[:, 1:-1, 0] = heights
     rail_levels = [[rail.c] for rail in rails]
     grid[:, 1:-1, 1] = np.exp(log_radius_at(field, rail_levels, heights))
@@ -417,24 +395,17 @@ def triangulate(cs, n_levels=8, n_stations=32):
     lower = bottom[i] + j
     upper = bottom[i + 1] + j + (i == m - 2)
     q = np.column_stack([lower, upper, upper + 1, lower + 1])
-    # both diagonal splits, (a, b, c) (a, c, d) and (a, b, d) (b, c, d); take
-    # the one with the better worst angle, the first on a tie
-    splits = q[:, [[0, 1, 2], [0, 2, 3], [0, 1, 3], [1, 2, 3]]]
+    # the quad a, b, c, d runs clockwise in (r, z): inward, up, outward.  Both
+    # diagonal splits, counter-clockwise: (a, c, b) (a, d, c) and (a, d, b)
+    # (b, d, c); take the one with the better worst angle, the first on a tie
+    splits = q[:, [[0, 2, 1], [0, 3, 2], [0, 3, 1], [1, 3, 2]]]
     quality = _min_angles(nodes[splits.reshape(-1, 3)]).reshape(-1, 4)
     better = (np.minimum(quality[:, 0], quality[:, 1])
               >= np.minimum(quality[:, 2], quality[:, 3]))
     chosen = np.where(better[:, None, None], splits[:, :2], splits[:, 2:])
-    cap = [bottom[-1], bottom[-1] + 1, bottom[-2]]
+    # the cap: rail B's tip, its lower neighbour's tip, the cap corner
+    cap = [bottom[-1], bottom[-2], bottom[-1] + 1]
     tris = np.vstack([chosen.reshape(-1, 3), cap])
-
-    # orient all triangles CCW in the (r, z) plane
-    rz = nodes[:, ::-1]
-    area = _signed_areas(rz[tris])
-    flat = np.flatnonzero(area == 0.0)
-    if len(flat):
-        raise MeshError(
-            f"degenerate cell at nodes {tuple(tris[flat[0]].tolist())}")
-    tris = np.where((area > 0)[:, None], tris, tris[:, [0, 2, 1]])
 
     # tags: rail A is the outer level; rail B's tip and cap corner form the
     # cap, the rest of rail B the inner level; the end nodes of the rails
@@ -462,7 +433,7 @@ def triangulate(cs, n_levels=8, n_stations=32):
         arc = polyline_arcs(nodes[on])
         component_arcs[tag] = dict(zip(on.tolist(), (arc / arc[-1]).tolist()))
 
-    mesh = Mesh(nodes=rz, triangles=tris, node_tags=node_tags.tolist(),
+    mesh = Mesh(nodes=nodes[:, ::-1], triangles=tris, node_tags=node_tags.tolist(),
                 edge_tags=edge_tags, component_arcs=component_arcs,
                 z_cut=z_cut)
     bad = sorted(set(mesh.boundary_edges()) - edge_tags.keys())

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -147,6 +148,39 @@ def test_solve_subcommand(tmp_path):
                    "--set", "tol=1e-20"], tmp_path)
     assert res.returncode == 2
     assert json.loads(res.stderr)["error"] == "numerical"
+
+
+def test_csv_cells_are_plain_numbers(tmp_path):
+    # numpy floats are written as plain floats, so every numeric cell of
+    # the node, solution and walk tables reads back with float()
+    small = {"n_levels": 4, "n_stations": 8}
+    for cmd, cfg, name, columns in [
+            ("mesh", small, "nodes.csv", ("id", "r", "z")),
+            ("solve", small, "solution.csv", ("id", "r", "z", "value")),
+            ("wos", {"walks": 200}, "wos.csv", ("mean", "stderr", "walks"))]:
+        cli.run(cmd, {**cfg, "output_dir": str(tmp_path / cmd)})
+        with open(tmp_path / cmd / name) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows, name
+        for row in rows:
+            for col in columns:
+                float(row[col])
+
+
+@pytest.mark.parametrize("cmd, data", [
+    ("solve", '{"outer":{"constant":NaN},"inner":{"constant":2.0}}'),
+    ("wos", '{"outer":{"constant":0.5},"inner":{"constant":Infinity}}'),
+    ("solve", '{"outer":{"constant":0.5},"inner":{"tabulated":[2.0,NaN]}}'),
+])
+def test_non_finite_data_exit_1(tmp_path, cmd, data, capsys):
+    assert cli.main([cmd, "--set", f"data={data}",
+                     "--output-dir", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "validation"
+    assert "finite" in err["detail"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_probe_wos_passes_r_min(tmp_path, monkeypatch):

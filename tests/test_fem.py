@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from cusplab import density, fem, mesh, potential
-from cusplab.errors import ConvergenceError, DomainError, MeshError
+from cusplab.errors import ConvergenceError, DomainError, InputError, MeshError
 
 THREE_PI = 3.0 * math.pi
 
@@ -248,6 +248,36 @@ def test_residual_certificate_raises(canonical):
         fem.solve_dirichlet(canonical, fem.BoundaryData.constants(0.5, 2.0),
                             tol=1e-20)
     assert 0.0 < err.value.stats["residual"] <= 1e-13
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_data_refused(value):
+    # a constant or a table that is not finite is refused when it is made
+    with pytest.raises(InputError, match="finite"):
+        fem.ConstantData(value)
+    with pytest.raises(InputError, match="finite"):
+        fem.BoundaryData.constants(value, 1.0)
+    with pytest.raises(InputError, match="finite"):
+        fem.TabulatedData((1.0, value, 2.0))
+    # a callable datum is checked by the solve: its residual is nan, not 0
+    m = mesh.rectangle_mesh(1.0, 2.0, 0.0, 1.0, 4, 4)
+    data = fem.BoundaryData(lambda s: np.where(np.asarray(s) > 0.5, value, 1.0),
+                            fem.ConstantData(0.0))
+    with pytest.raises(ConvergenceError) as err:
+        fem.solve_dirichlet(m, data)
+    assert math.isnan(err.value.stats["residual"])
+
+
+@pytest.mark.parametrize("n_levels, n_stations", [(16, 64), (32, 128), (48, 192)])
+def test_linear_data_reproduced_at_every_node(cs, n_levels, n_stations):
+    # patch test: h = z is axisymmetric-harmonic and linear, and the
+    # one-point weighted form is exact for linear u, so with h given on
+    # every essential component, cap included, the discrete solution is z
+    # itself at every node, axis nodes included
+    m = mesh.triangulate(cs, n_levels=n_levels, n_stations=n_stations)
+    z = m.nodes[:, 1]
+    sol = fem.solve_dirichlet(m, _tables(m, z))
+    assert np.abs(sol.values - z).max() <= 1e-12
 
 
 def _canonical_data(canonical):

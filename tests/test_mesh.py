@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cusplab import contour, density, fem, mesh, potential
-from cusplab.errors import InputError
+from cusplab.errors import InputError, MeshError
 
 # axis-crossing oracles (see test_contour) and the root of r_2(z) = 1e-4
 # recomputed by independent high-precision bisection
@@ -147,6 +147,18 @@ def test_rail_nodes_match_per_rail_roots(cs, leb, monkeypatch):
         assert r.tolist() == np.exp(solve(leb, c, z)).tolist()
 
 
+def test_fold_at_the_cap_shows_as_a_flipped_cell(cs):
+    # from 64x256 up one cell at the cap folds over its neighbours.  Cells
+    # are built counter-clockwise and never reoriented, so the fold stays
+    # clockwise: the quality census counts it and the FEM refuses the mesh
+    m = mesh.triangulate(cs, n_levels=64, n_stations=256)
+    q = mesh.mesh_quality(m)
+    assert q.n_flipped == 1
+    assert not q.passes()
+    with pytest.raises(MeshError, match="flipped"):
+        fem.solve_dirichlet(m, fem.BoundaryData.constants(0.5, 2.0))
+
+
 def test_refinement_growth(cs, canonical):
     fine = mesh.triangulate(cs, n_levels=16, n_stations=64)
     factor = len(fine.nodes) / len(canonical.nodes)
@@ -261,12 +273,18 @@ def _truncation_height_by_roots(field, c, r_min):
     return 0.5 * (lo + hi)
 
 
+def _rail(field, c):
+    """The level-c curve as triangulate traces its rails."""
+    return contour.trace_contour(field, c, n=128, grading="geometric")
+
+
 @pytest.mark.parametrize("c, r_min", [(2.0, 1e-4), (1.6, 1e-3), (2.4, 1e-6),
                                       (1.05, 1e-2)])
 def test_truncation_height_predicate_matches_roots(leb, c, r_min):
-    # V falls in r, so "radius below r_min" is V(r_min, z) < c: one value
-    # instead of a root, the same steps up to the root tolerance
-    z = mesh._truncation_height(leb, c, r_min)
+    # the cut on a traced curve, bracketed by the two samples that straddle
+    # r_min, is the height the bisection on contour roots finds, up to the
+    # root tolerance
+    z, _ = mesh._truncate_cusp(leb, _rail(leb, c), r_min)
     assert z == pytest.approx(_truncation_height_by_roots(leb, c, r_min), rel=1e-13, abs=0.0)
     assert contour.log_radius_at(leb, c, z) == pytest.approx(math.log(r_min), rel=1e-9, abs=0.0)
 
@@ -276,7 +294,9 @@ def test_truncation_height_predicate_matches_roots(leb, c, r_min):
 def test_truncation_height_matches_mpmath(leb, c, r_min, mp_level_height,
                                           root_evaluations):
     counts = root_evaluations
-    z = mesh._truncation_height(leb, c, r_min)
+    curve = _rail(leb, c)
+    counts.clear()                # the trace's own axis crossing
+    z, _ = mesh._truncate_cusp(leb, curve, r_min)
     ref = mp_level_height(leb.density, c, math.log(r_min), z)
     assert z == pytest.approx(ref, rel=1e-14, abs=0.0)
     assert len(counts) == 1 and counts[0] <= 20
