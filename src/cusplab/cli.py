@@ -393,12 +393,20 @@ _COMMANDS = {
 def run(cmd, cfg):
     """Validate cfg, run one subcommand in its output directory (output_dir,
     then $CUSPLAB_OUTDIR, then '.') and, when it succeeds, echo the
-    effective config there; returns the subcommand's report."""
+    effective config there; returns the subcommand's report.  When the
+    subcommand fails with a CuspLabError, a directory this run made is
+    removed again if it is still empty."""
     cfg = validate_config(cmd, cfg)
     out = cfg["output_dir"] = (cfg["output_dir"] or os.environ.get(OUTDIR_ENV)
                                or ".")
+    made = not os.path.isdir(out)
     os.makedirs(out, exist_ok=True)
-    report = _COMMANDS[cmd](cfg, out)
+    try:
+        report = _COMMANDS[cmd](cfg, out)
+    except CuspLabError:
+        if made and not os.listdir(out):
+            os.rmdir(out)
+        raise
     _write_json(os.path.join(out, f"{cmd.replace('-', '_')}_config.json"),
                 {"subcommand": cmd, **cfg})
     return report

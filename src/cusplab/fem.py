@@ -4,9 +4,10 @@ meridian cross-section.
 The weak form is the weighted Dirichlet form  integral r grad(u).grad(w),
 discretized with linear triangles and one-point quadrature of the weight at
 the element centroid.  Dirichlet values are eliminated (not penalized), the
-reduced system is solved directly by a banded Cholesky factorisation in
-reverse Cuthill-McKee order, and the stored energy is the full 2 pi weighted
-discrete Dirichlet integral.
+reduced system is solved directly by a banded Cholesky factorisation in the
+mesh's own node order (triangulate numbers its nodes station by station, so
+the band is about as wide as a station), and the stored energy is the full
+2 pi weighted discrete Dirichlet integral.
 
 Every node with an essential tag is fixed, so a mesh is assembled and
 factored once: the stiffness matrix, the reduced blocks and the Cholesky
@@ -24,19 +25,21 @@ the discrete problem needs none.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from itertools import repeat
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConvergenceError, DomainError, InputError, MeshError
 from .mesh import CAP, ESSENTIAL_TAGS, INNER, OUTER
 
 # a point lies in a triangle when its barycentric coordinates are >= -tol
 _LOCATE_TOL = 1e-12
+# the most entries the band storage of a factor may hold: 2^25 doubles, 256 MiB
+_MAX_BAND_ENTRIES = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -225,29 +228,28 @@ class _MeshState:
 
     def factor(self, mesh):
         """Built on first use: the stiffness matrix K, the free and fixed
-        (essential) node ids, the CSR blocks K_ff and K_fb of K, the reverse
-        Cuthill-McKee order perm of the free nodes and the lower Cholesky
-        factor chol of K_ff in that order, in LAPACK band storage: entry
-        (i, j), i >= j, of the reordered matrix sits at chol[i - j, j].
-        MeshError when K_ff is not positive definite."""
+        (essential) node ids, the CSR blocks K_ff and K_fb of K and the lower
+        Cholesky factor chol of K_ff in the mesh's own order, in LAPACK band
+        storage: entry (i, j), i >= j, of K_ff sits at chol[i - j, j].
+        triangulate numbers its nodes so that this band is narrow.
+        MeshError when the band would hold more than _MAX_BAND_ENTRIES
+        entries, or when K_ff is not positive definite."""
         if self.chol is None:
             self.K = assemble(mesh)
             self.free = np.flatnonzero(self.codes < 0)
             self.fixed = np.flatnonzero(self.codes >= 0)
             K_free = self.K[self.free]
             self.K_ff, self.K_fb = K_free[:, self.free], K_free[:, self.fixed]
-            # reverse_cuthill_mckee fails on an empty matrix: every node fixed
-            perm = reverse_cuthill_mckee(self.K_ff, symmetric_mode=True) \
-                if len(self.free) else np.empty(0, dtype=np.int32)
-            # each stored entry of K_ff goes to its place in the reordered
-            # matrix; those on or below the diagonal fill the band
-            inverse = np.empty_like(perm)
-            inverse[perm] = np.arange(len(perm), dtype=perm.dtype)
+            # the stored entries of K_ff on or below the diagonal fill the band
             coo = self.K_ff.tocoo()
-            i, j = inverse[coo.row], inverse[coo.col]
-            lower = i >= j
-            depth, j = i[lower] - j[lower], j[lower]
-            band = np.zeros((depth.max(initial=0) + 1, len(perm)))
+            lower = coo.row >= coo.col
+            depth, j = coo.row[lower] - coo.col[lower], coo.col[lower]
+            shape = (int(depth.max(initial=0)) + 1, len(self.free))
+            if shape[0] * shape[1] > _MAX_BAND_ENTRIES:
+                raise MeshError(f"the band of the reduced stiffness matrix, "
+                                f"{shape[0]} x {shape[1]}, exceeds "
+                                f"{_MAX_BAND_ENTRIES} entries")
+            band = np.zeros(shape)
             band[depth, j] = coo.data[lower]
             try:
                 self.chol = cholesky_banded(band, overwrite_ab=True, lower=True,
@@ -255,7 +257,6 @@ class _MeshState:
             except LinAlgError as err:
                 raise MeshError(f"reduced stiffness matrix is not positive "
                                 f"definite: {err}") from None
-            self.perm = perm
 
     def locator(self):
         if self.grid is None:
@@ -275,14 +276,16 @@ class _BucketGrid:
     triangle.  A cell lists, in mesh order, every triangle with a nonzero
     determinant whose padded bounding box meets it; the padding covers all
     points whose computed barycentric coordinates are >= -_LOCATE_TOL.
-    coef holds each triangle's a, e1 = b - a, e2 = c - a and determinant."""
+    coef holds each triangle's a, e1 = b - a, e2 = c - a and determinant,
+    seven floats per triangle.  A lookup reads Python numbers: the cell edges
+    are lists, and coef, members and start flat memoryviews of the arrays."""
 
     def __init__(self, nodes, triangles):
         p = nodes[triangles]
         a = p[:, 0]
         e1, e2 = p[:, 1] - a, p[:, 2] - a
         det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
-        self.coef = np.column_stack([a, e1, e2, det])
+        self.coef = memoryview(np.column_stack([a, e1, e2, det]).ravel())
         tris = np.flatnonzero(det != 0)
         p, a, det = p[tris], a[tris], np.abs(det[tris])
         # pairwise minimum and maximum: numpy reduces a length-3 axis slowly
@@ -307,13 +310,15 @@ class _BucketGrid:
         # the cell edges strictly inside the box: a coordinate's cell is the
         # number of them at or below it, so points beyond the box and nan
         # fall in the cells at its border
-        self.inner_edges = [np.linspace(box_lo[k], box_hi[k], shape[k] + 1)[1:-1]
-                            for k in range(2)]
-        self.n_z = shape[1]
-        # cells by the same monotone map as the lookup's, so a point inside
-        # a padded box always falls in one of the box's cells
-        r0, z0 = self._cell(0, lo[:, 0]), self._cell(1, lo[:, 1])
-        r1, z1 = self._cell(0, hi[:, 0]), self._cell(1, hi[:, 1])
+        edges = [np.linspace(box_lo[k], box_hi[k], shape[k] + 1)[1:-1]
+                 for k in range(2)]
+        self.edges = [e.tolist() for e in edges]
+        self.n_z = int(shape[1])
+        # cells by the same monotone map as the lookup's bisection, so a
+        # point inside a padded box always falls in one of the box's cells
+        r0, z0, r1, z1 = (np.searchsorted(edges[k], x, side="right")
+                          for k, x in ((0, lo[:, 0]), (1, lo[:, 1]),
+                                       (0, hi[:, 0]), (1, hi[:, 1])))
         n_z = z1 - z0 + 1
         count = (r1 - r0 + 1) * n_z
         # one (triangle, cell) pair per cell of each box, box after box
@@ -321,16 +326,13 @@ class _BucketGrid:
         row, col = np.divmod(offset, np.repeat(n_z, count))
         cell = (np.repeat(r0, count) + row) * self.n_z + np.repeat(z0, count) + col
         # a stable sort keeps each cell's triangles in mesh order
-        self.members = np.repeat(tris, count)[np.argsort(cell, kind="stable")]
-        self.start = np.concatenate(
-            [[0], np.cumsum(np.bincount(cell, minlength=shape[0] * shape[1]))])
-
-    def _cell(self, k, x):
-        """Cell index along axis k of coordinates x."""
-        return np.searchsorted(self.inner_edges[k], x, side="right")
+        self.members = memoryview(np.repeat(tris, count)[np.argsort(cell, kind="stable")])
+        self.start = memoryview(np.concatenate(
+            [[0], np.cumsum(np.bincount(cell, minlength=shape[0] * shape[1]))]))
 
     def candidates(self, r, z):
-        cell = int(self._cell(0, r)) * self.n_z + int(self._cell(1, z))
+        """The ids of the triangles listed in the cell of the point (r, z)."""
+        cell = bisect_right(self.edges[0], r) * self.n_z + bisect_right(self.edges[1], z)
         return self.members[self.start[cell]:self.start[cell + 1]]
 
 
@@ -339,21 +341,21 @@ def _locate(state, r, z):
     are all >= -_LOCATE_TOL, with those coordinates; None outside the mesh.
     The mesh is the one the FEM state was built from.  Only the triangles
     listed in the bucket-grid cell of (r, z) are tested, and triangles with
-    a zero determinant are never listed."""
+    a zero determinant are never listed.  A cell lists about three, so they
+    are tested one by one in Python floats, by the formulas of an array
+    test and in the same order, which gives the same bits."""
     grid = state.locator()
-    tris = grid.candidates(r, z)
-    a_r, a_z, e1_r, e1_z, e2_r, e2_z, det = grid.coef[tris].T
-    dr, dz = r - a_r, z - a_z
-    with np.errstate(divide="ignore", invalid="ignore"):
+    r, z = float(r), float(z)
+    coef, low = grid.coef, -_LOCATE_TOL
+    for t in grid.candidates(r, z):
+        a_r, a_z, e1_r, e1_z, e2_r, e2_z, det = coef[7 * t:7 * t + 7]
+        dr, dz = r - a_r, z - a_z
         lam1 = (dr * e2_z - e2_r * dz) / det
         lam2 = (e1_r * dz - dr * e1_z) / det
-    lam0 = 1.0 - (lam1 + lam2)
-    tol = _LOCATE_TOL
-    hits = np.flatnonzero((lam0 >= -tol) & (lam1 >= -tol) & (lam2 >= -tol))
-    if len(hits) == 0:
-        return None
-    k = hits[0]
-    return state.triangles[tris[k]], np.array([lam0[k], lam1[k], lam2[k]])
+        lam0 = 1.0 - (lam1 + lam2)
+        if lam0 >= low and lam1 >= low and lam2 >= low:
+            return state.triangles[t], np.array([lam0, lam1, lam2])
+    return None
 
 
 def solve_dirichlet(mesh, data, tol=1e-10):
@@ -361,8 +363,8 @@ def solve_dirichlet(mesh, data, tol=1e-10):
 
     data is a BoundaryData, which gives a value to every node with an
     essential tag.  Those values are eliminated; the reduced SPD system is
-    solved by a banded Cholesky factorisation in reverse Cuthill-McKee
-    order, made once per mesh and reused by later data.  Its relative
+    solved by a banded Cholesky factorisation in the mesh's own node order,
+    made once per mesh and reused by later data.  Its relative
     residual |rhs - K_ff x| / |rhs| is the solve's certificate:
     ConvergenceError when it exceeds tol.
     """
@@ -373,9 +375,7 @@ def solve_dirichlet(mesh, data, tol=1e-10):
     u[ids] = fixed_values
     rhs = -(state.K_fb @ u[state.fixed])
     # unchecked (as in the factor): non-finite values propagate, not ValueError
-    x = np.empty_like(rhs)
-    x[state.perm] = cho_solve_banded((state.chol, True), rhs[state.perm],
-                                     overwrite_b=True, check_finite=False)
+    x = cho_solve_banded((state.chol, True), rhs, check_finite=False)
     rhs_norm = np.linalg.norm(rhs)
     # a nan norm (non-finite data) gives a nan residual, which fails below
     residual = float(np.linalg.norm(rhs - state.K_ff @ x) / rhs_norm) \

@@ -20,6 +20,7 @@ walk-on-spheres state kept on them is built once and never goes stale.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
 from types import MappingProxyType
@@ -125,7 +126,9 @@ class Mesh:
     boundary tag per node plus one tag per boundary edge.  triangulate
     writes every triangle counter-clockwise in (r, z); a cell that folds
     over its neighbours is then clockwise and shows as n_flipped in
-    mesh_quality.
+    mesh_quality.  The FEM factors its stiffness matrix in the node order,
+    so a numbering that keeps neighbours close keeps the factor's band
+    narrow: triangulate's and rectangle_mesh's do.
 
     A frozen value: nodes and triangles are read-only copies, node_tags a
     tuple, and edge_tags and component_arcs (tag -> node id -> arc
@@ -167,11 +170,10 @@ class Mesh:
 
     def boundary_edges(self):
         edges, counts = _edge_counts(self.triangles)
-        return [(int(i), int(j)) for i, j in edges[counts == 1]]
+        return list(map(tuple, edges[counts == 1].tolist()))
 
     def nodes_with_tag(self, tag):
-        return np.flatnonzero(np.fromiter((t == tag for t in self.node_tags),
-                                          bool, len(self.node_tags)))
+        return np.flatnonzero(np.array(self.node_tags, dtype=object) == tag)
 
 
 def _signed_areas(p):
@@ -326,7 +328,9 @@ def triangulate(cs, n_levels=8, n_stations=32):
     cross-section's r_min), cut on the traced rails: the cap edge must match
     the local cell scale or the cells around it degenerate.  The cells are
     built counter-clockwise and never reoriented, so a fold shows in
-    mesh_quality as a flipped cell.
+    mesh_quality as a flipped cell.  Nodes are numbered station by station,
+    the rails fastest (rail B's tip first), so no triangle joins free nodes
+    more than n_levels + 1 apart: the band of the FEM's reduced system.
     """
     if n_levels < 4:
         raise InputError("need at least 4 intermediate levels")
@@ -372,29 +376,30 @@ def triangulate(cs, n_levels=8, n_stations=32):
         fracs = np.cumsum(_graded_steps(N, first, last))[:-1]
         heights.append(rail.station_heights(fracs))
     # the curve nodes of all rails are re-solved onto their contours in one
-    # batch, so they satisfy the residual tolerance exactly.  Rail i holds
-    # nodes offsets[i] .. offsets[i+1]-1: its anchor, N-1 curve nodes and its
-    # top endpoint; rail B also holds the cap corner (z_cut, r_mesh) right
-    # after its tip (z_cut, 0), which keeps its cap edge
+    # batch, so they satisfy the residual tolerance exactly.  Nodes are
+    # numbered station by station, the rails fastest: node 1 + s m + i is
+    # station s of rail i, where station 0 is the rail's anchor, stations
+    # 1 .. N-1 its curve nodes and station N its top endpoint.  Rail B's
+    # station 0 is the cap corner (z_cut, r_mesh), and its tip (z_cut, 0) is
+    # node 0.  Every quad then joins nodes at most m + 1 apart, so the FEM
+    # factors its band in this order
     m = len(rails)
     heights = np.array(heights)
-    grid = np.zeros((m, N + 1, 2))                 # (z, r) rows for now
-    grid[:, 0, 0] = [rail.tip_z for rail in rails]
-    grid[:, 1:-1, 0] = heights
     rail_levels = [[rail.c] for rail in rails]
-    grid[:, 1:-1, 1] = np.exp(log_radius_at(field, rail_levels, heights))
-    grid[:, -1, 0] = [rail.z2 for rail in rails]
-    offsets = np.append((N + 1) * np.arange(m), m * (N + 1) + 1)
-    nodes = np.insert(grid.reshape(-1, 2), offsets[-2] + 1, [z_cut, r_mesh], axis=0)
-    bottom, top = offsets[:-1], offsets[1:] - 1    # end nodes of each rail
+    grid = np.zeros((N + 1, m, 2))                 # (z, r) rows for now
+    grid[0, :, 0] = [rail.tip_z for rail in rails]
+    grid[0, -1] = z_cut, r_mesh
+    grid[1:-1, :, 0] = heights.T
+    grid[1:-1, :, 1] = np.exp(log_radius_at(field, rail_levels, heights)).T
+    grid[-1, :, 0] = [rail.z2 for rail in rails]
+    nodes = np.vstack([[[z_cut, 0.0]], grid.reshape(-1, 2)])
+    ids = 1 + np.arange((N + 1) * m).reshape(N + 1, m)      # ids[s, i]
+    tip = 0
 
-    # quads strip by strip, N per strip; the last strip pairs station j of
-    # its lower rail with station j + 1 of rail B, whose station 1 is the
-    # cap corner, and closes the cap with one extra triangle
+    # quads strip by strip, N per strip, between stations j and j + 1 of
+    # rails i and i + 1; the cap closes with one extra triangle
     i, j = np.divmod(np.arange((m - 1) * N), N)
-    lower = bottom[i] + j
-    upper = bottom[i + 1] + j + (i == m - 2)
-    q = np.column_stack([lower, upper, upper + 1, lower + 1])
+    q = np.column_stack([ids[j, i], ids[j, i + 1], ids[j + 1, i + 1], ids[j + 1, i]])
     # the quad a, b, c, d runs clockwise in (r, z): inward, up, outward.  Both
     # diagonal splits, counter-clockwise: (a, c, b) (a, d, c) and (a, d, b)
     # (b, d, c); take the one with the better worst angle, the first on a tie
@@ -403,32 +408,30 @@ def triangulate(cs, n_levels=8, n_stations=32):
     better = (np.minimum(quality[:, 0], quality[:, 1])
               >= np.minimum(quality[:, 2], quality[:, 3]))
     chosen = np.where(better[:, None, None], splits[:, :2], splits[:, 2:])
-    # the cap: rail B's tip, its lower neighbour's tip, the cap corner
-    cap = [bottom[-1], bottom[-2], bottom[-1] + 1]
-    tris = np.vstack([chosen.reshape(-1, 3), cap])
+    # the cap: rail B's tip, its lower neighbour's anchor, the cap corner
+    tris = np.vstack([chosen.reshape(-1, 3), [tip, ids[0, -2], ids[0, -1]]])
 
     # tags: rail A is the outer level; rail B's tip and cap corner form the
     # cap, the rest of rail B the inner level; the end nodes of the rails
     # between them lie on the axis, and so do the edges joining the end
     # nodes of neighbouring rails
-    ids = np.arange(len(nodes))
-    tip = offsets[-2]
-    rail_a, rail_b = ids[:offsets[1]], ids[tip + 1:]   # rail B from its corner
+    rail_a, rail_b = ids[:, 0], ids[:, -1]             # rail B from its corner
+    bottom = np.append(ids[0, :-1], tip)               # the rail anchors
     node_tags = np.full(len(nodes), INTERIOR, dtype=object)
     node_tags[rail_a] = OUTER
     node_tags[rail_b] = INNER
-    node_tags[[tip, tip + 1]] = CAP
+    node_tags[[tip, rail_b[0]]] = CAP
     node_tags[bottom[1:-1]] = AXIS
-    node_tags[top[1:-1]] = AXIS
+    node_tags[ids[-1, 1:-1]] = AXIS
     edge_tags = {}
     for tag, edges in ((OUTER, _path_edges(rail_a)), (INNER, _path_edges(rail_b)),
-                       (CAP, _path_edges(ids[tip:tip + 2])),
-                       (AXIS, _path_edges(bottom)), (AXIS, _path_edges(top))):
-        edge_tags.update(dict.fromkeys(map(tuple, edges.tolist()), tag))
+                       (CAP, [[tip, rail_b[0]]]),
+                       (AXIS, _path_edges(bottom)), (AXIS, _path_edges(ids[-1]))):
+        edge_tags.update(dict.fromkeys(map(tuple, np.sort(edges, axis=1).tolist()), tag))
 
     # normalized arc-length coordinate along each essential component; the
     # inner one runs from the cap corner to rail B's top node on the axis
-    component_arcs = {CAP: {int(tip): 0.0, int(tip) + 1: 0.0}}
+    component_arcs = {CAP: {tip: 0.0, int(rail_b[0]): 0.0}}
     for tag, on in ((OUTER, rail_a), (INNER, rail_b)):
         arc = polyline_arcs(nodes[on])
         component_arcs[tag] = dict(zip(on.tolist(), (arc / arc[-1]).tolist()))
@@ -466,11 +469,9 @@ def mesh_quality(mesh):
     angles = mesh.min_angles()
     edges, counts = _edge_counts(mesh.triangles)
     euler = len(mesh.nodes) - len(edges) + len(mesh.triangles)
-    census = {}
-    for t in mesh.node_tags:
-        census[t] = census.get(t, 0) + 1
-    fully_tagged = all((int(i), int(j)) in mesh.edge_tags
-                       for i, j in edges[counts == 1])
+    # a Counter tallies in C; numpy's unique sorts the strings, which is slower
+    census = dict(Counter(mesh.node_tags))
+    fully_tagged = mesh.edge_tags.keys() >= set(map(tuple, edges[counts == 1].tolist()))
     return QualityReport(min_angle=float(angles.min()),
                          min_area=float(areas.min()),
                          max_area=float(areas.max()),

@@ -14,7 +14,8 @@ Gauss-Jacobi rule of the weight zeta^p; tabulated densities split at their
 knots.  The 28-node sum is the value, its distance to the 20-node sum the
 error estimate.  Panel ends are offsets from the split point, so zeta - z
 does not cancel at small radii; the rule raises RangeError where the peak
-width is subnormal or beyond MAX_DISTANCE.  Over the rod (0 < z < L), below
+width is below MIN_PEAK_WIDTH (about 4.5e-162, where its square underflows)
+or beyond MAX_DISTANCE.  Over the rod (0 < z < L), below
 the switch radius r_sw = NEAR_ROD min(z, L - z), V is linear in t = log r to
 within about 0.05 (r/z)^2 relative, with slope -2 rho(z): there the rule runs
 at r_sw and V continues as V(r_sw) - 2 rho(z) (t - log r_sw), which holds
@@ -58,6 +59,9 @@ PANEL_GRADING = 0.15
 # beyond this distance to the rod the quadrature's slope terms
 # rho / q^(3/2) underflow (and beyond about 1e154 so do V's, as q overflows)
 MAX_DISTANCE = float(np.finfo(float).max) ** (1.0 / 3.0)
+# below this peak width the quadrature's squared distance q = u^2 + r^2 to a
+# node may round to 0: q >= max(u^2, r^2) >= peak^2 / 2 = 2^-1073
+MIN_PEAK_WIDTH = 2.0 ** -536
 # lanes per array pass of the quadrature, which bounds its scratch memory
 QUADRATURE_CHUNK = 256
 # distance from (2/3, 0) beyond which the lebesgue V is a multipole sum:
@@ -337,10 +341,13 @@ class PotentialField:
         s = np.clip(z, 0.0, L)
         d = z - s                          # 0 over the rod
         peak = np.hypot(r, d)
-        # graded below floor, panel ends turn subnormal or L / depth overflows
+        # graded below floor, panel ends turn subnormal or L / depth
+        # overflows; below MIN_PEAK_WIDTH the integrand may divide by 0
         floor = TINY * max(L, 1.0)
-        _out_of_range(~((floor <= peak) & (peak <= MAX_DISTANCE)), r, z,
-                      "the peak width is subnormal or beyond MAX_DISTANCE")
+        _out_of_range(~((max(floor, MIN_PEAK_WIDTH) <= peak)
+                        & (peak <= MAX_DISTANCE)), r, z,
+                      "the peak width is below MIN_PEAK_WIDTH or beyond "
+                      "MAX_DISTANCE")
         toward_peak = _graded_offsets(L, peak)
         ends = [-s[:, None], (L - s)[:, None], np.zeros((n, 1)), toward_peak, -toward_peak]
         if rho.kind == POWER:

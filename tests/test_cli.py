@@ -82,6 +82,23 @@ def test_numerical_failure_exit_code(tmp_path):
     assert json.loads(lines[0])["error"] == "numerical"
 
 
+def test_numerical_failure_removes_the_directory_it_made(tmp_path, capsys):
+    # the subnormal run of test_numerical_failure_exit_code: the directory
+    # the run made is empty when the RangeError propagates, so it goes; one
+    # that was there before stays
+    out = tmp_path / "subnormal"
+    args = ["potential-grid", "--set", 'density={"kind":"power","p":0.5}',
+            "--set", "r_range=[0.0,1.0]", "--set", "z_range=[-1e-310,-1e-310]",
+            "--set", "n_r=2", "--set", "n_z=2", "--output-dir", str(out)]
+    assert cli.main(args) == 2
+    assert not out.exists()
+    out.mkdir()
+    assert cli.main(args) == 2
+    assert out.is_dir()
+    errors = capsys.readouterr().err.splitlines()
+    assert [json.loads(line)["error"] for line in errors] == ["numerical"] * 2
+
+
 def test_round_trip_reproducibility(tmp_path):
     out1 = tmp_path / "a"
     res = run_cli(["contour", "--output-dir", str(out1),

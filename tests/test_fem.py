@@ -7,7 +7,6 @@ import re
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from cusplab import density, fem, mesh, potential
@@ -408,20 +407,17 @@ def _reduced_system(m, bc):
 
 def _solve_reference(m, bc):
     """The solve written out in full from the node-value dict bc: values,
-    energy and residual.  K_ff is reordered by reverse Cuthill-McKee, the
-    entries on and below the diagonal of the reordered matrix fill the
-    LAPACK lower band storage (entry (i, j) in row i - j, column j), and
-    cholesky_banded and cho_solve_banded solve in that order."""
+    energy and residual.  The entries on and below the diagonal of K_ff, in
+    the mesh's own order, fill the LAPACK lower band storage (entry (i, j)
+    in row i - j, column j), and cholesky_banded and cho_solve_banded solve
+    in that order."""
     K, free, K_ff, rhs, u = _reduced_system(m, bc)
-    perm = reverse_cuthill_mckee(K_ff, symmetric_mode=True)
-    P = K_ff[perm][:, perm].tocoo()
+    P = K_ff.tocoo()
     lower = P.row >= P.col
     depth = (P.row - P.col)[lower]
     ab = np.zeros((depth.max() + 1, len(free)))
     ab[depth, P.col[lower]] = P.data[lower]
-    y = cho_solve_banded((cholesky_banded(ab, lower=True), True), rhs[perm])
-    x = np.empty_like(y)
-    x[perm] = y
+    x = cho_solve_banded((cholesky_banded(ab, lower=True), True), rhs)
     residual = float(np.linalg.norm(rhs - K_ff @ x) / np.linalg.norm(rhs))
     u[free] = x
     return u, 2.0 * math.pi * float(u @ (K @ u)), residual
@@ -494,6 +490,60 @@ def test_factor_failure_is_a_mesh_error():
                                  node_tags=m.node_tags + (mesh.INTERIOR,))
     with pytest.raises(MeshError, match="not positive definite"):
         fem.solve_dirichlet(lonely, fem.BoundaryData.constants(1.0, 2.0))
+
+
+@pytest.mark.parametrize("n_levels", [8, 16, 24, 32, 64])
+def test_own_order_band_is_one_station_wide(cs, n_levels):
+    # triangulate numbers its nodes station by station, the rails fastest,
+    # so a triangle joins free nodes at most n_levels + 1 apart in K_ff.
+    # From the triangles: assemble refuses the folded 64x256 mesh
+    m = mesh.triangulate(cs, n_levels=n_levels, n_stations=4 * n_levels)
+    is_free = ~np.isin(np.asarray(m.node_tags), mesh.ESSENTIAL_TAGS)
+    index = np.cumsum(is_free) - 1                  # free node -> row of K_ff
+    t = m.triangles
+    band = 0
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        both = is_free[t[:, a]] & is_free[t[:, b]]
+        band = max(band, np.abs(index[t[both, a]] - index[t[both, b]]).max())
+    assert band == n_levels + 1
+    if n_levels <= 32:
+        fem.solve_dirichlet(m, fem.BoundaryData.constants(0.5, 2.0))
+        assert fem._state(m).chol.shape == (band + 1, is_free.sum())
+
+
+def _renumbered(m, order):
+    """The mesh m with its node order[k] renamed k."""
+    new = np.empty_like(order)
+    new[order] = np.arange(len(order))
+    return mesh.Mesh(
+        nodes=m.nodes[order], triangles=new[m.triangles],
+        node_tags=[m.node_tags[k] for k in order],
+        edge_tags={tuple(sorted(new[list(e)].tolist())): tag
+                   for e, tag in m.edge_tags.items()},
+        component_arcs={tag: {int(new[k]): s for k, s in arc.items()}
+                        for tag, arc in m.component_arcs.items()},
+        z_cut=m.z_cut)
+
+
+def test_band_too_wide_is_a_mesh_error(monkeypatch):
+    # the factor takes a mesh's own order, so a shuffled numbering widens
+    # the band from 14 x 121 entries to about 121 x 121.  Both meshes solve
+    # alike; with the cap between the two, the shuffled one is refused
+    # before its band is filled and factored
+    m = mesh.rectangle_mesh(1.0, 2.0, 0.0, 1.0, 12, 12)
+    order = np.random.default_rng(3).permutation(len(m.nodes))
+    data = fem.BoundaryData(fem.BumpData(0.3, 0.2, 1.5), fem.ConstantData(0.0))
+    want = fem.solve_dirichlet(m, data, tol=1e-12).values
+    got = fem.solve_dirichlet(_renumbered(m, order), data, tol=1e-12).values
+    assert np.abs(got - want[order]).max() <= 1e-14 * np.abs(want).max()
+    monkeypatch.setattr(fem, "_MAX_BAND_ENTRIES", 4000)
+    assert np.array_equal(fem.solve_dirichlet(dataclasses.replace(m), data,
+                                              tol=1e-12).values, want)
+    factored = []
+    monkeypatch.setattr(fem, "cholesky_banded", lambda *a, **k: factored.append(a))
+    with pytest.raises(MeshError, match="exceeds 4000 entries"):
+        fem.solve_dirichlet(_renumbered(m, order), data)
+    assert factored == []
 
 
 def test_mesh_with_every_node_fixed():

@@ -138,12 +138,11 @@ def test_rail_nodes_match_per_rail_roots(cs, leb, monkeypatch):
     monkeypatch.undo()
     assert len(batches) == 2
     levels = [0.5, *mesh._level_values(leb, 0.5, 2.0, 8), 2.0]
-    # rail by rail: anchor, 31 curve nodes, top endpoint; rail B also holds
-    # the cap corner after its anchor
-    rails = np.split(m.nodes, 33 * np.arange(1, len(levels)))
-    rails[-1] = np.delete(rails[-1], 1, axis=0)
-    for c, rail in zip(levels, rails):
-        r, z = rail[1:-1].T
+    # rail B's tip, then station by station with the rails fastest: the
+    # anchors (rail B's cap corner), 31 rows of curve nodes, the top endpoints
+    stations = m.nodes[1:].reshape(33, len(levels), 2)
+    for c, rail in zip(levels, stations[1:-1].transpose(1, 0, 2)):
+        r, z = rail.T
         assert r.tolist() == np.exp(solve(leb, c, z)).tolist()
 
 
@@ -243,6 +242,25 @@ def test_quality_detects_flipped_triangle():
     q = mesh.mesh_quality(m)
     assert q.n_flipped == 1
     assert not q.passes()
+
+
+def test_quality_census_matches_node_and_edge_loops(canonical):
+    # the tag census and the boundary check against a count node by node and
+    # a lookup edge by edge, on the canonical mesh and with one boundary edge
+    # left untagged (a key written unsorted does not count)
+    edges, counts = mesh._edge_counts(canonical.triangles)
+    boundary = [(int(i), int(j)) for i, j in edges[counts == 1]]
+    census = {}
+    for t in canonical.node_tags:
+        census[t] = census.get(t, 0) + 1
+    q = mesh.mesh_quality(canonical)
+    assert q.tag_census == census
+    assert q.boundary_fully_tagged
+    i, j = boundary[7]
+    tags = dict(canonical.edge_tags)
+    tags[(j, i)] = tags.pop((i, j))
+    assert not mesh.mesh_quality(dataclasses.replace(canonical,
+                                                     edge_tags=tags)).boundary_fully_tagged
 
 
 def test_rectangle_mesh():

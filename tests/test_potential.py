@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,14 +104,37 @@ def test_lanes_next_to_the_rod_match_mpmath(mp_value_slope):
 
 
 def test_nan_estimate_raises():
-    # the peak of width 1e-300 (1e-170) underflows: the integrand and the
-    # error estimate turn nan, which must not pass the accuracy check
-    field = potential.PotentialField(density.power_profile(0.5))
+    # a density of up to 1e308 overflows both panel rules: their sums read
+    # inf, so the error estimate is nan, which must not pass the accuracy
+    # check
+    field = potential.PotentialField(density.tabulated_profile([(0.0, 0.0),
+                                                                (1.0, 1e308)]))
     with np.errstate(all="ignore"):
-        with pytest.raises(AccuracyError):
+        with pytest.raises(AccuracyError, match="error nan"):
+            field.value(0.5, 0.5)
+        with pytest.raises(AccuracyError, match="error nan"):
+            field.value_slope_log_r(math.log(1e-3), 0.2)
+
+
+def test_underflowing_peak_square_raises_range_error():
+    # the peak widths 1e-300 and 1e-170 are normal, but their squares
+    # underflow, so the integrand would divide by 0 and its estimate read
+    # nan: the range check names the lane before numpy warns
+    field = potential.PotentialField(density.power_profile(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=r"V\(9\.8\d*e-305, -1e-300\): "
+                                             "the peak width is below"):
+            field.value_slope_log_r(-700.0, -1e-300)
+        with pytest.raises(RangeError, match=r"V\(0\.0, -1e-300\)"):
             field.value(0.0, -1e-300)
-        with pytest.raises(AccuracyError):
+        with pytest.raises(RangeError, match=r"-1e-170\)"):
             field.value_slope_log_r(math.log(1e-200), -1e-170)
+    # at twice the floor V is the limit V(0,0); the slope sum that r^2 = 0
+    # multiplies overflows
+    with np.errstate(over="ignore"):
+        v = field.value(0.0, -2.0 * potential.MIN_PEAK_WIDTH)
+    assert v == pytest.approx(field.v00, rel=1e-12)
 
 
 def test_power_field_quadrature():
