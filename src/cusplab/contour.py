@@ -292,9 +292,11 @@ class ContourCurve:
 
 
 def polyline_arcs(pts):
-    """Cumulative arc length at each row of an (n, 2) polyline, from 0."""
-    seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
-    return np.concatenate([[0.0], np.cumsum(seg)])
+    """Cumulative arc length at each row of an (n, 2) polyline, from 0, or
+    of each polyline of an (m, n, 2) stack, as an (m, n) array."""
+    step = np.diff(pts, axis=-2)
+    arc = np.cumsum(np.hypot(step[..., 0], step[..., 1]), axis=-1)
+    return np.concatenate([np.zeros(arc.shape[:-1] + (1,)), arc], axis=-1)
 
 
 def _geometric_offsets(field, c, z1, z2, n):

@@ -65,8 +65,9 @@ class BumpData:
     amplitude: float
 
     def __post_init__(self):
-        if not math.isfinite(self.amplitude):
-            raise InputError("bump amplitude must be finite")
+        for name in ("center", "width", "amplitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"bump {name} must be finite")
         if self.width <= 0:
             raise InputError("bump width must be positive")
 

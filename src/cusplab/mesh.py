@@ -3,10 +3,12 @@
 The mesh is a structured contour grid: nodes sit on level curves of V
 ("rails"), rails are joined into quads by station index, quads split into
 counter-clockwise triangles along the better diagonal.  The rails are
-traced first; every cusp rail (level above V(0,0)) is then truncated where
-its radius falls to the mesh's truncation radius and anchored to the axis
-by a tip node.  Each such cut, like the section's own, is one bracketed
-root on a traced curve, between the two samples that straddle the radius.
+traced first and held as one padded stack of (z, r) samples; every cusp
+rail (level above V(0,0)) is then cut, once, where its radius falls to the
+mesh's truncation radius: its samples below the cut become the corner
+there, and a tip node anchors it to the axis.  Each cut, like the section's
+own, is one bracketed root on a traced curve, between the two samples that
+straddle the radius.
 The exponentially thin sliver below the truncation is collapsed onto the
 axis, which confines the modelling error to cells whose axisymmetric
 weight r is itself of truncation size.  The inner boundary keeps a single
@@ -90,32 +92,34 @@ class CrossSection:
         return self.A - CONTAINS_TOL <= v <= self.B + CONTAINS_TOL
 
 
-def _truncate_cusp(field, curve, r_min):
-    """z_cut, where the traced level curve's cusp thins to r_min, and the
-    curve's (z, r) samples above it led by the corner (z_cut, r_min).  z_cut
-    is the root in z of V(r_min, z) = c, bracketed by the first traced
-    sample at or above r_min and the sample before it (the tip on the axis
-    at the first)."""
-    target = math.log(r_min)
+def _cut_height(field, curve, r):
+    """The height where the traced level curve's cusp thins to radius r: the
+    root in z of V(r, z) = c, bracketed by the first traced sample at or
+    above r and the sample before it (the tip on the axis at the first)."""
+    target = math.log(r)
     k = int(np.argmax(curve.log_r >= target))
     if curve.log_r[k] < target:
-        raise RangeError(f"level {curve.level} never reaches radius {r_min}")
-    z_cut = _root_in(lambda z: field.value_log_r(target, z) - curve.level,
-                     curve.samples[k - 1, 0], curve.samples[k, 0])
-    keep = curve.samples[:, 0] > z_cut
-    keep[0] = False                       # drop the tip on the axis
-    return z_cut, np.vstack([[z_cut, r_min], curve.samples[keep]])
+        raise RangeError(f"level {curve.level} never reaches radius {r}")
+    return _root_in(lambda z: field.value_log_r(target, z) - curve.level,
+                    curve.samples[k - 1, 0], curve.samples[k, 0])
 
 
 def build_cross_section(field, A, B, r_min=None, n_trace=256):
-    """Trace the two boundary contours and fix the cusp truncation height."""
+    """Trace the two boundary contours and fix the cusp truncation height
+    z_cut, where the inner contour thins to r_min (InputError unless
+    0 < r_min < inf; by default 1e-4 of the outer contour's z span)."""
     if not (0.0 < A < field.v00 < B):
         raise InputError(f"levels must satisfy 0 < A < V(0,0) < B; got "
                          f"A={A}, B={B}, V(0,0)={field.v00}")
     outer, inner = trace_contours(field, [A, B], n=n_trace, grading="blended")
     if r_min is None:
         r_min = 1e-4 * (outer.z2 - outer.z1)
-    z_cut, trunc = _truncate_cusp(field, inner, r_min)
+    if not 0.0 < r_min < math.inf:
+        raise InputError(f"r_min must be positive and finite, got {r_min}")
+    # the inner boundary starts at the corner (z_cut, r_min): the needle
+    # below it, the tip on the axis included, is cut off
+    z_cut = _cut_height(field, inner, r_min)
+    trunc = np.vstack([[z_cut, r_min], inner.samples[inner.samples[:, 0] > z_cut]])
     return CrossSection(field=field, A=A, B=B, r_min=r_min, z_cut=z_cut,
                         outer=outer, inner_truncated=trunc)
 
@@ -243,47 +247,6 @@ def _graded_steps(n_steps, first_fraction, last_fraction=None):
     return steps / steps.sum()
 
 
-class _Rail:
-    """A traced level curve prepared for meshing: an anchor node on the axis
-    at tip_z (the z1 endpoint, or the truncation tip for cusp levels) plus
-    the arc-parameterized curve itself, which starts at tip_z."""
-
-    def __init__(self, field, curve, r_min, center_z):
-        self.c = curve.level
-        self.z2 = curve.z2
-        if self.c > field.v00:
-            # arc starts at the truncation corner, never on the axis leg:
-            # stations must stay strictly on the contour
-            self.tip_z, pts = _truncate_cusp(field, curve, r_min)
-        else:
-            self.tip_z, pts = curve.z1, curve.samples
-        self.polyline = pts                                  # (z, r) rows
-        arc = polyline_arcs(pts)
-        self.length = arc[-1]
-        # station parameter: arc fraction blended with the polar-angle
-        # fraction about a point inside the inner contour, so that matched
-        # stations of nested rails stay on nearby rays (pure arc matching
-        # shears the quads around the curve shoulders)
-        phi = np.arctan2(pts[:, 1], pts[:, 0] - center_z)
-        p = 1.0 - phi / math.pi
-        sigma = 0.5 * (arc / self.length + p)
-        sigma -= sigma[0]
-        sigma /= sigma[-1]
-        self.sigma = np.maximum.accumulate(sigma)
-        self.arc = arc
-
-    def param_at_arc(self, a):
-        """Station parameter reached at a given arc length from the start."""
-        return float(np.interp(a, self.arc, self.sigma))
-
-    def station_heights(self, fractions):
-        """Heights of the curve nodes at the given parameter fractions,
-        strictly inside the curve's z range."""
-        span = self.z2 - self.tip_z
-        return np.clip(np.interp(fractions, self.sigma, self.polyline[:, 0]),
-                       self.tip_z + 1e-12 * abs(span), self.z2 - 1e-12 * abs(span))
-
-
 def _level_values(field, A, B, n_levels):
     v00 = field.v00
     # half the levels on each side of V(0,0): the outer strips are the wide
@@ -308,15 +271,15 @@ def _mesh_truncation_radius(field, inner, last, r_floor):
     """Truncation radius for meshing: large enough that the cap edge and the
     axis gap to the neighbouring rail tip meet at a healthy angle.  The tip
     heights are cut on the traced inner rail and on the cusp rail next to
-    it."""
+    it; returns the radius and those two cut heights at it."""
     r = max(r_floor, 1e-3)
     for _ in range(12):
-        gap = _truncate_cusp(field, inner, r)[0] - _truncate_cusp(field, last, r)[0]
-        r_new = max(r_floor, 0.40 * gap)
+        cuts = _cut_height(field, inner, r), _cut_height(field, last, r)
+        r_new = max(r_floor, 0.40 * (cuts[0] - cuts[1]))
         if abs(r_new - r) <= 0.02 * r:
-            break
+            return r, cuts
         r = r_new
-    return r
+    return r, (_cut_height(field, inner, r), _cut_height(field, last, r))
 
 
 def triangulate(cs, n_levels=8, n_stations=32):
@@ -342,10 +305,32 @@ def triangulate(cs, n_levels=8, n_stations=32):
     levels = _level_values(field, cs.A, cs.B, n_levels)
     curves = trace_contours(field, [cs.A, *levels, cs.B], n=n_trace,
                             grading="geometric")
-    r_mesh = _mesh_truncation_radius(field, curves[-1], curves[-2], cs.r_min)
-    center_z = 0.5 * field.density.length
-    rails = [_Rail(field, curve, r_mesh, center_z) for curve in curves]
-    z_cut = rails[-1].tip_z
+    r_mesh, (z_cut, z_last) = _mesh_truncation_radius(field, curves[-1], curves[-2],
+                                                      cs.r_min)
+    # the rails as one (m, n_trace + 2, 2) stack of (z, r) rows: geometric
+    # grading gives every curve that many samples.  The cusp rails (levels
+    # above V(0,0), the last ones) start at their cut: the rows at or below
+    # it, the tip on the axis included, become the corner (z_cut, r_mesh),
+    # whose repeats add nothing to arc length or to the station parameter.
+    # Stations must stay strictly on the contour, never on the axis leg
+    pts = np.array([curve.samples for curve in curves])
+    cuts = [_cut_height(field, curve, r_mesh) for curve in curves[:-2]
+            if curve.level > field.v00] + [z_last, z_cut]
+    for rail, z in zip(pts[-len(cuts):], cuts):
+        rail[rail[:, 0] <= z] = z, r_mesh
+    m = len(curves)
+    tips, tops = pts[:, 0, 0], pts[:, -1, 0]
+    arc = polyline_arcs(pts)
+    length = arc[:, -1]
+    # station parameter: arc fraction blended with the polar-angle fraction
+    # about a point inside the inner contour, so that matched stations of
+    # nested rails stay on nearby rays (pure arc matching shears the quads
+    # around the curve shoulders)
+    phi = np.arctan2(pts[..., 1], pts[..., 0] - 0.5 * field.density.length)
+    sigma = 0.5 * (arc / length[:, None] + (1.0 - phi / math.pi))
+    sigma -= sigma[:, :1]
+    sigma /= sigma[:, -1:]
+    sigma = np.maximum.accumulate(sigma, axis=1)
 
     # parameter fractions: N-1 interior stations between the two anchors;
     # steps shrink toward an axis anchor when neighbouring rails anchor
@@ -357,8 +342,8 @@ def triangulate(cs, n_levels=8, n_stations=32):
         gaps = np.concatenate([[np.inf], np.abs(np.diff(ends)), [np.inf]])
         return np.minimum(gaps[:-1], gaps[1:])
 
-    first_arcs = 0.75 * local_gaps([r.tip_z for r in rails])
-    last_arcs = 0.55 * local_gaps([r.z2 for r in rails])
+    first_arcs = 0.75 * local_gaps(tips)
+    last_arcs = 0.55 * local_gaps(tops)
     first_arcs[-1] = 1.5 * r_mesh
     # smooth the ramp scales across rails: a strip whose two rails grade at
     # very different rates shears its quads
@@ -368,13 +353,18 @@ def triangulate(cs, n_levels=8, n_stations=32):
             arr[:] = np.exp((np.log(pad[:-2]) + np.log(pad[1:-1])
                              + np.log(pad[2:])) / 3.0)
 
+    # station heights at the graded parameter fractions, strictly inside
+    # each rail's z range
     heights = []
-    for i, rail in enumerate(rails):
-        first = rail.param_at_arc(min(first_arcs[i], 0.5 * rail.length))
-        last = 1.0 - rail.param_at_arc(
-            max(rail.length - min(last_arcs[i], 0.5 * rail.length), 0.0))
+    for i in range(m):
+        half = 0.5 * length[i]
+        first = np.interp(min(first_arcs[i], half), arc[i], sigma[i])
+        last = 1.0 - np.interp(max(length[i] - min(last_arcs[i], half), 0.0),
+                               arc[i], sigma[i])
         fracs = np.cumsum(_graded_steps(N, first, last))[:-1]
-        heights.append(rail.station_heights(fracs))
+        heights.append(np.interp(fracs, sigma[i], pts[i, :, 0]))
+    margin = 1e-12 * np.abs(tops - tips)
+    heights = np.clip(heights, (tips + margin)[:, None], (tops - margin)[:, None])
     # the curve nodes of all rails are re-solved onto their contours in one
     # batch, so they satisfy the residual tolerance exactly.  Nodes are
     # numbered station by station, the rails fastest: node 1 + s m + i is
@@ -383,15 +373,13 @@ def triangulate(cs, n_levels=8, n_stations=32):
     # station 0 is the cap corner (z_cut, r_mesh), and its tip (z_cut, 0) is
     # node 0.  Every quad then joins nodes at most m + 1 apart, so the FEM
     # factors its band in this order
-    m = len(rails)
-    heights = np.array(heights)
-    rail_levels = [[rail.c] for rail in rails]
     grid = np.zeros((N + 1, m, 2))                 # (z, r) rows for now
-    grid[0, :, 0] = [rail.tip_z for rail in rails]
+    grid[0, :, 0] = tips
     grid[0, -1] = z_cut, r_mesh
     grid[1:-1, :, 0] = heights.T
-    grid[1:-1, :, 1] = np.exp(log_radius_at(field, rail_levels, heights)).T
-    grid[-1, :, 0] = [rail.z2 for rail in rails]
+    grid[1:-1, :, 1] = np.exp(log_radius_at(field, [[c.level] for c in curves],
+                                            heights)).T
+    grid[-1, :, 0] = tops
     nodes = np.vstack([[[z_cut, 0.0]], grid.reshape(-1, 2)])
     ids = 1 + np.arange((N + 1) * m).reshape(N + 1, m)      # ids[s, i]
     tip = 0

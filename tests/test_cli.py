@@ -188,6 +188,10 @@ def test_csv_cells_are_plain_numbers(tmp_path):
     ("solve", '{"outer":{"constant":NaN},"inner":{"constant":2.0}}'),
     ("wos", '{"outer":{"constant":0.5},"inner":{"constant":Infinity}}'),
     ("solve", '{"outer":{"constant":0.5},"inner":{"tabulated":[2.0,NaN]}}'),
+    ("solve", '{"outer":{"bump":{"center":NaN,"width":0.2,"amplitude":1.0}},'
+              '"inner":{"constant":2.0}}'),
+    ("solve", '{"outer":{"constant":0.5},'
+              '"inner":{"bump":{"center":0.5,"width":Infinity,"amplitude":1.0}}}'),
 ])
 def test_non_finite_data_exit_1(tmp_path, cmd, data, capsys):
     assert cli.main([cmd, "--set", f"data={data}",
@@ -197,6 +201,21 @@ def test_non_finite_data_exit_1(tmp_path, cmd, data, capsys):
     err = json.loads(lines[0])
     assert err["error"] == "validation"
     assert "finite" in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd, r_min", [("mesh", "0"), ("solve", "-1"),
+                                        ("wos", "NaN"), ("mesh", "Infinity")])
+def test_r_min_out_of_range_exit_1(tmp_path, cmd, r_min, capsys):
+    # the cut radius must be positive and finite: a validation error, one
+    # JSON line on stderr and no directory left behind
+    assert cli.main([cmd, "--set", f"r_min={r_min}",
+                     "--output-dir", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "validation"
+    assert "r_min must be positive and finite" in err["detail"]
     assert not (tmp_path / "out").exists()
 
 

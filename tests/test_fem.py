@@ -258,6 +258,12 @@ def test_non_finite_data_refused(value):
         fem.BoundaryData.constants(value, 1.0)
     with pytest.raises(InputError, match="finite"):
         fem.TabulatedData((1.0, value, 2.0))
+    # so is each field of a bump: a nan center would read as all-zero data
+    # and an infinite width as a constant
+    for name in ("center", "width", "amplitude"):
+        with pytest.raises(InputError, match=f"bump {name} must be finite"):
+            fem.BumpData(**{"center": 0.5, "width": 0.25, "amplitude": 1.0,
+                            name: value})
     # a callable datum is checked by the solve: its residual is nan, not 0
     m = mesh.rectangle_mesh(1.0, 2.0, 0.0, 1.0, 4, 4)
     data = fem.BoundaryData(lambda s: np.where(np.asarray(s) > 0.5, value, 1.0),

@@ -33,6 +33,12 @@ def test_cross_section_z_cut(cs):
     assert np.all(cs.inner_truncated[:, 0] >= cs.z_cut)
 
 
+@pytest.mark.parametrize("r_min", [0.0, -1.0, math.nan, math.inf])
+def test_cross_section_r_min_must_be_positive_and_finite(leb, r_min):
+    with pytest.raises(InputError, match="r_min must be positive and finite"):
+        mesh.build_cross_section(leb, 0.5, 2.0, r_min=r_min)
+
+
 def test_cross_section_level_ordering(leb):
     with pytest.raises(InputError):
         mesh.build_cross_section(leb, 1.5, 2.0)      # A above V(0,0)
@@ -302,7 +308,7 @@ def test_truncation_height_predicate_matches_roots(leb, c, r_min):
     # the cut on a traced curve, bracketed by the two samples that straddle
     # r_min, is the height the bisection on contour roots finds, up to the
     # root tolerance
-    z, _ = mesh._truncate_cusp(leb, _rail(leb, c), r_min)
+    z = mesh._cut_height(leb, _rail(leb, c), r_min)
     assert z == pytest.approx(_truncation_height_by_roots(leb, c, r_min), rel=1e-13, abs=0.0)
     assert contour.log_radius_at(leb, c, z) == pytest.approx(math.log(r_min), rel=1e-9, abs=0.0)
 
@@ -314,10 +320,42 @@ def test_truncation_height_matches_mpmath(leb, c, r_min, mp_level_height,
     counts = root_evaluations
     curve = _rail(leb, c)
     counts.clear()                # the trace's own axis crossing
-    z, _ = mesh._truncate_cusp(leb, curve, r_min)
+    z = mesh._cut_height(leb, curve, r_min)
     ref = mp_level_height(leb.density, c, math.log(r_min), z)
     assert z == pytest.approx(ref, rel=1e-14, abs=0.0)
     assert len(counts) == 1 and counts[0] <= 20
+
+
+def test_each_cusp_rail_is_cut_once(cs, leb, monkeypatch):
+    # one triangulate cuts each (level, radius) pair at most once: rails B
+    # and B-1 keep the last two cuts of the truncation-radius loop, and every
+    # other cusp rail is cut once, at the mesh's radius
+    cuts = []
+    cut = mesh._cut_height
+
+    def recorded(field, curve, r):
+        z = cut(field, curve, r)
+        cuts.append((curve.level, r, z))
+        return z
+
+    monkeypatch.setattr(mesh, "_cut_height", recorded)
+    m = mesh.triangulate(cs, n_levels=8, n_stations=32)
+    monkeypatch.undo()
+    pairs = [(c, r) for c, r, _ in cuts]
+    assert len(set(pairs)) == len(pairs)
+    levels = [0.5, *mesh._level_values(leb, 0.5, 2.0, 8), 2.0]
+    cusp = [c for c in levels if c > leb.v00]
+    # node len(levels) is rail B's cap corner (r_mesh, z_cut), the node
+    # before it rail B-1's anchor on the axis
+    r_mesh = m.nodes[len(levels), 0]
+    # the loop's cuts come first, then one cut of each other cusp rail
+    n_loop = len(cuts) - (len(cusp) - 2)
+    loop, rest = cuts[:n_loop], cuts[n_loop:]
+    assert {c for c, _, _ in loop} == {2.0, cusp[-2]}
+    assert [pair[:2] for pair in loop[-2:]] == [(2.0, r_mesh), (cusp[-2], r_mesh)]
+    assert [pair[:2] for pair in rest] == [(c, r_mesh) for c in cusp[:-2]]
+    assert m.nodes[len(levels)].tolist() == [r_mesh, loop[-2][2]] == [r_mesh, m.z_cut]
+    assert m.nodes[len(levels) - 1].tolist() == [0.0, loop[-1][2]]
 
 
 def test_graded_steps_ramp_sums_to_its_window():
