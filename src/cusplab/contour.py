@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AccuracyError, InputError, RangeError
 
@@ -53,6 +52,9 @@ def _root_in(f, lo, hi):
     sign over the bracket (RangeError otherwise).  The ends are evaluated
     once, for the sign check, and handed on to the solver, which stops
     within 4 eps relative of the root."""
+    # imported here: scipy.optimize would add about 0.2 s to every start
+    from scipy.optimize import brentq
+
     ends = {lo: f(lo), hi: f(hi)}
     if not min(ends.values()) <= 0.0 <= max(ends.values()):
         raise RangeError(f"bracket [{lo!r}, {hi!r}] has no sign change")
@@ -155,6 +157,9 @@ def _log_radius_residual(field, cs, zs):
     lo, hi = np.full(n, -INF), np.full(n, INF)
     af_prev = root_prev = last = f_last = np.full(n, INF)
     L = field.density.length
+    # the panel layout of the last quadrature pass, reused while the open
+    # lanes' heights and ladder depths hold (bit for bit what a pass builds)
+    layouts = {}
     # steps on a zero or infinite slope read inf or nan
     with np.errstate(all="ignore"):
         # log of the station's distance to the rod, -inf over the rod
@@ -163,7 +168,7 @@ def _log_radius_residual(field, cs, zs):
             if not len(lanes):
                 break
             t = t_next
-            v, slope = field.value_slope_log_r(t, z)
+            v, slope = field.value_slope_log_r(t, z, _layouts=layouts)
             f = v - c
             af = np.abs(f)
             step = -f / slope

@@ -149,6 +149,9 @@ class Mesh:
     # built by cusplab.fem on first use and kept for the mesh's life
     _fem: object = dataclass_field(default=None, init=False, repr=False,
                                    compare=False)
+    # private edge census (_edge_counts): built on first use and kept
+    _edges: object = dataclass_field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         arcs = {tag: MappingProxyType(dict(arc))
@@ -173,8 +176,17 @@ class Mesh:
         return _min_angles(self.nodes[self.triangles])
 
     def boundary_edges(self):
-        edges, counts = _edge_counts(self.triangles)
+        edges, counts = self._edge_census()
         return list(map(tuple, edges[counts == 1].tolist()))
+
+    def _edge_census(self):
+        """_edge_counts of the triangles, read-only, counted once per mesh;
+        a copy or pickle counts again."""
+        if self._edges is None:
+            edges, counts = _edge_counts(self.triangles)
+            edges.flags.writeable = counts.flags.writeable = False
+            object.__setattr__(self, "_edges", (edges, counts))
+        return self._edges
 
     def nodes_with_tag(self, tag):
         return np.flatnonzero(np.array(self.node_tags, dtype=object) == tag)
@@ -455,7 +467,7 @@ def mesh_quality(mesh):
     are reported, never raised."""
     areas = mesh.signed_areas()
     angles = mesh.min_angles()
-    edges, counts = _edge_counts(mesh.triangles)
+    edges, counts = mesh._edge_census()
     euler = len(mesh.nodes) - len(edges) + len(mesh.triangles)
     # a Counter tallies in C; numpy's unique sorts the strings, which is slower
     census = dict(Counter(mesh.node_tags))

@@ -19,7 +19,11 @@ or beyond MAX_DISTANCE.  Over the rod (0 < z < L), below
 the switch radius r_sw = NEAR_ROD min(z, L - z), V is linear in t = log r to
 within about 0.05 (r/z)^2 relative, with slope -2 rho(z): there the rule runs
 at r_sw and V continues as V(r_sw) - 2 rho(z) (t - log r_sw), which holds
-also where e^t underflows.
+also where e^t underflows.  The panel layout (ends, nodes, rules and
+density values) depends only on z and on the ladder depth of the peak
+width, the number of grading steps from L down to it; a contour root batch
+reuses each station's layout while its ladder depth holds, which gives
+the same bits as building it again.
 
 The closed forms are evaluated in log-space wherever a difference
 sqrt(w^2 + r^2) - w with w > 0 would cancel: the identity
@@ -217,10 +221,15 @@ def _out_of_range(bad, r, z, why):
         raise RangeError(f"V({r[k]}, {z[k]}): {why}")
 
 
-def _graded_offsets(top, depth):
-    """Rows of the points top * PANEL_GRADING^k, k = 1, 2, ..., each row
-    ending at its first point at or below its depth (nan beyond)."""
-    k = np.maximum(np.ceil(np.log(top / depth) / -math.log(PANEL_GRADING)), 0.0)
+def _ladder_depth(top, depth):
+    """The ladder depths k: the fewest grading steps from top whose last
+    point top * PANEL_GRADING^k lies at or below depth (0 at or above top)."""
+    return np.maximum(np.ceil(np.log(top / depth) / -math.log(PANEL_GRADING)), 0.0)
+
+
+def _graded_offsets(top, k):
+    """Rows of the points top * PANEL_GRADING^j, j = 1, 2, ..., each row
+    ending at its ladder depth k (nan beyond)."""
     ks = np.arange(1, int(k.max()) + 1)
     return np.where(ks <= k[:, None], top * PANEL_GRADING ** ks, np.nan)
 
@@ -274,12 +283,14 @@ class PotentialField:
             r = math.exp(t) if t > -745 else 0.0
         return float(self._evaluate(np.array([r]), np.array([t]), np.array([z]))[0][0])
 
-    def value_slope_log_r(self, t, z):
+    def value_slope_log_r(self, t, z, _layouts=None):
         """The array door: V(e^t, z) and its slope dV/dt = r dV/dr on arrays
         of log-radius t and height z (broadcast against each other), by the
         closed form of the lebesgue profile and the panel quadrature of every
         other density.  DomainError on the rod (t = -inf, 0 < z <= L),
-        RangeError where e^t overflows."""
+        RangeError where e^t overflows.  _layouts, a one-entry memo of the
+        quadrature's panel layout that a root batch keeps across its
+        evaluations, changes no bit of the result (see _evaluate)."""
         t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
         if t.shape != z.shape:
             t, z = np.broadcast_arrays(t, z)
@@ -292,15 +303,18 @@ class PotentialField:
         if self.density.kind == LEBESGUE:
             return lebesgue_value_slope(t, z)
         r = np.where(t > -745.0, np.exp(t), 0.0)
-        v, slope = self._evaluate(r.ravel(), t.ravel(), z.ravel())
+        v, slope = self._evaluate(r.ravel(), t.ravel(), z.ravel(), _layouts)
         return v.reshape(t.shape), slope.reshape(t.shape)
 
-    def _evaluate(self, r, t, z):
+    def _evaluate(self, r, t, z, layouts=None):
         """V and dV/dt on 1-d arrays of radius r, its log t (r = 0 where e^t
         underflows) and height z: the quadrature, continued linearly in t
         below the switch radius over the rod; the light end (0, 0) reads
         V(0,0).  AccuracyError where the error estimate is not within
-        10 rel_tol |V|, nan included (first such lane)."""
+        10 rel_tol |V|, nan included (first such lane).  The dict layouts,
+        if given, holds the last panel layout; it serves only a call whose
+        open lanes fit in one QUADRATURE_CHUNK, so it never holds more than
+        one chunk's layout."""
         L = self.density.length
         r_sw = NEAR_ROD * np.minimum(z, L - z)
         deep = r < r_sw                    # never off the rod, where r_sw <= 0
@@ -309,10 +323,12 @@ class PotentialField:
         v = np.where(tip, self.v00, 0.0)
         slope = np.zeros(len(z))
         lanes = np.flatnonzero(~tip)
+        if layouts is None or len(lanes) > QUADRATURE_CHUNK:
+            layouts = {}
         # in chunks: a lane holds about 15 panels of 48 nodes
         for start in range(0, len(lanes), QUADRATURE_CHUNK):
             chunk = lanes[start:start + QUADRATURE_CHUNK]
-            v_q, slope_q, err = self._quadrature(r[chunk], z[chunk])
+            v_q, slope_q, err = self._quadrature(r[chunk], z[chunk], layouts)
             bad = ~(err <= 10.0 * self.rel_tol * v_q)
             if bad.any():
                 k = int(np.argmax(bad))
@@ -325,22 +341,18 @@ class PotentialField:
             v[deep] += slope[deep] * (t[deep] - np.log(r[deep]))
         return v, slope
 
-    def _quadrature(self, r, z):
+    def _quadrature(self, r, z, layouts):
         """V, dV/dt and the error estimate of V on 1-d arrays of lanes, none
-        at (0, 0).  Panel ends are offsets x = zeta - s from the split point
-        s = clamp(z, 0, L); they are graded toward s down to the distance of
-        (r, z) from (0, s), where the integrand has its peak, and for power
-        densities toward zeta = 0 down to below the nearest of those ends,
-        so that no panel but the ones at s and at 0 is longer than 5.67
-        times its distance from either point.
+        at (0, 0).  The panel layout depends only on the heights z and the
+        ladder depths k of the peak widths (see _layout); the dict layouts
+        keeps the last one under the exact bytes of (z, k), so a hit
+        returns the arrays a miss would build.
         The error estimate is |HIGH - LOW| summed over the panels, plus one
         rounding unit of V.  RangeError for the first lane out of range."""
-        rho = self.density
-        L = rho.length
+        L = self.density.length
         n = len(z)
         s = np.clip(z, 0.0, L)
-        d = z - s                          # 0 over the rod
-        peak = np.hypot(r, d)
+        peak = np.hypot(r, z - s)          # distance of (r, z) from (0, s)
         # graded below floor, panel ends turn subnormal or L / depth
         # overflows; below MIN_PEAK_WIDTH the integrand may divide by 0
         floor = TINY * max(L, 1.0)
@@ -348,16 +360,51 @@ class PotentialField:
                         & (peak <= MAX_DISTANCE)), r, z,
                       "the peak width is below MIN_PEAK_WIDTH or beyond "
                       "MAX_DISTANCE")
-        toward_peak = _graded_offsets(L, peak)
+        k = _ladder_depth(L, peak)
+        key = (z.tobytes(), k.tobytes())
+        if key not in layouts:
+            layouts.clear()
+            layouts[key] = self._layout(r, z, k)
+        lane, u, dens, scale, w_lo, w_hi = layouts[key]
+        q = u * u + (r * r)[lane, None]
+        f = dens / np.sqrt(q)
+        v_lo = scale * (f[:, :LOW_NODES] * w_lo).sum(axis=1)
+        v_hi = scale * (f[:, LOW_NODES:] * w_hi).sum(axis=1)
+        g_hi = scale * (f[:, LOW_NODES:] / q[:, LOW_NODES:] * w_hi).sum(axis=1)
+        v = np.bincount(lane, v_hi, minlength=n)
+        err = np.bincount(lane, np.abs(v_hi - v_lo), minlength=n) + EPS * v
+        # the slope is r^2 times a sum that overflows within about 1e-103 of
+        # a rod end; where r^2 underflows (below r = 1e-162, off the rod) it
+        # reads 0, exact on the axis
+        r2 = r * r
+        return v, -r2 * np.where(r2 > 0.0, np.bincount(lane, g_hi, minlength=n), 0.0), err
+
+    def _layout(self, r, z, k):
+        """The panel layout of lanes at heights z whose peak widths have
+        ladder depths k below L: per panel its lane, the node offsets
+        u = zeta - z, the density at the nodes, the panel's scale and the
+        weights of both rules.  Panel ends are offsets x = zeta - s from the
+        split point s = clamp(z, 0, L), so zeta - z does not cancel at small
+        radii; they are graded toward s by k steps, down to the distance of
+        (r, z) from (0, s), where the integrand has its peak, and for power
+        densities toward zeta = 0 down to below the nearest of those ends,
+        so that no panel but the ones at s and at 0 is longer than 5.67
+        times its distance from either point.  r only names a lane in a
+        RangeError."""
+        rho = self.density
+        L = rho.length
+        n = len(z)
+        s = np.clip(z, 0.0, L)
+        toward_peak = _graded_offsets(L, k)
         ends = [-s[:, None], (L - s)[:, None], np.zeros((n, 1)), toward_peak, -toward_peak]
         if rho.kind == POWER:
             # grade toward the branch point of zeta^p at 0 down to the
             # nearest other panel end, so that only the panel at 0 touches it
             others = s[:, None] + np.concatenate(ends, axis=1)
             nearest = np.min(np.where(others > 0.0, others, L), axis=1)
-            _out_of_range(~(nearest >= floor), r, z, "the panel ends near "
-                          "zeta = 0 are below the smallest normal float")
-            ends.append(_graded_offsets(L, nearest) - s[:, None])
+            _out_of_range(~(nearest >= TINY * max(L, 1.0)), r, z, "the panel "
+                          "ends near zeta = 0 are below the smallest normal float")
+            ends.append(_graded_offsets(L, _ladder_depth(L, nearest)) - s[:, None])
         elif rho.kind == TABULATED:
             ends.append(rho.samples[None, :, 0] - s[:, None])   # kinks
         ends = np.concatenate(ends, axis=1)
@@ -382,19 +429,7 @@ class PotentialField:
         dens = rho(s[lane, None] + x)
         if self._jacobi is not None:
             dens = np.where(at_zero, 1.0, dens)
-        u = x - d[lane, None]
-        q = u * u + (r * r)[lane, None]
-        f = dens / np.sqrt(q)
-        v_lo = scale[:, 0] * (f[:, :LOW_NODES] * w_lo).sum(axis=1)
-        v_hi = scale[:, 0] * (f[:, LOW_NODES:] * w_hi).sum(axis=1)
-        g_hi = scale[:, 0] * (f[:, LOW_NODES:] / q[:, LOW_NODES:] * w_hi).sum(axis=1)
-        v = np.bincount(lane, v_hi, minlength=n)
-        err = np.bincount(lane, np.abs(v_hi - v_lo), minlength=n) + EPS * v
-        # the slope is r^2 times a sum that overflows within about 1e-103 of
-        # a rod end; where r^2 underflows (below r = 1e-162, off the rod) it
-        # reads 0, exact on the axis
-        r2 = r * r
-        return v, -r2 * np.where(r2 > 0.0, np.bincount(lane, g_hi, minlength=n), 0.0), err
+        return lane, x - (z - s)[lane, None], dens, scale[:, 0], w_lo, w_hi
 
 
 @dataclass

@@ -7,8 +7,6 @@ as a polyline.
 
 from __future__ import annotations
 
-from .mesh import _edge_counts
-
 
 class SvgPlot:
     def __init__(self, width=640, height=640, margin=50, title=""):
@@ -113,6 +111,6 @@ def contour_map_svg(curves, highlight_levels, path, title="meridian contour map"
 
 def mesh_wireframe_svg(mesh, path, title="mesh wireframe"):
     plot = SvgPlot(title=title)
-    for a, b in mesh.nodes[_edge_counts(mesh.triangles)[0]]:
+    for a, b in mesh.nodes[mesh._edge_census()[0]]:
         plot.add_curve([a[0], b[0]], [a[1], b[1]], color="#557799", width=0.5)
     plot.write(path)

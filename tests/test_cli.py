@@ -27,6 +27,18 @@ def run_cli(args, cwd):
                           capture_output=True, text=True, cwd=cwd, env=env)
 
 
+
+def test_cli_import_leaves_the_optimizer_unloaded():
+    # scipy.optimize, which only the axis-crossing roots use, is imported
+    # on first use: starting the CLI does not pay for it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", "import cusplab.cli, sys; "
+                          "print('scipy.optimize' in sys.modules)"],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False"]
+
 def test_contour_subcommand_and_exit_codes(tmp_path):
     res = run_cli(["contour", "--output-dir", str(tmp_path)], tmp_path)
     assert res.returncode == 0

@@ -290,14 +290,63 @@ def test_root_batches_keep_their_evaluation_budget(leb, monkeypatch):
     assert len(calls) <= 6
 
 
+KNOTS = np.linspace(0.0, 1.0, 17)
+QUADRATURE_RODS = {
+    "power 1/2": density.power_profile(0.5),
+    "power 2": density.power_profile(2.0),
+    "tabulated": density.tabulated_profile(np.column_stack([KNOTS, KNOTS ** 1.5])),
+}
+
+
 def test_traced_residuals_are_those_of_the_roots(leb):
     # the residuals a trace keeps come from the evaluations that accepted
-    # its roots: the same bits as evaluating V at the roots again
-    curves = contour.trace_contours(leb, [0.5, 2.0], n=64, grading="blended")
-    for curve in curves:
-        z, t = curve.interior[:, 0], curve.log_r[1:-1]
-        v = leb.value_slope_log_r(t, z)[0]
-        assert curve.residuals.tolist() == np.abs(v - curve.level).tolist()
+    # its roots: the same bits as evaluating V at the roots again, also
+    # where the batch reused its quadrature layouts and the fresh
+    # evaluation builds its own
+    fields = [(leb, [0.5, 2.0])]
+    for rod in QUADRATURE_RODS.values():
+        field = potential.PotentialField(rod)
+        fields.append((field, [0.6 * field.v00, 1.4 * field.v00]))
+    for field, levels in fields:
+        curves = contour.trace_contours(field, levels, n=64, grading="blended")
+        for curve in curves:
+            z, t = curve.interior[:, 0], curve.log_r[1:-1]
+            v = field.value_slope_log_r(t, z)[0]
+            assert curve.residuals.tolist() == np.abs(v - curve.level).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURE_RODS))
+def test_layout_memo_changes_no_root(name):
+    # a root batch of at most QUADRATURE_CHUNK lanes keeps the last panel
+    # layout across its evaluations, a larger one builds every layout: the
+    # roots are those each station finds alone, bit for bit
+    field = potential.PotentialField(QUADRATURE_RODS[name])
+    for c in (0.6 * field.v00, 1.4 * field.v00):
+        z1, z2 = contour.axis_crossings(field, c)
+        zs = np.append(np.linspace(z1, z2, 9)[1:-1], z1 + 1e-3)
+        alone = [contour.log_radius_at(field, c, z) for z in zs]
+        assert contour.log_radius_at(field, c, zs).tolist() == alone
+        many = np.tile(zs, potential.QUADRATURE_CHUNK // len(zs) + 1)
+        assert len(many) > potential.QUADRATURE_CHUNK
+        assert contour.log_radius_at(field, c, many).tolist() == alone * (len(many) // len(zs))
+
+
+def test_root_reuses_its_station_layout(monkeypatch):
+    # every panel layout reads the density once at its nodes: one root of
+    # the power-1/2 rod builds at most 3 layouts over its 7 evaluations
+    field = potential.PotentialField(density.power_profile(0.5))
+    calls = _count_evaluations(monkeypatch, field)
+    layouts = []
+    rho = density.DensityProfile.__call__
+
+    def counted(self, x):
+        layouts.append(len(x))
+        return rho(self, x)
+
+    monkeypatch.setattr(density.DensityProfile, "__call__", counted)
+    contour.log_radius_at(field, 0.6 * field.v00, 0.4)
+    assert len(calls) == 7
+    assert len(layouts) <= 3
 
 
 def test_batched_roots_do_not_depend_on_the_batch(leb):

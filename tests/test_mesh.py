@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -268,6 +270,30 @@ def test_quality_census_matches_node_and_edge_loops(canonical):
     assert not mesh.mesh_quality(dataclasses.replace(canonical,
                                                      edge_tags=tags)).boundary_fully_tagged
 
+
+
+def test_triangulate_and_quality_count_the_edges_once(cs, monkeypatch):
+    # the frozen mesh keeps its edge census: triangulate's untagged-edge
+    # check and mesh_quality share one count, and a copy or pickle counts
+    # its own
+    calls = []
+    count = mesh._edge_counts
+
+    def counted(triangles):
+        calls.append(len(triangles))
+        return count(triangles)
+
+    monkeypatch.setattr(mesh, "_edge_counts", counted)
+    m = mesh.triangulate(cs, n_levels=4, n_stations=16)
+    q = mesh.mesh_quality(m)
+    assert len(calls) == 1 and q.boundary_fully_tagged
+    edges, counts = m._edge_census()
+    with pytest.raises(ValueError):
+        counts[0] = 3
+    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin._edges is None
+        assert mesh.mesh_quality(twin) == q
+    assert len(calls) == 3
 
 def test_rectangle_mesh():
     m = mesh.rectangle_mesh(1.0, 2.0, 0.0, 1.0, 4, 4)
