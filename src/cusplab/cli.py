@@ -93,14 +93,20 @@ def _numbers(value, n=None):
 
 def _check_type(cmd, key, value, default):
     """InputError unless value has the JSON type of its default: a number
-    for a number, null or the _NULLABLE type for null, numbers only in an
-    array whose default holds numbers, two of them for a pair, and arrays
-    of as many numbers as the default's in an array of such arrays."""
+    for a number, a finite integral one for an integer, null or the
+    _NULLABLE type for null, numbers only in an array whose default holds
+    numbers, two of them for a pair, and arrays of as many numbers as the
+    default's in an array of such arrays."""
     got = _json_type(value)
     allowed = ["null", _NULLABLE[key]] if default is None else [_json_type(default)]
     if got not in allowed:
         raise InputError(f"config key {key!r} must be a JSON "
                          f"{' or '.join(allowed)}, got {got} {value!r}")
+    if (got == "number" and isinstance(default, int)
+            and not (isinstance(value, numbers.Integral)
+                     or float(value).is_integer())):
+        raise InputError(f"config key {key!r} must be a finite integer, "
+                         f"got {value!r}")
     if got == "array" and _numbers(default):
         n = 2 if key in _PAIRS and (cmd, key) != ("contour", "levels") else None
         if not _numbers(value, n):
@@ -340,9 +346,9 @@ def cmd_wos(cfg, out):
     cs = _cross_section(cfg, _field(cfg))
     data = _build_data(cfg["data"])
     rows = []
-    for k, pt in enumerate(cfg["points"]):
+    for pt in cfg["points"]:
         est = wos.estimate(cs, data, tuple(pt), walks=int(cfg["walks"]),
-                           eps=float(cfg["eps"]), seed=int(cfg["seed"]) + k)
+                           eps=float(cfg["eps"]), seed=int(cfg["seed"]))
         rows.append((f"({pt[0]};{pt[1]};{pt[2]})", est.mean, est.stderr,
                      est.walks))
     _write_csv(os.path.join(out, "wos.csv"), "point,mean,stderr,walks", rows)

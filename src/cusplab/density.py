@@ -125,7 +125,6 @@ class DiniReport:
 
     modulus: np.ndarray          # columns t, omega(t), t increasing
     integral_estimate: float     # partial integral over the sampled scales
-    diverged: bool
     classification: str
     fit: tails.TailFit
 
@@ -187,11 +186,9 @@ def dini_report(profile, t_grid=None):
                             "too few positive increments")
     mapping = {tails.CONVERGENT: "dini", tails.DIVERGENT: "not-dini",
                tails.INCONCLUSIVE: "inconclusive"}
-    classification = mapping[fit.classification]
     return DiniReport(
         modulus=np.column_stack([t_grid, omega]),
         integral_estimate=total,
-        diverged=classification == "not-dini",
-        classification=classification,
+        classification=mapping[fit.classification],
         fit=fit,
     )

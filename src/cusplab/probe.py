@@ -21,7 +21,8 @@ SEMIREGULAR_LIKE = "semiregular-like"
 STRONGLY_IRREGULAR_LIKE = "strongly-irregular-like"
 
 DEFAULT_STATIONS = 10
-DEFAULT_FACTOR = 0.5
+# ratio of successive station distances along a path
+FACTOR = 0.5
 # how far apart two limit estimates, or a limit and the datum, may lie and
 # still count as agreeing
 LIMIT_TOLERANCE = 0.02
@@ -48,7 +49,7 @@ class ProbePath:
         return float(self.values[-1])
 
 
-def _path_points(field, spec, n_stations, start, factor):
+def _path_points(field, spec, n_stations, start):
     """(kind, z array, log-r array) for a path spec.
 
     Specs: ("level-curve", c) with c in (V(0,0), B); ("axis-below",) for
@@ -60,15 +61,15 @@ def _path_points(field, spec, n_stations, start, factor):
         c = float(spec[1])
         if not c > field.v00:
             raise InputError("level-curve probes need a level above V(0,0)")
-        zs = start * factor ** np.arange(n_stations)
+        zs = start * FACTOR ** np.arange(n_stations)
         return kind, zs, log_radius_at(field, c, zs)
     if kind == "axis-below":
-        zs = -start * factor ** np.arange(n_stations)
+        zs = -start * FACTOR ** np.arange(n_stations)
         return kind, zs, np.full(n_stations, -math.inf)
     if kind == "ray":
         dr, dz = float(spec[1]), float(spec[2])
         norm = math.hypot(dr, dz)
-        dists = start * factor ** np.arange(n_stations)
+        dists = start * FACTOR ** np.arange(n_stations)
         zs = dists * dz / norm
         rs = dists * dr / norm
         return kind, zs, np.log(np.maximum(rs, 1e-300))
@@ -76,16 +77,15 @@ def _path_points(field, spec, n_stations, start, factor):
 
 
 def sample_path(source, field, A, B, alpha, beta, path_spec,
-                n_stations=DEFAULT_STATIONS, start=0.2,
-                factor=DEFAULT_FACTOR, **source_options):
+                n_stations=DEFAULT_STATIONS, start=0.2, **source_options):
     """Evaluate a solution source along a tip-approach path.
 
     source is "oracle" (the exact two-constant affine image of the
     potential), "fem" (a SolutionField passed as fem_field, refused inside
     the truncation zone z < 2 z_cut), or "wos" (Monte Carlo, needs
-    cross_section/walks/eps/seed options).
+    cross_section/walks/eps/seed options; every station takes the seed).
     """
-    kind, zs, ts = _path_points(field, path_spec, n_stations, start, factor)
+    kind, zs, ts = _path_points(field, path_spec, n_stations, start)
     rs = np.exp(ts)
     dists = np.hypot(rs, zs)
     if np.any(np.diff(dists) >= 0):
@@ -109,8 +109,8 @@ def sample_path(source, field, A, B, alpha, beta, path_spec,
         eps = source_options.get("eps", 1e-4)
         seed = source_options.get("seed", 0)
         ests = [wos_mod.estimate(cs, data, (r, 0.0, z), walks=walks,
-                                 eps=eps, seed=seed + 1000 * k)
-                for k, (r, z) in enumerate(zip(rs, zs))]
+                                 eps=eps, seed=seed)
+                for r, z in zip(rs, zs)]
         vals = np.array([e.mean for e in ests])
         stderrs = np.array([e.stderr for e in ests])
     else:
@@ -166,7 +166,7 @@ def nonlocality_experiment(field, cs, bump, probe_levels, walks=20_000,
     The solution is sampled along level curves approaching the tip; the
     verdict is "non-vanishing" when every last-station value stays above
     3 standard errors away from zero, which evidences that the solution
-    does not converge to 0 at the tip.
+    does not converge to 0 at the tip.  Every station takes the seed.
     """
     if bump.amplitude < 0:
         raise InputError("bump amplitude must be nonnegative")
@@ -177,14 +177,13 @@ def nonlocality_experiment(field, cs, bump, probe_levels, walks=20_000,
     for c in probe_levels:
         rows = []
         ts = log_radius_at(field, c, np.asarray(z_stations, dtype=float))
-        for k, (z, t) in enumerate(zip(z_stations, ts)):
+        for z, t in zip(z_stations, ts):
             r = math.exp(t)
             if bump.amplitude == 0.0:
                 mean, err = 0.0, 0.0
             else:
                 est = wos_mod.estimate(cs, data, (r, 0.0, z), walks=walks,
-                                       eps=eps,
-                                       seed=seed + 7919 * k + 104729 * int(100 * c))
+                                       eps=eps, seed=seed)
                 mean, err = est.mean, est.stderr
             rows.append((z, mean, err))
         all_stations.append((c, rows))

@@ -6,15 +6,13 @@ sum_j 1/|log r(q^j)| converges (q in (0,1) arbitrary).  The raw logarithms
 are negative because r < 1 near the tip; we take absolute values, which is
 the evident sign convention for the test.
 
-Profiles can be given as a plain radius callable (called once per height),
-a LogRadiusProfile (log r on arrays of heights; needed whenever the radii
-dive below the double-precision floor, e.g. the lebesgue level-2 contour),
-or a traced ContourCurve.
+Profiles are given in log space, so radii may dive below the
+double-precision floor (e.g. the lebesgue level-2 contour): as a
+LogRadiusProfile (log r on arrays of heights) or a traced ContourCurve.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,10 +69,7 @@ def _as_log_radius_fn(profile):
             return np.interp(z, zs, ts)
 
         return f"contour-level-{profile.level:g}", log_r
-    if callable(profile):
-        name = getattr(profile, "__name__", "callable")
-        return name, lambda z: np.array([math.log(profile(float(zk))) for zk in z])
-    raise InputError("profile must be a callable or a ContourCurve")
+    raise InputError("profile must be a LogRadiusProfile or a ContourCurve")
 
 
 def named_profile(name):
@@ -122,25 +117,18 @@ def log_series(profile, q, j_start=2, j_stop=64):
                         classification=INCONCLUSIVE)
 
 
-def classify(report_or_terms, j_start=None):
-    """Attach a convergence verdict to a term sequence (>= 20 terms).
+def classify(rep):
+    """Attach a convergence verdict to a WienerReport's terms (>= 20 terms)
+    and return it.
 
     Convergence of the series means a *singular* tip; divergence means a
     regular one.
     """
-    if isinstance(report_or_terms, WienerReport):
-        rep = report_or_terms
-        if len(rep.terms) < 20:
-            raise InputError("classification needs at least 20 terms")
-        fit = tails.fit_tail(rep.terms, first_index=rep.j_start)
-        rep.fit = fit
-        rep.classification = _CLASS_OF_TAIL[fit.classification]
-        return rep.classification
-    terms = np.asarray(report_or_terms, dtype=float)
-    if len(terms) < 20:
+    if len(rep.terms) < 20:
         raise InputError("classification needs at least 20 terms")
-    fit = tails.fit_tail(terms, first_index=1 if j_start is None else j_start)
-    return _CLASS_OF_TAIL[fit.classification]
+    rep.fit = tails.fit_tail(rep.terms, first_index=rep.j_start)
+    rep.classification = _CLASS_OF_TAIL[rep.fit.classification]
+    return rep.classification
 
 
 def analyze(profile, q, j_start=2, j_stop=64):

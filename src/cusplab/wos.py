@@ -49,10 +49,14 @@ The segments, their arc fractions and the tree depend on the cross-section
 alone, a frozen value: they are built on its first estimate and kept on it
 for its life (see _geometry); the boundary data meet only the exit records.
 
-Randomness is counter-based: walks are processed in fixed-size chunks, each
-chunk drawing from its own Philox stream keyed by (seed, chunk index), so
-chunk results are independent of execution order and the combined mean is
-reproducible bit for bit.
+Randomness is counter-based (Salmon, Moraes, Dror & Shaw, Parallel random
+numbers: as easy as 1, 2, 3, SC 2011), and this module alone decides the
+streams.  Each chunk of CHUNK walks draws from the Philox stream with key
+(seed mod 2**64, chunk start) and counter (0, x, y, z), the start point's
+float64 bits after + 0.0 (so -0.0 keys like 0.0).  Only the low word
+advances, and no chunk draws 2**64 blocks, so distinct chunks and start
+points draw disjoint streams: an estimate is a function of (seed, point,
+walks, eps) alone.
 """
 
 from __future__ import annotations
@@ -356,11 +360,14 @@ def _geometry(cs):
 
 def _walk(geo, point, n, eps, key):
     """Exit records of n walks from the 3D point, drawn from the Philox
-    stream with the given key: the segment of each walk's closest boundary
-    point when it stopped, the parameter t there, -1 and 0 for a walk that
-    STEP_CAP stopped; with the distance queries made, one per walker and
-    loop step."""
-    rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    stream with key (seed mod 2**64, chunk start) and the point's counter
+    (0, x, y, z) in float64 bits: the segment of each walk's closest
+    boundary point when it stopped, the parameter t there, -1 and 0 for a
+    walk that STEP_CAP stopped; with the distance queries made, one per
+    walker and loop step."""
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array(key, dtype=np.uint64),
+        counter=(np.array([0.0, *point]) + 0.0).view(np.uint64)))
     seg = np.full(n, -1, dtype=np.intp)
     t = np.zeros(n)
     # the live walkers: their indices and positions
@@ -420,7 +427,8 @@ class WosEstimate:
 
 def estimate(cs, data, point3d, walks=10_000, eps=1e-4, seed=0):
     """Monte Carlo estimate of the harmonic function with the given boundary
-    data at a 3D interior point.  Deterministic for a fixed seed.  walks
+    data at a 3D interior point, a function of (seed, point, walks, eps)
+    alone: its walks draw from streams keyed by (seed, point, chunk).  walks
     must be a positive integer and eps finite and positive (InputError)."""
     if (isinstance(walks, bool) or not isinstance(walks, numbers.Integral)
             or walks <= 0):

@@ -374,6 +374,10 @@ def test_echo_of_another_subcommand_rejected(tmp_path, capsys):
     ["contour", "--set", 'n_stations="abc"'],
     ["probe", "--set", "levels=[0.5]"],
     ["contour", "--config", "list.json"],
+    ["wos", "--set", "seed=1e400"],
+    ["wos", "--set", "walks=NaN"],
+    ["mesh", "--set", "n_levels=1e400"],
+    ["wos", "--set", "seed=2.7"],
 ])
 def test_wrong_type_exits_with_json_error(tmp_path, args, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from cusplab import density, fem, mesh, potential, probe
+from cusplab import cli, density, fem, mesh, potential, probe, wos
 from cusplab.errors import DomainError, InputError
 
 
@@ -126,6 +128,71 @@ def test_nonlocality_amplitude_scaling(leb, cs):
     v1 = r1.stations[0][1][0][1]
     v2 = r2.stations[0][1][0][1]
     assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
+
+
+def _recorded_streams(monkeypatch):
+    """(start point, key, counter) of every chunk wos walks: the point of
+    each _walk and the state of the Philox generator it builds."""
+    streams = []
+    walk, philox = wos._walk, np.random.Philox
+
+    def recorded_walk(geo, point, n, eps, key):
+        streams.append([tuple(point)])
+        return walk(geo, point, n, eps, key)
+
+    def recorded_philox(*args, **kwargs):
+        bitgen = philox(*args, **kwargs)
+        state = bitgen.state["state"]
+        streams[-1] += [tuple(state["key"].tolist()),
+                        tuple(state["counter"].tolist())]
+        return bitgen
+
+    monkeypatch.setattr(wos, "_walk", recorded_walk)
+    monkeypatch.setattr(np.random, "Philox", recorded_philox)
+    return streams
+
+
+def _rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_each_start_point_walks_streams_of_its_own(leb, cs, tmp_path,
+                                                   monkeypatch):
+    streams = _recorded_streams(monkeypatch)
+    seed, walks = 3, 50
+    cli.run("probe", {"source": "wos", "probe_levels": [1.25, 1.5, 1.75],
+                      "n_stations": 2, "walks": walks, "seed": seed,
+                      "output_dir": str(tmp_path / "probe")})
+    bump = fem.BumpData(0.5, 0.25, 1.0)
+    # int(100 c) is 150 for both levels
+    both = probe.nonlocality_experiment(leb, cs, bump, [1.5, 1.505],
+                                        walks=walks, eps=2e-4, seed=seed,
+                                        z_stations=[0.16, 0.08])
+    # a stream is its Philox start state; only the counter's low word
+    # advances, so streams that start apart in the other words are disjoint
+    points = {}
+    for point, key, counter in streams:
+        assert counter[0] == 0
+        points.setdefault((key, counter), set()).add(point)
+    # four probe paths and two non-locality levels, of two stations each
+    assert len(points) == len(streams) == 4 * 2 + 2 * 2
+    assert all(len(p) == 1 for p in points.values())
+
+    # a start point's estimate is the same whatever call, or place in the
+    # call, it comes from: the probe stations walked again by the wos
+    # subcommand in reverse order, the first of them twice
+    stations = _rows(tmp_path / "probe" / "probe.csv")
+    pts = [[float(row["r"]), 0.0, float(row["z"])] for row in stations][::-1]
+    cli.run("wos", {"points": pts + pts[:1], "walks": walks, "seed": seed,
+                    "output_dir": str(tmp_path / "wos")})
+    again = _rows(tmp_path / "wos" / "wos.csv")
+    assert [(row["mean"], row["stderr"]) for row in again] == \
+        [(row["value"], row["stderr"]) for row in stations[::-1] + stations[-1:]]
+    # and the non-locality station of the second level, walked alone
+    one = probe.nonlocality_experiment(leb, cs, bump, [1.505], walks=walks,
+                                       eps=2e-4, seed=seed, z_stations=[0.08])
+    assert one.stations[0][1][0] == both.stations[1][1][1]
 
 
 def test_oracle_station_outside_region_rejected(leb):
