@@ -15,9 +15,9 @@ one batch of array evaluations of PotentialField.value_slope_log_r (the
 closed form of the lebesgue profile, the panel quadrature of every other
 density, continued linearly in t next to the rod), and trace_contours
 solves the stations of all its levels in one such batch, whose accepted
-residuals it keeps.  Where only the side of a root matters, no root is
-solved: V falls strictly in r, so the level-c radius at z lies below e^t
-exactly when V(e^t, z) < c (radius_below).
+residuals it keeps.  The inverse question, the height at which a cusp
+thins to a given radius, is one bracketed root in z (thinning_height):
+it places the trace's radius floor and every cusp cut of the mesh.
 """
 
 from __future__ import annotations
@@ -241,12 +241,12 @@ def radius_at(field, c, z):
     return math.exp(t)
 
 
-def radius_below(field, c, t, z):
-    """True when the level-c contour radius at z lies below e^t, i.e.
-    log_radius_at(field, c, z) < t, told by one evaluation V(e^t, z) < c
-    (V falls strictly in r) instead of a root; t may lie far below the
-    underflow threshold of e^t."""
-    return field.value_log_r(t, z) < c
+def thinning_height(field, c, t, lo, hi):
+    """The height where the level-c curve thins to radius e^t: the root in
+    z of V(e^t, z) = c on the bracket [lo, hi], by _root_in (RangeError
+    unless V - c changes sign over it).  t may lie far below the underflow
+    threshold of e^t."""
+    return _root_in(lambda z: field.value_log_r(t, z) - c, lo, hi)
 
 
 def _read_only(a, dtype=float):
@@ -306,33 +306,21 @@ def polyline_arcs(pts):
 
 def _geometric_offsets(field, c, z1, z2, n):
     """Offsets from z1, graded geometrically toward the cusp endpoint but
-    floored so every traced radius stays representable."""
+    floored so every traced radius stays representable: at the radius
+    floor, the thinning height of e^LOG_RADIUS_FLOOR bracketed by the
+    ladder's own ends (RangeError when the top end lies below it too)."""
     span = z2 - z1
     d_max = span * GRADING_RATIO
     d_min = d_max * GRADING_RATIO ** (n - 1)
     floor = span * 1e-8        # below this offset the root is pure noise
-    if c > field.v00:
-        # keep log r above the subnormal floor: walk z down until the radius
-        # leaves the representable range, then refine the threshold
-        deep = lambda d: radius_below(field, c, LOG_RADIUS_FLOOR, z1 + d)
-        probe, bad = d_min, None
-        while probe < d_max:
-            if not deep(probe):
-                break
-            bad = probe
-            probe *= 4.0
-        if probe >= d_max:
-            raise RangeError("entire cusp tail lies below the radius floor")
-        if bad is not None:
-            for _ in range(12):
-                mid = math.sqrt(bad * probe)
-                if deep(mid):
-                    bad = mid
-                else:
-                    probe = mid
-        floor = max(floor, probe)
-    if d_min < floor:
-        d_min = floor
+    if c > field.v00 and field.value_log_r(LOG_RADIUS_FLOOR, z1 + d_min) < c:
+        # the bottom end lies below the floor: no sign change means the top does too
+        try:
+            z = thinning_height(field, c, LOG_RADIUS_FLOOR, z1 + d_min, z1 + d_max)
+        except RangeError:
+            raise RangeError("entire cusp tail lies below the radius floor") from None
+        floor = max(floor, z - z1)
+    d_min = max(d_min, floor)
     ratio = (d_min / d_max) ** (1.0 / (n - 1)) if n > 1 else 1.0
     return d_max * ratio ** np.arange(n)
 

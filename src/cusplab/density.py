@@ -52,8 +52,8 @@ class DensityProfile:
             object.__setattr__(self, "length", float(pts[-1, 0]))
         else:
             raise InputError(f"unknown density kind {self.kind!r}")
-        if self.length <= 0:
-            raise InputError("rod length must be positive")
+        if not 0.0 < self.length < np.inf:
+            raise InputError(f"rod length must be positive and finite, got {self.length}")
         self._check_invariants()
 
     def _check_invariants(self):

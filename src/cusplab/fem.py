@@ -84,7 +84,8 @@ class TabulatedData:
     """Values listed along a boundary component, bound two ways.  The FEM
     gives them to the component's nodes in arc order, one value per node.
     The arc-length form, the call, places them at equally spaced arc
-    fractions from 0 to 1 and interpolates linearly between them."""
+    fractions from 0 to 1 and interpolates linearly between them.  An empty
+    table suits only a component without nodes (the walker and cap refuse it)."""
 
     values: tuple
 
@@ -113,6 +114,8 @@ class BoundaryData:
         elif isinstance(inner, BumpData):
             self.spec[CAP] = ConstantData(0.0)
         elif isinstance(inner, TabulatedData):
+            if not len(inner.values):
+                raise InputError("an empty inner table has no value for the cap")
             self.spec[CAP] = ConstantData(float(inner.values[0]))
         else:
             self.spec[CAP] = inner

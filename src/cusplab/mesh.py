@@ -7,8 +7,8 @@ traced first and held as one padded stack of (z, r) samples; every cusp
 rail (level above V(0,0)) is then cut, once, where its radius falls to the
 mesh's truncation radius: its samples below the cut become the corner
 there, and a tip node anchors it to the axis.  Each cut, like the section's
-own, is one bracketed root on a traced curve, between the two samples that
-straddle the radius.
+own, is one bracketed root on a traced curve (contour.thinning_height),
+between the two samples that straddle the radius.
 The exponentially thin sliver below the truncation is collapsed onto the
 axis, which confines the modelling error to cells whose axisymmetric
 weight r is itself of truncation size.  The inner boundary keeps a single
@@ -29,8 +29,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .contour import (ContourCurve, _read_only, _rebuild, _root_in,
-                      log_radius_at, polyline_arcs, trace_contours)
+from .contour import (ContourCurve, _read_only, _rebuild, _root_in, log_radius_at,
+                      polyline_arcs, thinning_height, trace_contours)
 from .errors import InputError, MeshError, RangeError
 
 OUTER = "outer-level"
@@ -93,15 +93,15 @@ class CrossSection:
 
 
 def _cut_height(field, curve, r):
-    """The height where the traced level curve's cusp thins to radius r: the
-    root in z of V(r, z) = c, bracketed by the first traced sample at or
-    above r and the sample before it (the tip on the axis at the first)."""
-    target = math.log(r)
-    k = int(np.argmax(curve.log_r >= target))
-    if curve.log_r[k] < target:
+    """The height where the traced level curve's cusp thins to radius r,
+    its thinning_height bracketed by the first traced sample at or above r
+    and the sample before it (the tip on the axis at the first)."""
+    t = math.log(r)
+    k = int(np.argmax(curve.log_r >= t))
+    if curve.log_r[k] < t:
         raise RangeError(f"level {curve.level} never reaches radius {r}")
-    return _root_in(lambda z: field.value_log_r(target, z) - curve.level,
-                    curve.samples[k - 1, 0], curve.samples[k, 0])
+    return thinning_height(field, curve.level, t, curve.samples[k - 1, 0],
+                           curve.samples[k, 0])
 
 
 def build_cross_section(field, A, B, r_min=None, n_trace=256):

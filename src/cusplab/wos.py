@@ -69,7 +69,7 @@ import numpy as np
 
 from .contour import polyline_arcs
 from .errors import DomainError, InputError, ReliabilityError
-from .fem import BoundaryData
+from .fem import BoundaryData, TabulatedData
 
 CHUNK = 32768
 STEP_CAP = 100_000
@@ -445,6 +445,8 @@ def estimate(cs, data, point3d, walks=10_000, eps=1e-4, seed=0):
     for (tag, _), datum in zip(geo.polylines, datums):
         if datum is None:
             raise InputError(f"no boundary datum for component {tag!r}")
+        if isinstance(datum, TabulatedData) and not len(datum.values):
+            raise InputError(f"tabulated data for {tag!r} has no values to read")
 
     total, total_sq, done, steps = 0.0, 0.0, 0, 0
     for j in range(0, walks, CHUNK):

@@ -231,6 +231,26 @@ def test_r_min_out_of_range_exit_1(tmp_path, cmd, r_min, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cmd, setting, detail", [
+    ("wos", 'data={"outer":{"tabulated":[]},"inner":{"constant":2.0}}',
+     "tabulated data for 'outer-level' has no values to read"),
+    ("wos", 'data={"outer":{"constant":0.5},"inner":{"tabulated":[]}}',
+     "empty inner table has no value for the cap"),
+    ("contour", 'density={"kind":"power","p":0.5,"L":NaN}',
+     "rod length must be positive and finite"),
+], ids=["empty-outer-table", "empty-inner-table", "nan-rod-length"])
+def test_empty_table_and_non_finite_rod_length_exit_1(tmp_path, cmd, setting, detail,
+                                                      capsys):
+    # a validation error, one JSON line on stderr and no directory left behind
+    assert cli.main([cmd, "--set", setting, "--output-dir", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "validation"
+    assert detail in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_probe_wos_passes_r_min(tmp_path, monkeypatch):
     seen = []
 

@@ -95,6 +95,56 @@ def test_trace_contour_cusp(leb):
     assert slope[0] < 1e-10
 
 
+@pytest.fixture(scope="module")
+def power_half():
+    return potential.PotentialField(density.power_profile(0.5))
+
+
+FLOOR_CASES = [("lebesgue", 1.05), ("lebesgue", 2.0), ("lebesgue", 3.0), ("power", 3.0)]
+
+
+@pytest.mark.parametrize("rod, c", FLOOR_CASES)
+def test_geometric_trace_stops_on_the_radius_floor(leb, power_half, rod, c):
+    # the deepest station of a cusp trace sits where log r falls to the
+    # floor, at a height that does not depend on the number of stations
+    field = leb if rod == "lebesgue" else power_half
+    heights = []
+    for n in (64, 128, 192):
+        curve = contour.trace_contour(field, c, n=n, grading="geometric")
+        assert abs(curve.log_r[1] - contour.LOG_RADIUS_FLOOR) <= 1e-9
+        heights.append(curve.samples[1, 0])
+    assert heights == pytest.approx([heights[0]] * 3, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("rod, c", FLOOR_CASES)
+def test_radius_floor_is_one_root(leb, power_half, rod, c, monkeypatch):
+    # the floor is one bracketed root between the ladder's own ends: a few
+    # scalar V calls (one-lane quadratures on the power rod), however many
+    # stations the ladder has
+    field = leb if rod == "lebesgue" else power_half
+    budget = 10 if rod == "lebesgue" else 14
+    z1, z2 = contour.axis_crossings(field, c)
+    calls = []
+    value_log_r = potential.PotentialField.value_log_r
+
+    def counted(self, t, z):
+        calls.append(z)
+        return value_log_r(self, t, z)
+
+    monkeypatch.setattr(potential.PotentialField, "value_log_r", counted)
+    for n in (64, 128, 192):
+        calls.clear()
+        contour._geometric_offsets(field, c, z1, z2, n)
+        assert 0 < len(calls) <= budget
+
+
+def test_cusp_tail_below_the_radius_floor_raises(leb, monkeypatch):
+    # with the floor at log r = -1 even the ladder's top station lies below it
+    monkeypatch.setattr(contour, "LOG_RADIUS_FLOOR", -1.0)
+    with pytest.raises(RangeError, match="entire cusp tail lies below the radius floor"):
+        contour.trace_contour(leb, 2.0)
+
+
 def test_trace_contour_closed_level(leb):
     curve = contour.trace_contour(leb, 0.5, n=32)
     assert curve.z1 == pytest.approx(Z1_OF_HALF, abs=1e-6)

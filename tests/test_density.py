@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,13 @@ def test_invalid_profiles_rejected():
         density.tabulated_profile([(0.0, 0.1), (1.0, 1.0)])   # rho(0) != 0
     with pytest.raises(InputError):
         density.tabulated_profile([(0.0, 0.0), (0.5, -1.0), (1.0, 1.0)])
+
+
+@pytest.mark.parametrize("length", [math.nan, math.inf, 0.0, -1.0])
+def test_rod_length_must_be_positive_and_finite(length):
+    # a nan or infinite length would make V(0, 0) read nan or inf
+    with pytest.raises(InputError, match="rod length must be positive and finite"):
+        density.power_profile(0.5, length=length)
 
 
 def test_lebesgue_is_dini_with_unit_integral():

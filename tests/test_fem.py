@@ -249,6 +249,14 @@ def test_residual_certificate_raises(canonical):
     assert 0.0 < err.value.stats["residual"] <= 1e-13
 
 
+def test_empty_inner_table_gives_the_cap_no_value():
+    # an empty table suits only a component without nodes (_tables gives one
+    # to each tag a rectangle lacks); as the inner datum it leaves the cap
+    # without a value, refused when the data are made
+    with pytest.raises(InputError, match="empty inner table"):
+        fem.BoundaryData(fem.ConstantData(0.5), fem.TabulatedData(()))
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_data_refused(value):
     # a constant or a table that is not finite is refused when it is made
