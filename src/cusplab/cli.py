@@ -20,6 +20,7 @@ import math
 import numbers
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -225,14 +226,15 @@ def cmd_potential_grid(cfg, out):
 
 
 def cmd_contour(cfg, out):
+    field = _field(cfg)
     levels = [float(c) for c in cfg["levels"]]
-    curves = trace_contours(_field(cfg), levels, n=int(cfg["n_stations"]),
+    curves = trace_contours(field, levels, n=int(cfg["n_stations"]),
                             grading=cfg["grading"])
     max_res = max([0.0] + [curve.max_residual() for curve in curves])
     rows = [(curve.level, float(z), float(r))
             for curve in curves for z, r in curve.samples]
     _write_csv(os.path.join(out, "contours.csv"), "level,z,r", rows)
-    svgplot.contour_map_svg(curves, cfg["highlight"],
+    svgplot.contour_map_svg(curves, cfg["highlight"], field.density.length,
                             os.path.join(out, "contour_map.svg"))
     return {"file": "contours.csv", "max_residual": max_res,
             "pass": max_res <= 1e-10}
@@ -372,12 +374,12 @@ def cmd_reproduce_figures(cfg, out):
     # the inner cusp is visible
     rows = []
     for name, level, th_lo in (("outer", A, math.pi / 3), ("inner", B, 0.0)):
-        curve = trace_contour(field, level, n=96, grading="blended")
+        z, r = trace_contour(field, level, n=96, grading="blended").samples.T
         thetas = np.linspace(th_lo, 2.0 * math.pi, 40)
-        for z, r in curve.samples:
-            for th in thetas:
-                rows.append((name, float(r * math.cos(th)),
-                             float(r * math.sin(th)), float(z)))
+        x = np.multiply.outer(r, np.cos(thetas)).ravel()
+        y = np.multiply.outer(r, np.sin(thetas)).ravel()
+        rows += zip(repeat(name), x.tolist(), y.tolist(),
+                    np.repeat(z, len(thetas)).tolist())
     _write_csv(os.path.join(out, "domain_cloud.csv"), "surface,x,y,z", rows)
     return {"grid": grid_report, "contours": contour_report,
             "cloud_points": len(rows),

@@ -85,7 +85,8 @@ class TabulatedData:
     gives them to the component's nodes in arc order, one value per node.
     The arc-length form, the call, places them at equally spaced arc
     fractions from 0 to 1 and interpolates linearly between them.  An empty
-    table suits only a component without nodes (the walker and cap refuse it)."""
+    table suits only a component without nodes: the call, the walker and
+    the cap refuse it."""
 
     values: tuple
 
@@ -94,6 +95,8 @@ class TabulatedData:
             raise InputError("tabulated data must be finite")
 
     def __call__(self, s):
+        if not len(self.values):
+            raise InputError("an empty table has no arc-length form")
         return np.interp(s, np.linspace(0.0, 1.0, len(self.values)), self.values)
 
 
@@ -121,9 +124,8 @@ class BoundaryData:
             self.spec[CAP] = inner
 
     @classmethod
-    def constants(cls, outer_value, inner_value, cap_value=None):
-        cap = None if cap_value is None else ConstantData(cap_value)
-        return cls(ConstantData(outer_value), ConstantData(inner_value), cap)
+    def constants(cls, outer_value, inner_value):
+        return cls(ConstantData(outer_value), ConstantData(inner_value))
 
     def node_values(self, mesh):
         """Values at every essential node of the mesh, keyed by node id."""

@@ -1,8 +1,10 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from cusplab.errors import InputError
 
 # the directory holding the cusplab package this process imported
 PACKAGE_ROOT = str(Path(cusplab.__file__).resolve().parents[1])
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def run_cli(args, cwd):
@@ -148,6 +151,10 @@ def test_wiener_subcommand(tmp_path):
     assert res.returncode == 0
     rep = json.loads((tmp_path / "wiener_report.json").read_text())
     assert rep["classification"] == "regular"
+    # the traced cusp of the Lebesgue rod's level 2
+    rep = cli.run("wiener", {"profile": "rod-contour", "j_stop": 40,
+                             "output_dir": str(tmp_path / "rod")})
+    assert (rep["profile"], rep["classification"]) == ("rod-contour-2", "singular")
 
 
 def test_mesh_subcommand(tmp_path):
@@ -158,7 +165,30 @@ def test_mesh_subcommand(tmp_path):
     tris = (tmp_path / "tris.csv").read_text().splitlines()
     assert nodes[0] == "id,r,z,tag"
     assert tris[0] == "id,n0,n1,n2"
-    assert (tmp_path / "mesh.svg").exists()
+    # the wireframe is one path with one M...L run per mesh edge
+    corners = [tuple(map(int, row.split(",")[1:])) for row in tris[1:]]
+    edges = {tuple(sorted(e)) for a, b, c in corners for e in ((a, b), (b, c), (c, a))}
+    paths = ET.parse(tmp_path / "mesh.svg").getroot().findall(f"{SVG}path")
+    assert len(paths) == 1
+    d = paths[0].get("d")
+    assert d.count("M") == d.count("L") == len(edges)
+
+
+def test_contour_map_draws_the_rod_to_its_length(tmp_path):
+    # the rod of a z^(1/2) density of length 2 runs from z = 0 to z = 2:
+    # its path, read back to data space through the frame and its labels
+    cli.run("contour", {"density": {"kind": "power", "p": 0.5, "L": 2.0},
+                        "n_stations": 16, "output_dir": str(tmp_path)})
+    root = ET.parse(tmp_path / "contour_map.svg").getroot()
+    frame = root.findall(f"{SVG}rect")[1]
+    top = float(frame.get("y"))
+    bottom = top + float(frame.get("height"))
+    # the title, then the labels x0, x1, z0 and z1 to three digits
+    z0, z1 = (float(t.text) for t in root.findall(f"{SVG}text")[3:])
+    rod, = (p for p in root.findall(f"{SVG}path") if p.get("stroke") == "#2244cc")
+    ys = [float(y) for y in re.findall(r"[ML][-\d.]+,([-\d.]+)", rod.get("d"))]
+    zs = [z0 + (bottom - y) / (bottom - top) * (z1 - z0) for y in ys]
+    assert zs == pytest.approx([0.0, 2.0], abs=0.02)
 
 
 def test_solve_subcommand(tmp_path):
@@ -282,15 +312,21 @@ def test_probe_judges_the_tip_against_the_inner_datum(tmp_path):
 
 
 def test_probe_source_checked_before_any_directory(tmp_path, capsys):
-    # the FEM source needs a solution object, which no config can give
-    assert cli.main(["probe", "--set", 'source="fem"',
-                     "--output-dir", str(tmp_path / "out")]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    err = json.loads(lines[0])
-    assert err["error"] == "validation"
-    assert "['oracle', 'wos']" in err["detail"]
-    assert not (tmp_path / "out").exists()
+    # the FEM source needs a solution object, which no config can give, and
+    # the oracle is exact only for constant data: the second check runs in
+    # the directory, which is removed again
+    bump = '{"outer":{"bump":{"center":0.5,"width":0.2,"amplitude":1.0}},' \
+           '"inner":{"constant":2.0}}'
+    for setting, detail in [('source="fem"', "['oracle', 'wos']"),
+                            (f"data={bump}", "exact only for data constant")]:
+        assert cli.main(["probe", "--set", setting,
+                         "--output-dir", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "validation"
+        assert detail in err["detail"]
+        assert not (tmp_path / "out").exists()
 
 
 def test_reproduce_figures(tmp_path):

@@ -352,13 +352,13 @@ def test_traced_residuals_are_those_of_the_roots(leb):
     # the residuals a trace keeps come from the evaluations that accepted
     # its roots: the same bits as evaluating V at the roots again, also
     # where the batch reused its quadrature layouts and the fresh
-    # evaluation builds its own
-    fields = [(leb, [0.5, 2.0])]
+    # evaluation builds its own; uniform stations too
+    fields = [(leb, [0.5, 2.0], "blended"), (leb, [0.5, 2.0], "uniform")]
     for rod in QUADRATURE_RODS.values():
         field = potential.PotentialField(rod)
-        fields.append((field, [0.6 * field.v00, 1.4 * field.v00]))
-    for field, levels in fields:
-        curves = contour.trace_contours(field, levels, n=64, grading="blended")
+        fields.append((field, [0.6 * field.v00, 1.4 * field.v00], "blended"))
+    for field, levels, grading in fields:
+        curves = contour.trace_contours(field, levels, n=64, grading=grading)
         for curve in curves:
             z, t = curve.interior[:, 0], curve.log_r[1:-1]
             v = field.value_slope_log_r(t, z)[0]

@@ -218,6 +218,12 @@ def test_tabulated_arc_length_form():
                           np.interp(s, np.linspace(0.0, 1.0, len(values)), values))
 
 
+def test_empty_table_has_no_arc_length_form():
+    # an empty table has no value to read at any arc fraction
+    with pytest.raises(InputError, match="empty table has no arc-length form"):
+        fem.TabulatedData(())(0.5)
+
+
 def test_tabulated_inner_datum_sets_the_cap(cs):
     # with no cap datum, the cap nodes take the inner table's first value,
     # the one at the cap-corner end of the inner arc
@@ -232,6 +238,11 @@ def test_tabulated_inner_datum_sets_the_cap(cs):
     cap = m.nodes_with_tag("cusp-cap")
     assert len(cap) and len(cap) != n_in
     assert all(sol.values[i] == inner.values[0] for i in cap)
+    # a table needs one value per node of its component
+    short = fem.BoundaryData(data.spec["outer-level"],
+                             fem.TabulatedData(inner.values[1:]))
+    with pytest.raises(InputError, match=f"has {n_in - 1} values for {n_in} tagged nodes"):
+        fem.solve_dirichlet(m, short)
 
 
 def test_oracle_on_level_curve(leb):
@@ -301,6 +312,9 @@ def _canonical_data(canonical):
         "constant": fem.BoundaryData.constants(0.5, 2.0),
         "bump": fem.BoundaryData(fem.BumpData(0.4, 0.25, 2.5),
                                  fem.ConstantData(-0.5)),
+        # a bump on the inner component gives the cusp cap 0
+        "inner-bump": fem.BoundaryData(fem.ConstantData(0.5),
+                                       fem.BumpData(0.6, 0.3, 1.5)),
         "tabulated": fem.BoundaryData(
             fem.TabulatedData(tuple(rng.uniform(-1, 1, n_out))),
             fem.TabulatedData(tuple(rng.uniform(-1, 1, n_in))),
@@ -588,6 +602,8 @@ def test_node_values_match_scalar_calls(canonical):
     for kind, data in _canonical_data(canonical).items():
         got = data.node_values(canonical).items()
         assert list(got) == list(_node_values_reference(data, canonical).items()), kind
+    cap = _canonical_data(canonical)["inner-bump"].node_values(canonical)
+    assert {cap[i] for i in canonical.nodes_with_tag("cusp-cap")} == {0.0}
 
 
 def test_interpolation(canonical, canonical_sol, leb):
