@@ -20,7 +20,6 @@ import math
 import numbers
 import os
 import sys
-from itertools import repeat
 
 import numpy as np
 
@@ -144,6 +143,9 @@ def validate_config(cmd, cfg):
                          f"(allowed: {sorted(defaults.keys() | {'subcommand'})})")
     for key, value in cfg.items():
         _check_type(cmd, key, value, defaults[key])
+        if key.startswith("n_") and value < 1:
+            raise InputError(f"config key {key!r} is a count and must be at "
+                             f"least 1, got {value!r}")
     if cfg.get("source", "oracle") not in _SOURCES:
         raise InputError(f"config key 'source' must be one of {list(_SOURCES)}, "
                          f"got {cfg['source']!r}")
@@ -199,13 +201,15 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _write_csv(path, header, rows):
-    # repr of a plain float: a numpy float's repr names its type
+def _write_csv(path, header, *columns):
+    """Write a CSV table from its columns, arrays or sequences of equal
+    length, one row per index.  An array is read through .tolist(), so a
+    float cell is the repr of a Python float (a numpy float's repr names its
+    type); every cell is written with str, which is repr for a float."""
+    cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c)
+             for c in columns]
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +218,13 @@ def _write_csv(path, header, rows):
 
 def cmd_potential_grid(cfg, out):
     field = _field(cfg)
-    r0, r1 = cfg["r_range"]
-    z0, z1 = cfg["z_range"]
-    n_r, n_z = int(cfg["n_r"]), int(cfg["n_z"])
-    rows = []
-    for z in np.linspace(z0, z1, n_z):
-        for r in np.linspace(r0, r1, n_r):
-            rows.append((float(r), float(z), field.value(r, z)))
-    _write_csv(os.path.join(out, "potential_grid.csv"), "r,z,V", rows)
-    return {"file": "potential_grid.csv", "points": len(rows), "pass": True}
+    # z-major rows through the scalar door, which reads inf on the rod
+    zs = np.linspace(*cfg["z_range"], int(cfg["n_z"]))
+    rs = np.linspace(*cfg["r_range"], int(cfg["n_r"]))
+    z, r = (g.ravel() for g in np.meshgrid(zs, rs, indexing="ij"))
+    v = np.fromiter(map(field.value, r, z), float, r.size)
+    _write_csv(os.path.join(out, "potential_grid.csv"), "r,z,V", r, z, v)
+    return {"file": "potential_grid.csv", "points": r.size, "pass": True}
 
 
 def cmd_contour(cfg, out):
@@ -231,9 +233,9 @@ def cmd_contour(cfg, out):
     curves = trace_contours(field, levels, n=int(cfg["n_stations"]),
                             grading=cfg["grading"])
     max_res = max([0.0] + [curve.max_residual() for curve in curves])
-    rows = [(curve.level, float(z), float(r))
-            for curve in curves for z, r in curve.samples]
-    _write_csv(os.path.join(out, "contours.csv"), "level,z,r", rows)
+    samples = np.concatenate([c.samples for c in curves] or [np.empty((0, 2))])
+    _write_csv(os.path.join(out, "contours.csv"), "level,z,r",
+               np.repeat(levels, [len(c.samples) for c in curves]), *samples.T)
     svgplot.contour_map_svg(curves, cfg["highlight"], field.density.length,
                             os.path.join(out, "contour_map.svg"))
     return {"file": "contours.csv", "max_residual": max_res,
@@ -257,10 +259,9 @@ def cmd_mesh(cfg, out):
     m = _mesh(cfg)
     q = mesh.mesh_quality(m)
     _write_csv(os.path.join(out, "nodes.csv"), "id,r,z,tag",
-               [(i, p[0], p[1], m.node_tags[i])
-                for i, p in enumerate(m.nodes)])
+               range(len(m.nodes)), *m.nodes.T, m.node_tags)
     _write_csv(os.path.join(out, "tris.csv"), "id,n0,n1,n2",
-               [(i, *map(int, t)) for i, t in enumerate(m.triangles)])
+               range(len(m.triangles)), *m.triangles.T)
     svgplot.mesh_wireframe_svg(m, os.path.join(out, "mesh.svg"))
     return {"nodes": len(m.nodes), "triangles": len(m.triangles),
             "min_angle": q.min_angle, "euler": q.euler_characteristic,
@@ -272,8 +273,7 @@ def cmd_solve(cfg, out):
     sol = fem.solve_dirichlet(m, _build_data(cfg["data"]),
                               tol=float(cfg["tol"]))
     _write_csv(os.path.join(out, "solution.csv"), "id,r,z,value",
-               [(i, p[0], p[1], float(sol.values[i]))
-                for i, p in enumerate(m.nodes)])
+               range(len(m.nodes)), *m.nodes.T, sol.values)
     lo, hi = sol.max_principle_margins()
     report = {"energy": sol.dirichlet_energy, "residual": sol.residual,
               "max_principle_margins": [lo, hi],
@@ -299,23 +299,21 @@ def cmd_probe(cfg, out):
         kwargs = dict(cross_section=_cross_section(cfg, field), data=data,
                       walks=int(cfg["walks"]), eps=float(cfg["eps"]),
                       seed=int(cfg["seed"]))
-    paths, rows = [], []
+    n = int(cfg["n_stations"])
     specs = [("level-curve", c) for c in cfg["probe_levels"]] + [("axis-below",)]
-    for pid, spec in enumerate(specs):
-        p = probe.sample_path(source, field, A, B, alpha, beta, spec,
-                              n_stations=int(cfg["n_stations"]),
-                              start=float(cfg["start"]), **kwargs)
-        paths.append(p)
-        for k in range(len(p.values)):
-            err = p.stderrs[k] if p.stderrs is not None else 0.0
-            rows.append((pid, k, float(p.stations[k, 0]),
-                         float(p.stations[k, 1]), float(p.values[k]),
-                         float(err)))
-    _write_csv(os.path.join(out, "probe.csv"),
-               "path,station,r,z,value,stderr", rows)
-    # the tip is the inner arc's end at arc fraction 0
+    paths = [probe.sample_path(source, field, A, B, alpha, beta, spec,
+                               n_stations=n, start=float(cfg["start"]), **kwargs)
+             for spec in specs]
+    # the tip is the inner arc's end at arc fraction 0; a refused estimate
+    # leaves no table behind
     tip = float(data.spec[mesh.INNER](0.0))
     est = probe.limit_set_estimate(paths, datum_at_tip=tip)
+    _write_csv(os.path.join(out, "probe.csv"), "path,station,r,z,value,stderr",
+               np.repeat(np.arange(len(paths)), n), np.tile(np.arange(n), len(paths)),
+               *np.concatenate([p.stations for p in paths]).T,
+               np.concatenate([p.values for p in paths]),
+               np.concatenate([np.zeros(n) if p.stderrs is None else p.stderrs
+                               for p in paths]))
     verdict = {"limit_lo": est.lo, "limit_hi": est.hi,
                "classification": est.classification, "pass": True}
     _write_json(os.path.join(out, "probe_verdict.json"), verdict)
@@ -347,14 +345,14 @@ def cmd_wiener(cfg, out):
 def cmd_wos(cfg, out):
     cs = _cross_section(cfg, _field(cfg))
     data = _build_data(cfg["data"])
-    rows = []
-    for pt in cfg["points"]:
-        est = wos.estimate(cs, data, tuple(pt), walks=int(cfg["walks"]),
-                           eps=float(cfg["eps"]), seed=int(cfg["seed"]))
-        rows.append((f"({pt[0]};{pt[1]};{pt[2]})", est.mean, est.stderr,
-                     est.walks))
-    _write_csv(os.path.join(out, "wos.csv"), "point,mean,stderr,walks", rows)
-    return {"file": "wos.csv", "points": len(rows), "pass": True}
+    ests = [wos.estimate(cs, data, tuple(pt), walks=int(cfg["walks"]),
+                         eps=float(cfg["eps"]), seed=int(cfg["seed"]))
+            for pt in cfg["points"]]
+    _write_csv(os.path.join(out, "wos.csv"), "point,mean,stderr,walks",
+               [f"({x};{y};{z})" for x, y, z in cfg["points"]],
+               np.array([e.mean for e in ests]), np.array([e.stderr for e in ests]),
+               [e.walks for e in ests])
+    return {"file": "wos.csv", "points": len(ests), "pass": True}
 
 
 def cmd_reproduce_figures(cfg, out):
@@ -372,17 +370,18 @@ def cmd_reproduce_figures(cfg, out):
 
     # cut-open surfaces of revolution: the outer surface misses a wedge so
     # the inner cusp is visible
-    rows = []
+    cloud = []
     for name, level, th_lo in (("outer", A, math.pi / 3), ("inner", B, 0.0)):
         z, r = trace_contour(field, level, n=96, grading="blended").samples.T
         thetas = np.linspace(th_lo, 2.0 * math.pi, 40)
-        x = np.multiply.outer(r, np.cos(thetas)).ravel()
-        y = np.multiply.outer(r, np.sin(thetas)).ravel()
-        rows += zip(repeat(name), x.tolist(), y.tolist(),
-                    np.repeat(z, len(thetas)).tolist())
-    _write_csv(os.path.join(out, "domain_cloud.csv"), "surface,x,y,z", rows)
+        cloud.append(([name] * (r.size * thetas.size),
+                      np.multiply.outer(r, np.cos(thetas)).ravel(),
+                      np.multiply.outer(r, np.sin(thetas)).ravel(),
+                      np.repeat(z, thetas.size)))
+    names, x, y, z = (np.concatenate(c) for c in zip(*cloud))
+    _write_csv(os.path.join(out, "domain_cloud.csv"), "surface,x,y,z", names, x, y, z)
     return {"grid": grid_report, "contours": contour_report,
-            "cloud_points": len(rows),
+            "cloud_points": names.size,
             "pass": grid_report["pass"] and contour_report["pass"]}
 
 

@@ -104,6 +104,9 @@ def log_series(profile, q, j_start=2, j_stop=64):
         raise InputError("q must lie in (0, 1)")
     if j_stop < j_start:
         raise InputError("empty j range")
+    if q ** j_stop == 0.0:
+        raise InputError(f"q^j_stop = {q}^{j_stop} underflows to 0: no "
+                         "profile height to read there")
     name, log_r = _as_log_radius_fn(profile)
     js = np.arange(j_start, j_stop + 1)
     ts = log_r(q ** js.astype(float))

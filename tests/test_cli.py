@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cusplab
-from cusplab import cli, contour, density, potential
+from cusplab import cli, contour, density, fem, mesh, potential
 from cusplab.errors import InputError
 
 # the directory holding the cusplab package this process imported
@@ -142,6 +142,17 @@ def test_potential_grid_schema(tmp_path):
     lines = (tmp_path / "potential_grid.csv").read_text().splitlines()
     assert lines[0] == "r,z,V"
     assert len(lines) == 26
+    # z-major rows of the scalar door, whose value on the rod (r = 0,
+    # 0 < z <= 1) is inf
+    cli.run("potential-grid", {"r_range": [0.0, 1.5], "z_range": [-0.5, 1.5],
+                               "n_r": 4, "n_z": 5, "output_dir": str(tmp_path / "rod")})
+    field = potential.PotentialField(density.lebesgue_profile())
+    rows = [f"{r!r},{z!r},{field.value(r, z)!r}"
+            for z in np.linspace(-0.5, 1.5, 5).tolist()
+            for r in np.linspace(0.0, 1.5, 4).tolist()]
+    text = (tmp_path / "rod" / "potential_grid.csv").read_text()
+    assert text == "\n".join(["r,z,V", *rows]) + "\n"
+    assert [row for row in rows if row.endswith(",inf")] == ["0.0,0.5,inf", "0.0,1.0,inf"]
 
 
 def test_wiener_subcommand(tmp_path):
@@ -172,6 +183,28 @@ def test_mesh_subcommand(tmp_path):
     assert len(paths) == 1
     d = paths[0].get("d")
     assert d.count("M") == d.count("L") == len(edges)
+
+
+def test_mesh_and_solution_tables_are_the_arrays(tmp_path):
+    # one row per node and per triangle, each cell read from the mesh and
+    # solution arrays
+    cli.run("solve", {"n_levels": 4, "n_stations": 8, "output_dir": str(tmp_path)})
+    cli.run("mesh", {"n_levels": 4, "n_stations": 8, "output_dir": str(tmp_path)})
+    field = potential.PotentialField(density.lebesgue_profile())
+    m = mesh.triangulate(mesh.build_cross_section(field, 0.5, 2.0),
+                         n_levels=4, n_stations=8)
+    sol = fem.solve_dirichlet(m, fem.BoundaryData(fem.ConstantData(0.5),
+                                                  fem.ConstantData(2.0)))
+    for name, header, rows in [
+            ("nodes.csv", "id,r,z,tag",
+             [f"{r!r},{z!r},{tag}" for (r, z), tag in zip(m.nodes.tolist(), m.node_tags)]),
+            ("tris.csv", "id,n0,n1,n2",
+             [f"{a},{b},{c}" for a, b, c in m.triangles.tolist()]),
+            ("solution.csv", "id,r,z,value",
+             [f"{r!r},{z!r},{v!r}" for (r, z), v in zip(m.nodes.tolist(),
+                                                        sol.values.tolist())])]:
+        lines = [header] + [f"{i},{row}" for i, row in enumerate(rows)]
+        assert (tmp_path / name).read_text() == "\n".join(lines) + "\n", name
 
 
 def test_contour_map_draws_the_rod_to_its_length(tmp_path):
@@ -268,9 +301,16 @@ def test_r_min_out_of_range_exit_1(tmp_path, cmd, r_min, capsys):
      "empty inner table has no value for the cap"),
     ("contour", 'density={"kind":"power","p":0.5,"L":NaN}',
      "rod length must be positive and finite"),
-], ids=["empty-outer-table", "empty-inner-table", "nan-rod-length"])
-def test_empty_table_and_non_finite_rod_length_exit_1(tmp_path, cmd, setting, detail,
-                                                      capsys):
+    ("potential-grid", "n_r=-1", "'n_r' is a count and must be at least 1"),
+    ("potential-grid", "n_z=-2", "'n_z' is a count and must be at least 1"),
+    ("probe", "n_stations=-1", "'n_stations' is a count and must be at least 1"),
+    ("probe", "n_stations=0", "'n_stations' is a count and must be at least 1"),
+    ("probe", "probe_levels=[1.5]", "need at least 3 paths"),
+    ("wiener", "j_stop=2000", "0.5^2000 underflows to 0"),
+], ids=["empty-outer-table", "empty-inner-table", "nan-rod-length", "negative-n_r",
+        "negative-n_z", "negative-probe-stations", "no-probe-stations",
+        "two-probe-paths", "underflowing-height"])
+def test_refused_input_leaves_no_directory(tmp_path, cmd, setting, detail, capsys):
     # a validation error, one JSON line on stderr and no directory left behind
     assert cli.main([cmd, "--set", setting, "--output-dir", str(tmp_path / "out")]) == 1
     lines = capsys.readouterr().err.splitlines()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,16 @@ def test_term_formula_squared_log():
                             j_start=1, j_stop=40)
     expect = 1.0 / (np.arange(1, 41) * math.log(2.0)) ** 2
     assert np.allclose(rep.terms, expect, rtol=1e-12)
+
+
+def test_underflowing_height_refused_before_the_profile_is_read():
+    # 0.5^j underflows to 0 from j = 1075, where log r(0) would warn
+    profile = wiener.named_profile("z^-logz")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="underflows to 0"):
+            wiener.log_series(profile, 0.5, j_stop=1075)
+        assert len(wiener.log_series(profile, 0.5, j_stop=1074).terms) == 1073
 
 
 def test_term_formula_log_power():
