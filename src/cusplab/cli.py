@@ -62,6 +62,9 @@ _NULLABLE = {"r_min": "number", "output_dir": "string"}
 _SOURCES = ("oracle", "wos")
 # keys read as a pair (lo, hi); contour's levels are any number of levels
 _PAIRS = ("levels", "r_range", "z_range")
+# lists whose entries a run reports on one by one (contour's levels, wos's
+# start points): an empty one would make a run with nothing to report
+_RUN_LISTS = ("levels", "points")
 # the keys nested in density and data objects, each with a value of its type
 _NESTED = {"p": 0.5, "L": 1.0, "samples": [[0.0, 0.0]], "outer": {},
            "inner": {}, "cap": {}, "constant": 0.5, "bump": {}, "center": 0.5,
@@ -146,6 +149,9 @@ def validate_config(cmd, cfg):
         if key.startswith("n_") and value < 1:
             raise InputError(f"config key {key!r} is a count and must be at "
                              f"least 1, got {value!r}")
+        if key in _RUN_LISTS and not value:
+            raise InputError(f"config key {key!r} is empty: the run would "
+                             "have nothing to report")
     if cfg.get("source", "oracle") not in _SOURCES:
         raise InputError(f"config key 'source' must be one of {list(_SOURCES)}, "
                          f"got {cfg['source']!r}")
@@ -345,6 +351,10 @@ def cmd_wiener(cfg, out):
 def cmd_wos(cfg, out):
     cs = _cross_section(cfg, _field(cfg))
     data = _build_data(cfg["data"])
+    for x, y, z in cfg["points"]:
+        if not cs.contains(math.hypot(x, y), z):
+            raise InputError(f"wos start point [{x}, {y}, {z}] lies outside "
+                             "the domain")
     ests = [wos.estimate(cs, data, tuple(pt), walks=int(cfg["walks"]),
                          eps=float(cfg["eps"]), seed=int(cfg["seed"]))
             for pt in cfg["points"]]

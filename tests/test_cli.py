@@ -307,9 +307,14 @@ def test_r_min_out_of_range_exit_1(tmp_path, cmd, r_min, capsys):
     ("probe", "n_stations=0", "'n_stations' is a count and must be at least 1"),
     ("probe", "probe_levels=[1.5]", "need at least 3 paths"),
     ("wiener", "j_stop=2000", "0.5^2000 underflows to 0"),
+    ("contour", "levels=[]", "config key 'levels' is empty"),
+    ("wos", "points=[]", "config key 'points' is empty"),
+    ("wos", "points=[[0.5,0.0,0.5],[0,0,-0.5],[0,0,0.5]]",
+     "wos start point [0, 0, -0.5] lies outside the domain"),
 ], ids=["empty-outer-table", "empty-inner-table", "nan-rod-length", "negative-n_r",
         "negative-n_z", "negative-probe-stations", "no-probe-stations",
-        "two-probe-paths", "underflowing-height"])
+        "two-probe-paths", "underflowing-height", "no-levels", "no-points",
+        "outside-point"])
 def test_refused_input_leaves_no_directory(tmp_path, cmd, setting, detail, capsys):
     # a validation error, one JSON line on stderr and no directory left behind
     assert cli.main([cmd, "--set", setting, "--output-dir", str(tmp_path / "out")]) == 1

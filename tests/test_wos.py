@@ -300,6 +300,19 @@ def test_grid_finds_the_searched_leaf(cs, deep_cs, ball):
         np.uint64(4) ** np.uint64(wos.DEPTH - wos.G)
 
 
+def test_grid_of_a_large_tree_holds_int32_ranks(ball):
+    # the grid stores leaf ranks in int16 up to 32,767 leaves; a ball of
+    # 4,000 vertices has about 38,600 leaves and needs int32
+    assert wos._geometry(ball).grid.dtype == np.int16
+    sec = Ball(4000)
+    geo = wos._geometry(sec)
+    assert len(geo.start) > 2 ** 15 - 1 and geo.grid.dtype == np.int32
+    rng = np.random.default_rng(28)
+    pts = _near_polylines(sec, rng, 2000, -8.0, 0.0)
+    _check_grid(geo, pts)
+    assert geo.leaf(pts).max() > 2 ** 15 - 1
+
+
 def _step_landings(geo, pts, eps, rng, n_dirs=8):
     radius, _, _, _ = geo.query(pts, eps)
     dirs = rng.standard_normal((len(pts), n_dirs, 3))
@@ -500,6 +513,18 @@ def test_walk_bits_are_frozen(deep_cs):
              (0.06898170785735368, 0.00711656596485825, 1000, 0, 58702))):
         est = wos.estimate(deep_cs, data, point, walks=1000, eps=eps, seed=seed)
         assert (est.mean, est.stderr, est.walks, est.discarded, est.steps) == frozen
+
+
+def test_tip_walk_bits_are_frozen(deep_cs):
+    # 1000 walks from the level-1.75 station at z = 0.02, r = 7.4e-10, with
+    # the values the walker gave when this test was written.  Some of its
+    # walkers lie in grid cells that leaves deeper than G split, so the
+    # search over start codes takes part in these walks
+    est = wos.estimate(deep_cs, fem.BoundaryData.constants(0.5, 2.0),
+                       (7.410406188945527e-10, 0.0, 0.02), walks=1000,
+                       eps=1e-4, seed=23)
+    assert (est.mean, est.stderr, est.walks, est.discarded, est.steps) == \
+        (1.058, 0.022926752931891597, 1000, 0, 50250)
 
 
 def _counting_builds(monkeypatch):
