@@ -10,13 +10,17 @@ the band is about as wide as a station), and the stored energy is the full
 2 pi weighted discrete Dirichlet integral.
 
 Every node with an essential tag is fixed, so a mesh is assembled and
-factored once: the stiffness matrix, the reduced blocks and the Cholesky
-factor live in private state on the mesh and serve every datum.  The state
-also holds each essential tag's nodes with their arc fractions, so a datum
-is evaluated on arrays, and a uniform bucket grid built on the first
-lookup: point location scans only the triangles of one of its cells.  A
-mesh is a frozen value, so its state is built once and never goes stale; a
-copy or pickle of a mesh starts without it.
+factored once: the stiffness matrix K, its free-by-fixed block K_fb and the
+Cholesky factor live in private state on the mesh and serve every datum.  A
+later solve is one LAPACK band solve and two sparse products: K_fb for the
+right-hand side, and K once for both the residual certificate and the
+energy.  The state also holds each essential tag's nodes with their arc
+fractions and arc order, so a datum is evaluated on arrays and sorts
+nothing, and a uniform bucket grid built on the first lookup: point
+location scans only the triangles of one of its cells.  A solution keeps
+its boundary values as the arrays of essential ids and values.  A mesh is
+a frozen value, so its state is built once and never goes stale; a copy or
+pickle of a mesh starts without it.
 
 Axis nodes carry no essential condition: the weight r vanishes there, so
 the discrete problem needs none.
@@ -27,14 +31,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
 
 from .errors import ConvergenceError, DomainError, InputError, MeshError
-from .mesh import CAP, ESSENTIAL_TAGS, INNER, OUTER
+from .mesh import CAP, ESSENTIAL_TAGS, INNER, OUTER, _signed_areas
 
 # a point lies in a triangle when its barycentric coordinates are >= -tol
 _LOCATE_TOL = 1e-12
@@ -137,7 +142,7 @@ class BoundaryData:
         order for a spec of arc fraction, in arc order for a table."""
         ids, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
         for tag, spec in self.spec.items():
-            tag_ids, s = state.boundary[tag]
+            tag_ids, s, arc_ids = state.boundary[tag]
             if not len(tag_ids):
                 continue
             if isinstance(spec, TabulatedData):
@@ -145,7 +150,7 @@ class BoundaryData:
                     raise InputError(
                         f"tabulated data for {tag} has {len(spec.values)} "
                         f"values for {len(tag_ids)} tagged nodes")
-                ids.append(tag_ids[np.argsort(s, kind="stable")])
+                ids.append(arc_ids)
                 values.append(np.asarray(spec.values, dtype=float))
             else:
                 ids.append(tag_ids)
@@ -165,14 +170,16 @@ def assemble(mesh):
     tris = mesh.triangles
     p = mesh.nodes[tris]                           # (m, 3, 2)
     x, y = p[:, :, 0], p[:, :, 1]
-    area2 = 2.0 * mesh.signed_areas()
+    area2 = 2.0 * _signed_areas(p)
     bad = np.flatnonzero(area2 <= 0)
     if len(bad):
         raise MeshError(f"degenerate or flipped element {tris[bad[0]]}")
     r_bar = x.mean(axis=1)
-    # b_k = grad of the k-th hat function: rotated opposite edge / (2 area)
-    bx = (np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)) / area2[:, None]
-    by = (np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)) / area2[:, None]
+    # b_k = grad of the k-th hat function: rotated opposite edge / (2 area),
+    # the edge from corner k + 1 to corner k + 2
+    nxt, opp = [1, 2, 0], [2, 0, 1]
+    bx = (y[:, nxt] - y[:, opp]) / area2[:, None]
+    by = (x[:, opp] - x[:, nxt]) / area2[:, None]
     weight = r_bar * (0.5 * area2)
     ke = weight[:, None, None] * (bx[:, :, None] * bx[:, None, :]
                                   + by[:, :, None] * by[:, None, :])
@@ -186,17 +193,25 @@ def assemble(mesh):
 class SolutionField:
     """Nodal solution with its weighted Dirichlet energy and solver stats.
 
-    residual is the relative residual of the reduced system.  iterations is
-    always 0, as the solve is direct; it stays because the benchmark reports
-    it as fem.cg_iterations.
+    residual is the relative residual of the reduced system.  The boundary
+    values are kept as arrays: essential_ids, tag after tag, and
+    essential_values; boundary_values maps one to the other in that order
+    and is built on first access.  iterations is always 0, as the solve is
+    direct; it stays because the benchmark reports it as fem.cg_iterations.
     """
 
     mesh: object
     values: np.ndarray
     dirichlet_energy: float
     residual: float
-    boundary_values: dict = dataclass_field(repr=False, default_factory=dict)
+    essential_ids: np.ndarray = dataclass_field(repr=False)
+    essential_values: np.ndarray = dataclass_field(repr=False)
     iterations: int = 0
+
+    @cached_property
+    def boundary_values(self):
+        """The value at each essential node, keyed by node id."""
+        return dict(zip(self.essential_ids.tolist(), self.essential_values.tolist()))
 
     def __call__(self, r, z):
         """Barycentric interpolation at a point inside the mesh."""
@@ -207,17 +222,18 @@ class SolutionField:
         return float(np.dot(lam, self.values[idx]))
 
     def max_principle_margins(self):
-        lo, hi = min(self.boundary_values.values()), max(self.boundary_values.values())
+        lo, hi = self.essential_values.min(), self.essential_values.max()
         return (float(self.values.min() - lo), float(hi - self.values.max()))
 
 
 class _MeshState:
     """What the FEM derives from one mesh.  Built at once: each node's index
     in ESSENTIAL_TAGS (codes) and, per essential tag, its node ids in
-    ascending order with their arc fractions (boundary).  Built on first
-    use: the factored system (see factor) and the point-location grid.  It
-    holds the mesh's read-only nodes and triangles but not the mesh, so the
-    factor is held in no reference cycle and is freed with the mesh."""
+    ascending order, their arc fractions and the ids in arc order, ties in
+    id order (boundary).  Built on first use: the factored system (see
+    factor) and the point-location grid.  It holds the mesh's read-only
+    nodes and triangles but not the mesh, so the factor is held in no
+    reference cycle and is freed with the mesh."""
 
     def __init__(self, mesh):
         self.nodes, self.triangles = mesh.nodes, mesh.triangles
@@ -228,26 +244,27 @@ class _MeshState:
             # a node the tag's arc does not list sits at arc fraction 0
             arc = mesh.component_arcs.get(tag, {})
             s = np.array([arc.get(i, 0.0) for i in ids.tolist()], dtype=float)
-            self.boundary[tag] = ids, s
+            self.boundary[tag] = ids, s, ids[np.argsort(s, kind="stable")]
         self.chol = None
         self.grid = None
 
     def factor(self, mesh):
         """Built on first use: the stiffness matrix K, the free and fixed
-        (essential) node ids, the CSR blocks K_ff and K_fb of K and the lower
-        Cholesky factor chol of K_ff in the mesh's own order, in LAPACK band
-        storage: entry (i, j), i >= j, of K_ff sits at chol[i - j, j].
-        triangulate numbers its nodes so that this band is narrow.
-        MeshError when the band would hold more than _MAX_BAND_ENTRIES
-        entries, or when K_ff is not positive definite."""
+        (essential) node ids, the CSR block K_fb of K, the lower Cholesky
+        factor chol of the block K_ff in the mesh's own order, in LAPACK band
+        storage (entry (i, j), i >= j, of K_ff sits at chol[i - j, j]), and
+        LAPACK's band solve pbtrs for it.  triangulate numbers its nodes so
+        that this band is narrow.  MeshError when the band would hold more
+        than _MAX_BAND_ENTRIES entries, or when K_ff is not positive
+        definite."""
         if self.chol is None:
             self.K = assemble(mesh)
             self.free = np.flatnonzero(self.codes < 0)
             self.fixed = np.flatnonzero(self.codes >= 0)
             K_free = self.K[self.free]
-            self.K_ff, self.K_fb = K_free[:, self.free], K_free[:, self.fixed]
+            self.K_fb = K_free[:, self.fixed]
             # the stored entries of K_ff on or below the diagonal fill the band
-            coo = self.K_ff.tocoo()
+            coo = K_free[:, self.free].tocoo()
             lower = coo.row >= coo.col
             depth, j = coo.row[lower] - coo.col[lower], coo.col[lower]
             shape = (int(depth.max(initial=0)) + 1, len(self.free))
@@ -263,6 +280,7 @@ class _MeshState:
             except LinAlgError as err:
                 raise MeshError(f"reduced stiffness matrix is not positive "
                                 f"definite: {err}") from None
+            self.pbtrs, = get_lapack_funcs(("pbtrs",), (self.chol,))
 
     def locator(self):
         if self.grid is None:
@@ -370,8 +388,10 @@ def solve_dirichlet(mesh, data, tol=1e-10):
     data is a BoundaryData, which gives a value to every node with an
     essential tag.  Those values are eliminated; the reduced SPD system is
     solved by a banded Cholesky factorisation in the mesh's own node order,
-    made once per mesh and reused by later data.  Its relative
-    residual |rhs - K_ff x| / |rhs| is the solve's certificate:
+    made once per mesh and reused by later data: a later solve is one LAPACK
+    band solve and one product with K, which serves both the certificate
+    and the energy.  The free rows of K u are K_ff x - rhs, so the relative
+    residual |(K u)[free]| / |rhs| is the solve's certificate:
     ConvergenceError when it exceeds tol.
     """
     state = _state(mesh)
@@ -380,22 +400,26 @@ def solve_dirichlet(mesh, data, tol=1e-10):
     u = np.zeros(len(state.codes))
     u[ids] = fixed_values
     rhs = -(state.K_fb @ u[state.fixed])
-    # unchecked (as in the factor): non-finite values propagate, not ValueError
-    x = cho_solve_banded((state.chol, True), rhs, check_finite=False)
     rhs_norm = np.linalg.norm(rhs)
+    # unchecked (as in the factor): non-finite values propagate to the
+    # residual; the solve overwrites rhs with x
+    x, info = state.pbtrs(state.chol, rhs, lower=1, overwrite_b=1)
+    if info:
+        raise ConvergenceError(f"LAPACK pbtrs failed with info {info}",
+                               stats={"info": info})
+    u[state.free] = x
+    Ku = state.K @ u
     # a nan norm (non-finite data) gives a nan residual, which fails below
-    residual = float(np.linalg.norm(rhs - state.K_ff @ x) / rhs_norm) \
+    residual = float(np.linalg.norm(Ku[state.free]) / rhs_norm) \
         if rhs_norm != 0 else 0.0
     if not residual <= tol:             # a nan residual fails too
         raise ConvergenceError(
             f"banded Cholesky residual {residual:.2e} exceeds tol {tol:.1e}",
             stats={"residual": residual})
-    u[state.free] = x
-    energy = 2.0 * math.pi * float(u @ (state.K @ u))
+    energy = 2.0 * math.pi * float(u @ Ku)
     return SolutionField(mesh=mesh, values=u, dirichlet_energy=energy,
-                         residual=residual,
-                         boundary_values=dict(zip(ids.tolist(),
-                                                  fixed_values.tolist())))
+                         residual=residual, essential_ids=ids,
+                         essential_values=fixed_values)
 
 
 def _two_constant(field, A, B, alpha, beta, log_r, z):

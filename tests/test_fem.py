@@ -438,17 +438,18 @@ def _solve_reference(m, bc):
     energy and residual.  The entries on and below the diagonal of K_ff, in
     the mesh's own order, fill the LAPACK lower band storage (entry (i, j)
     in row i - j, column j), and cholesky_banded and cho_solve_banded solve
-    in that order."""
+    in that order.  The free rows of K u are K_ff x - rhs: their norm over
+    |rhs| is the residual."""
     K, free, K_ff, rhs, u = _reduced_system(m, bc)
     P = K_ff.tocoo()
     lower = P.row >= P.col
     depth = (P.row - P.col)[lower]
     ab = np.zeros((depth.max() + 1, len(free)))
     ab[depth, P.col[lower]] = P.data[lower]
-    x = cho_solve_banded((cholesky_banded(ab, lower=True), True), rhs)
-    residual = float(np.linalg.norm(rhs - K_ff @ x) / np.linalg.norm(rhs))
-    u[free] = x
-    return u, 2.0 * math.pi * float(u @ (K @ u)), residual
+    u[free] = cho_solve_banded((cholesky_banded(ab, lower=True), True), rhs)
+    Ku = K @ u
+    residual = float(np.linalg.norm(Ku[free]) / np.linalg.norm(rhs))
+    return u, 2.0 * math.pi * float(u @ Ku), residual
 
 
 def _interpolate_reference(m, values, r, z):
@@ -508,6 +509,35 @@ def test_later_solves_reuse_the_factor(canonical, monkeypatch):
     for data in _canonical_data(canonical).values():
         fem.solve_dirichlet(m, data, tol=1e-12)
     assert len(calls) == 1
+
+
+def test_certificate_checks_the_solve_it_certifies(cs, monkeypatch):
+    # a band solve that is off by one part in 1e9 fails the certificate;
+    # a later solve on a factored mesh runs the band solve once and
+    # factors nothing
+    m = mesh.triangulate(cs, n_levels=8, n_stations=32)
+    data = fem.BoundaryData(fem.BumpData(0.4, 0.25, 2.5), fem.ConstantData(-0.5))
+    fem.solve_dirichlet(m, data, tol=1e-12)
+    state = fem._state(m)
+    band_solve, calls, factored = state.pbtrs, [], []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return band_solve(*args, **kwargs)
+
+    def skewed(*args, **kwargs):
+        x, info = band_solve(*args, **kwargs)
+        return x * (1.0 + 1e-9), info
+
+    monkeypatch.setattr(fem, "cholesky_banded", lambda *a, **k: factored.append(a))
+    state.pbtrs = counted
+    assert fem.solve_dirichlet(m, data, tol=1e-12).residual <= 1e-12
+    assert calls == [1] and factored == []
+    state.pbtrs = skewed
+    with pytest.raises(ConvergenceError) as err:
+        fem.solve_dirichlet(m, data, tol=1e-12)
+    assert err.value.stats["residual"] > 1e-12
+    assert factored == []
 
 
 def test_factor_failure_is_a_mesh_error():
