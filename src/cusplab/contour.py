@@ -123,13 +123,14 @@ def log_radius_at(field, c, z):
     known to about 1e-16 max(1, c) / |dV/dt|).  Each lane keeps its own
     level, bracket and Newton state and its arithmetic is elementwise, so
     its root is the one it finds alone, bit for bit.  A level at or below
-    CONTOUR_RTOL, where the residual target is at least half the level,
-    raises InputError before any evaluation.  A radius beyond the field's
-    range makes the field raise its RangeError while a lane steps up, for
-    the whole batch.  Otherwise a failing lane raises its RangeError (no
-    bracket above t = -BRACKET_DEPTH) or AccuracyError (its residual is
-    off target after 300 evaluations); with several, the first lane in
-    (level, station) order does.
+    CONTOUR_RTOL, where the residual target is at least half the level, or
+    a station that is not finite raises InputError before any evaluation.
+    A radius beyond the field's range makes the field raise its RangeError
+    while a lane steps up, for the whole batch.  Otherwise a failing lane
+    raises its RangeError (no bracket above t = -BRACKET_DEPTH) or
+    AccuracyError (its residual is off target, or nan, after 300
+    evaluations); with several, the first lane in (level, station) order
+    does.
     """
     cs, zs = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(z, dtype=float))
     ts = _log_radius_residual(field, cs.ravel(), zs.ravel())[0]
@@ -142,6 +143,8 @@ def _log_radius_residual(field, cs, zs):
     if not np.all(cs > CONTOUR_RTOL):
         raise InputError(f"level must be positive, above the residual target "
                          f"CONTOUR_RTOL = {CONTOUR_RTOL}")
+    if not np.all(np.isfinite(zs)):
+        raise InputError(f"station height must be finite, not {zs[~np.isfinite(zs)][0]}")
     n = len(zs)
     out, res = np.zeros(n), np.zeros(n)
     errors = {}
@@ -157,9 +160,10 @@ def _log_radius_residual(field, cs, zs):
     lo, hi = np.full(n, -INF), np.full(n, INF)
     af_prev = root_prev = last = f_last = np.full(n, INF)
     L = field.density.length
-    # the panel layout of the last quadrature pass, reused while the open
-    # lanes' heights and ladder depths hold (bit for bit what a pass builds)
-    layouts = {}
+    # what the field's evaluations need of the open lanes' heights, and
+    # each lane's panel layout (bit for bit what an evaluation builds);
+    # None where the field needs none
+    state = field._lane_state(zs)
     # steps on a zero or infinite slope read inf or nan
     with np.errstate(all="ignore"):
         # log of the station's distance to the rod, -inf over the rod
@@ -168,7 +172,7 @@ def _log_radius_residual(field, cs, zs):
             if not len(lanes):
                 break
             t = t_next
-            v, slope = field.value_slope_log_r(t, z, _layouts=layouts)
+            v, slope = field.value_slope_log_r(t, z, _lanes=state)
             f = v - c
             af = np.abs(f)
             step = -f / slope
@@ -213,13 +217,15 @@ def _log_radius_residual(field, cs, zs):
             af_prev, root_prev = af, root
             if done.any():          # drop finished lanes
                 keep = ~done
+                if state is not None:
+                    state.drop(keep)
                 (lanes, z, c, target, log_d, t, t_next, lo, hi, af_prev, root_prev, last,
                  f_last) = (a[keep] for a in (lanes, z, c, target, log_d, t, t_next, lo, hi,
                                               af_prev, root_prev, last, f_last))
     # lanes open after 300 evaluations keep their last point if its residual
-    # is on target
+    # is on target (a nan residual is not)
     for k, tk, fk, half in zip(lanes, t, af_prev, target):
-        if fk > 2.0 * half:
+        if not fk <= 2.0 * half:
             errors[k] = AccuracyError(f"contour residual {fk:.2e} at z={zs[k]}",
                                       best_estimate=math.exp(tk) if tk > -745 else 0.0)
         out[k], res[k] = tk, fk

@@ -92,7 +92,7 @@ class DensityProfile:
     def __call__(self, z):
         """Evaluate rho at z (scalar or array), z in [0, L]."""
         zz = np.asarray(z, dtype=float)
-        if np.any(zz < 0) or np.any(zz > self.length * (1 + 1e-12)):
+        if zz.min(initial=0.0) < 0 or zz.max(initial=0.0) > self.length * (1 + 1e-12):
             raise DomainError(f"density argument outside [0, {self.length}]")
         if self.kind == LEBESGUE:
             out = zz

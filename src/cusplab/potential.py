@@ -21,9 +21,11 @@ within about 0.05 (r/z)^2 relative, with slope -2 rho(z): there the rule runs
 at r_sw and V continues as V(r_sw) - 2 rho(z) (t - log r_sw), which holds
 also where e^t underflows.  The panel layout (ends, nodes, rules and
 density values) depends only on z and on the ladder depth of the peak
-width, the number of grading steps from L down to it; a contour root batch
-reuses each station's layout while its ladder depth holds, which gives
-the same bits as building it again.
+width, the number of grading steps from L down to it.  A contour root batch
+prepares its stations once, in a lane state that holds the arrays that
+depend only on the heights and each station's layout under its own ladder
+depth; an evaluation builds only the layouts of the stations whose depth
+changed, which gives the same bits as building every layout again.
 
 The closed forms are evaluated in log-space wherever a difference
 sqrt(w^2 + r^2) - w with w > 0 would cancel: the identity
@@ -214,10 +216,11 @@ def _gauss_rules(beta=0.0):
     return np.concatenate([x_lo, x_hi]), w_lo, w_hi
 
 
-def _out_of_range(bad, r, z, why):
-    """RangeError naming the first lane (r, z) that bad flags, if any."""
-    if bad.any():
-        k = int(np.argmax(bad))
+def _out_of_range(x, lo, hi, r, z, why):
+    """RangeError naming the first lane (r, z) whose x does not lie in
+    [lo, hi] (nan included), if any."""
+    if not (lo <= x.min(initial=INF) and x.max(initial=-INF) <= hi):
+        k = int(np.argmax(~((lo <= x) & (x <= hi))))
         raise RangeError(f"V({r[k]}, {z[k]}): {why}")
 
 
@@ -232,6 +235,41 @@ def _graded_offsets(top, k):
     ending at its ladder depth k (nan beyond)."""
     ks = np.arange(1, int(k.max()) + 1)
     return np.where(ks <= k[:, None], top * PANEL_GRADING ** ks, np.nan)
+
+
+class _LaneState:
+    """The lanes of a batch at fixed heights z (1-d): what depends only on
+    the heights, computed once, and each lane's kept panel layout.
+
+    Per lane: the split point s = clamp(z, 0, L), the offset z - s, the
+    switch radius r_sw = NEAR_ROD min(z, L - z), whether it lies over the
+    rod (0 < z <= L) and whether z = 0.  depth holds the ladder depth of
+    each lane's kept layout and panels the layout itself (see _layout),
+    None until one is built; a lane's layout depends only on its height
+    and depth, so a kept one has the bits of a new one.  drop removes
+    lanes, kept layouts included."""
+
+    __slots__ = ("z", "s", "offset", "r_sw", "on_rod", "at_zero", "depth", "panels")
+
+    def __init__(self, z, length):
+        self.z = z
+        self.s = np.clip(z, 0.0, length)
+        self.offset = z - self.s
+        self.r_sw = NEAR_ROD * np.minimum(z, length - z)
+        self.on_rod = (z > 0.0) & (z <= length)
+        self.at_zero = z == 0.0
+        self.depth = self.panels = None
+
+    def drop(self, keep):
+        """Keep only the lanes that the boolean array keep flags."""
+        for name in ("z", "s", "offset", "r_sw", "on_rod", "at_zero"):
+            setattr(self, name, getattr(self, name)[keep])
+        if self.depth is not None:
+            lane = self.panels[0]
+            rows = keep[lane]
+            renumber = np.cumsum(keep) - 1
+            self.panels = (renumber[lane[rows]], *(a[rows] for a in self.panels[1:]))
+            self.depth = self.depth[keep]
 
 
 class PotentialField:
@@ -268,10 +306,11 @@ class PotentialField:
     def _scalar(self, r, t, z, closed_form=True):
         """The scalar door: V at the radius r (t None) or the log-radius t
         (r None), by the lebesgue closed form or else the one-lane
-        quadrature.  +inf on the rod, RangeError where e^t overflows."""
+        quadrature.  +inf on the rod, DomainError for a negative or nan
+        radius, RangeError where e^t overflows."""
         if t is None:
-            if r < 0:
-                raise DomainError("radius must be nonnegative")
+            if not r >= 0:
+                raise DomainError(f"radius must be nonnegative, not {r}")
             t = math.log(r) if r > 0 else -INF
         if t == -INF and 0.0 < z <= self.density.length:
             return INF
@@ -281,128 +320,152 @@ class PotentialField:
             return lebesgue_closed_form(t, z)
         if r is None:
             r = math.exp(t) if t > -745 else 0.0
-        return float(self._evaluate(np.array([r]), np.array([t]), np.array([z]))[0][0])
+        lanes = _LaneState(np.array([z]), self.density.length)
+        return float(self._evaluate(np.array([r]), np.array([t]), lanes)[0][0])
 
-    def value_slope_log_r(self, t, z, _layouts=None):
+    def _lane_state(self, z):
+        """The lane state of a root batch at the heights z (1-d), for
+        value_slope_log_r's _lanes; None for the lebesgue profile, whose
+        closed form needs none."""
+        return None if self.density.kind == LEBESGUE else _LaneState(z, self.density.length)
+
+    def value_slope_log_r(self, t, z, _lanes=None):
         """The array door: V(e^t, z) and its slope dV/dt = r dV/dr on arrays
         of log-radius t and height z (broadcast against each other), by the
         closed form of the lebesgue profile and the panel quadrature of every
         other density.  DomainError on the rod (t = -inf, 0 < z <= L),
-        RangeError where e^t overflows.  _layouts, a one-entry memo of the
-        quadrature's panel layout that a root batch keeps across its
-        evaluations, changes no bit of the result (see _evaluate)."""
+        RangeError where e^t overflows.  _lanes, the lane state of 1-d
+        heights z (see _lane_state), lets the evaluations of a root batch
+        share what depends only on the heights and keep each lane's panel
+        layout; it changes no bit of the result (see _evaluate)."""
         t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
         if t.shape != z.shape:
             t, z = np.broadcast_arrays(t, z)
-        if np.any((t == -INF) & (z > 0.0) & (z <= self.density.length)):
+        L = self.density.length
+        on_rod = (z > 0.0) & (z <= L) if _lanes is None else _lanes.on_rod
+        if ((t == -INF) & on_rod).any():
             raise DomainError("rod point (r=0, 0 < z <= L) is outside the domain of V")
-        over = t > MAX_LOG_RADIUS
-        if over.any():
-            k = int(np.argmax(over))
+        if t.max(initial=-INF) > MAX_LOG_RADIUS:
+            k = int(np.argmax(t > MAX_LOG_RADIUS))
             raise RangeError(f"radius e^{t.flat[k]} at z={z.flat[k]} overflows")
         if self.density.kind == LEBESGUE:
             return lebesgue_value_slope(t, z)
         r = np.where(t > -745.0, np.exp(t), 0.0)
-        v, slope = self._evaluate(r.ravel(), t.ravel(), z.ravel(), _layouts)
+        lanes = _lanes if _lanes is not None else _LaneState(z.ravel(), L)
+        v, slope = self._evaluate(r.ravel(), t.ravel(), lanes)
         return v.reshape(t.shape), slope.reshape(t.shape)
 
-    def _evaluate(self, r, t, z, layouts=None):
-        """V and dV/dt on 1-d arrays of radius r, its log t (r = 0 where e^t
-        underflows) and height z: the quadrature, continued linearly in t
-        below the switch radius over the rod; the light end (0, 0) reads
-        V(0,0).  AccuracyError where the error estimate is not within
-        10 rel_tol |V|, nan included (first such lane).  The dict layouts,
-        if given, holds the last panel layout; it serves only a call whose
-        open lanes fit in one QUADRATURE_CHUNK, so it never holds more than
-        one chunk's layout."""
-        L = self.density.length
-        r_sw = NEAR_ROD * np.minimum(z, L - z)
-        deep = r < r_sw                    # never off the rod, where r_sw <= 0
-        r = np.where(deep, r_sw, r)
-        tip = (r == 0.0) & (z == 0.0)
-        v = np.where(tip, self.v00, 0.0)
-        slope = np.zeros(len(z))
-        lanes = np.flatnonzero(~tip)
-        if layouts is None or len(lanes) > QUADRATURE_CHUNK:
-            layouts = {}
-        # in chunks: a lane holds about 15 panels of 48 nodes
-        for start in range(0, len(lanes), QUADRATURE_CHUNK):
-            chunk = lanes[start:start + QUADRATURE_CHUNK]
-            v_q, slope_q, err = self._quadrature(r[chunk], z[chunk], layouts)
-            bad = ~(err <= 10.0 * self.rel_tol * v_q)
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise AccuracyError(
-                    f"quadrature for V({r[chunk[k]]}, {z[chunk[k]]}) reached "
-                    f"error {err[k]:.2e} only", best_estimate=float(v_q[k]))
-            v[chunk], slope[chunk] = v_q, slope_q
+    def _evaluate(self, r, t, lanes):
+        """V and dV/dt on 1-d arrays of radius r and its log t (r = 0 where
+        e^t underflows) at the lanes of the lane state lanes: the
+        quadrature, continued linearly in t below the switch radius over the
+        rod; the light end (0, 0) reads V(0,0).  AccuracyError where the
+        error estimate is not within 10 rel_tol |V|, nan included (first
+        such lane).  At most QUADRATURE_CHUNK lanes, none at (0, 0), run in
+        one pass through the layouts lanes keeps; any other batch runs its
+        open lanes in chunks of QUADRATURE_CHUNK, each with a lane state of
+        its own, so a lane state never holds more than one chunk's panels."""
+        n = len(r)
+        deep = r < lanes.r_sw              # never off the rod, where r_sw <= 0
+        r = np.where(deep, lanes.r_sw, r)
+        tip = (r == 0.0) & lanes.at_zero
+        if 0 < n <= QUADRATURE_CHUNK and not tip.any():
+            v, slope = self._quadrature(r, lanes)
+        else:
+            v = np.where(tip, self.v00, 0.0)
+            slope = np.zeros(n)
+            # in chunks: a lane holds about 15 panels of 48 nodes
+            open_lanes = np.flatnonzero(~tip)
+            for start in range(0, len(open_lanes), QUADRATURE_CHUNK):
+                chunk = open_lanes[start:start + QUADRATURE_CHUNK]
+                v[chunk], slope[chunk] = self._quadrature(
+                    r[chunk], _LaneState(lanes.z[chunk], self.density.length))
         if deep.any():
-            slope[deep] = -2.0 * self.density(z[deep])
+            slope[deep] = -2.0 * self.density(lanes.z[deep])
             v[deep] += slope[deep] * (t[deep] - np.log(r[deep]))
         return v, slope
 
-    def _quadrature(self, r, z, layouts):
-        """V, dV/dt and the error estimate of V on 1-d arrays of lanes, none
-        at (0, 0).  The panel layout depends only on the heights z and the
-        ladder depths k of the peak widths (see _layout); the dict layouts
-        keeps the last one under the exact bytes of (z, k), so a hit
-        returns the arrays a miss would build.
-        The error estimate is |HIGH - LOW| summed over the panels, plus one
-        rounding unit of V.  RangeError for the first lane out of range."""
+    def _quadrature(self, r, lanes):
+        """V and dV/dt on a 1-d array of radii r at the lanes of the lane
+        state lanes, none at (0, 0), through the panel layouts of _panels.
+        The error estimate of V is |HIGH - LOW| summed over the panels, plus
+        one rounding unit of V.  RangeError for the first lane out of range,
+        AccuracyError for the first whose error estimate is not within
+        10 rel_tol |V|, nan included."""
         L = self.density.length
-        n = len(z)
-        s = np.clip(z, 0.0, L)
-        peak = np.hypot(r, z - s)          # distance of (r, z) from (0, s)
-        # graded below floor, panel ends turn subnormal or L / depth
+        n = len(r)
+        peak = np.hypot(r, lanes.offset)   # distance of (r, z) from (0, s)
+        # graded below TINY max(L, 1), panel ends turn subnormal or L / depth
         # overflows; below MIN_PEAK_WIDTH the integrand may divide by 0
-        floor = TINY * max(L, 1.0)
-        _out_of_range(~((max(floor, MIN_PEAK_WIDTH) <= peak)
-                        & (peak <= MAX_DISTANCE)), r, z,
-                      "the peak width is below MIN_PEAK_WIDTH or beyond "
+        _out_of_range(peak, max(TINY * max(L, 1.0), MIN_PEAK_WIDTH), MAX_DISTANCE, r,
+                      lanes.z, "the peak width is below MIN_PEAK_WIDTH or beyond "
                       "MAX_DISTANCE")
-        k = _ladder_depth(L, peak)
-        key = (z.tobytes(), k.tobytes())
-        if key not in layouts:
-            layouts.clear()
-            layouts[key] = self._layout(r, z, k)
-        lane, u, dens, scale, w_lo, w_hi = layouts[key]
-        q = u * u + (r * r)[lane, None]
+        lane, u2, dens, scale, w_lo, w_hi = self._panels(r, lanes, _ladder_depth(L, peak))
+        r2 = r * r
+        q = u2 + r2[lane, None]
         f = dens / np.sqrt(q)
         v_lo = scale * (f[:, :LOW_NODES] * w_lo).sum(axis=1)
         v_hi = scale * (f[:, LOW_NODES:] * w_hi).sum(axis=1)
         g_hi = scale * (f[:, LOW_NODES:] / q[:, LOW_NODES:] * w_hi).sum(axis=1)
         v = np.bincount(lane, v_hi, minlength=n)
         err = np.bincount(lane, np.abs(v_hi - v_lo), minlength=n) + EPS * v
+        bad = ~(err <= 10.0 * self.rel_tol * v)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise AccuracyError(f"quadrature for V({r[k]}, {lanes.z[k]}) reached "
+                                f"error {err[k]:.2e} only", best_estimate=float(v[k]))
         # the slope is r^2 times a sum that overflows within about 1e-103 of
         # a rod end; where r^2 underflows (below r = 1e-162, off the rod) it
         # reads 0, exact on the axis
-        r2 = r * r
-        return v, -r2 * np.where(r2 > 0.0, np.bincount(lane, g_hi, minlength=n), 0.0), err
+        return v, -r2 * np.where(r2 > 0.0, np.bincount(lane, g_hi, minlength=n), 0.0)
 
-    def _layout(self, r, z, k):
-        """The panel layout of lanes at heights z whose peak widths have
-        ladder depths k below L: per panel its lane, the node offsets
-        u = zeta - z, the density at the nodes, the panel's scale and the
-        weights of both rules.  Panel ends are offsets x = zeta - s from the
-        split point s = clamp(z, 0, L), so zeta - z does not cancel at small
-        radii; they are graded toward s by k steps, down to the distance of
-        (r, z) from (0, s), where the integrand has its peak, and for power
-        densities toward zeta = 0 down to below the nearest of those ends,
-        so that no panel but the ones at s and at 0 is longer than 5.67
-        times its distance from either point.  r only names a lane in a
-        RangeError."""
+    def _panels(self, r, lanes, k):
+        """The panel layout (see _layout) of the lanes of the lane state
+        lanes at radii r and ladder depths k.  lanes keeps each lane's
+        layout under its depth, so only the lanes whose depth changed are
+        built, and their panels replace their kept ones.  A lane's panels
+        keep the order _layout gives them, wherever they sit among the other
+        lanes' panels, so its sums (np.bincount, in panel order) run as over
+        a layout built anew."""
+        new = None if lanes.depth is None else k != lanes.depth
+        if new is not None and not new.any():
+            return lanes.panels
+        if new is None or new.all():
+            lanes.panels = self._layout(r, lanes, k)
+        else:
+            idx = np.flatnonzero(new)
+            built = self._layout(r[idx], _LaneState(lanes.z[idx], self.density.length), k[idx])
+            kept = ~new[lanes.panels[0]]
+            lanes.panels = (np.concatenate([lanes.panels[0][kept], idx[built[0]]]),
+                            *(np.concatenate([a[kept], b])
+                              for a, b in zip(lanes.panels[1:], built[1:])))
+        lanes.depth = k
+        return lanes.panels
+
+    def _layout(self, r, lanes, k):
+        """The panel layout of the lanes of the lane state lanes whose peak
+        widths have ladder depths k below L: per panel its lane, the squared
+        node offsets u^2 = (zeta - z)^2, the density at the nodes, the
+        panel's scale and the weights of both rules, one row per panel.
+        Panel ends are offsets x = zeta - s from the split point
+        s = clamp(z, 0, L), so zeta - z does not cancel at small radii; they
+        are graded toward s by k steps, down to the distance of (r, z) from
+        (0, s), where the integrand has its peak, and for power densities
+        toward zeta = 0 down to below the nearest of those ends, so that no
+        panel but the ones at s and at 0 is longer than 5.67 times its
+        distance from either point.  r only names a lane in a RangeError."""
         rho = self.density
         L = rho.length
+        s, z = lanes.s, lanes.z
         n = len(z)
-        s = np.clip(z, 0.0, L)
         toward_peak = _graded_offsets(L, k)
         ends = [-s[:, None], (L - s)[:, None], np.zeros((n, 1)), toward_peak, -toward_peak]
         if rho.kind == POWER:
             # grade toward the branch point of zeta^p at 0 down to the
             # nearest other panel end, so that only the panel at 0 touches it
             others = s[:, None] + np.concatenate(ends, axis=1)
-            nearest = np.min(np.where(others > 0.0, others, L), axis=1)
-            _out_of_range(~(nearest >= TINY * max(L, 1.0)), r, z, "the panel "
+            nearest = np.where(others > 0.0, others, L).min(axis=1)
+            _out_of_range(nearest, TINY * max(L, 1.0), INF, r, z, "the panel "
                           "ends near zeta = 0 are below the smallest normal float")
             ends.append(_graded_offsets(L, _ladder_depth(L, nearest)) - s[:, None])
         elif rho.kind == TABULATED:
@@ -417,19 +480,22 @@ class PotentialField:
         half = 0.5 * (hi[panel][:, None] - a)
 
         nodes, w_lo, w_hi = _gauss_rules()
-        scale = half
+        x = half * (1.0 + nodes)
+        x += a                             # in place: the layout's arrays are large
+        w_lo, w_hi = (np.repeat(w[None, :], len(lane), axis=0) for w in (w_lo, w_hi))
+        scale = half[:, 0]
         if self._jacobi is not None:
-            # the panel at zeta = 0 integrates zeta^p f by Gauss-Jacobi
-            at_zero = a == -s[lane, None]
-            nodes = np.where(at_zero, self._jacobi[0], nodes)
-            w_lo = np.where(at_zero, self._jacobi[1], w_lo)
-            w_hi = np.where(at_zero, self._jacobi[2], w_hi)
-            scale = np.where(at_zero, half ** (rho.power + 1.0), half)
-        x = a + half * (1.0 + nodes)
+            # the panel at zeta = 0 integrates zeta^p f by Gauss-Jacobi: its
+            # rows take that rule's nodes and weights
+            at_zero = a[:, 0] == -s[lane]
+            nodes, w_lo[at_zero], w_hi[at_zero] = self._jacobi
+            x[at_zero] = a[at_zero] + half[at_zero] * (1.0 + nodes)
+            scale = np.where(at_zero, scale ** (rho.power + 1.0), scale)
         dens = rho(s[lane, None] + x)
         if self._jacobi is not None:
-            dens = np.where(at_zero, 1.0, dens)
-        return lane, x - (z - s)[lane, None], dens, scale[:, 0], w_lo, w_hi
+            dens[at_zero] = 1.0            # a new array: rho(x) = x^p
+        u = np.subtract(x, lanes.offset[lane, None], out=x)
+        return lane, np.multiply(u, u, out=u), dens, scale, w_lo, w_hi
 
 
 @dataclass

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cusplab import contour, density, mesh, potential
-from cusplab.errors import InputError, RangeError
+from cusplab.errors import AccuracyError, InputError, RangeError
 
 # frozen bisection oracles on the axis closed forms (400-digit arithmetic):
 #   z log(z/(z-1)) - 1 = 2    ->  z2(2)
@@ -330,14 +330,14 @@ def test_root_batches_keep_their_evaluation_budget(leb, monkeypatch):
     calls = _count_evaluations(monkeypatch, leb)
     levels = [0.5, *mesh._level_values(leb, 0.5, 2.0, 24), 2.0]
     contour.trace_contours(leb, levels, n=192, grading="geometric")
-    assert len(calls) <= 10
+    assert 1 <= len(calls) <= 10
     calls.clear()
     contour.trace_contours(leb, [0.5, 2.0], n=256, grading="blended")
-    assert len(calls) <= 9
+    assert 1 <= len(calls) <= 9
     field = potential.PotentialField(density.power_profile(0.5))
     calls = _count_evaluations(monkeypatch, field)
     contour.log_radius_at(field, 0.8 * field.v00, 1.02)
-    assert len(calls) <= 6
+    assert 1 <= len(calls) <= 6
 
 
 KNOTS = np.linspace(0.0, 1.0, 17)
@@ -379,6 +379,28 @@ def test_layout_memo_changes_no_root(name):
         many = np.tile(zs, potential.QUADRATURE_CHUNK // len(zs) + 1)
         assert len(many) > potential.QUADRATURE_CHUNK
         assert contour.log_radius_at(field, c, many).tolist() == alone * (len(many) // len(zs))
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_non_finite_stations_are_refused(leb, monkeypatch, z):
+    # a station that is not finite has no contour root: it is refused before
+    # any evaluation (a nan one took 300 evaluations and returned t = -1e90)
+    for field in (leb, potential.PotentialField(density.power_profile(0.5))):
+        calls = _count_evaluations(monkeypatch, field)
+        for zs in (z, [0.5, z]):
+            with pytest.raises(InputError):
+                contour.log_radius_at(field, 1.5, zs)
+        assert calls == []
+
+
+def test_a_nan_residual_is_off_target(monkeypatch):
+    # a lane whose residual is nan after 300 evaluations raises AccuracyError
+    # (nan > target is False, so it used to return its last point)
+    field = potential.PotentialField(density.power_profile(0.5))
+    monkeypatch.setattr(field, "value_slope_log_r",
+                        lambda t, z, _lanes=None: (np.full(len(t), np.nan),) * 2)
+    with pytest.raises(AccuracyError):
+        contour.log_radius_at(field, 1.5, 0.5)
 
 
 def test_root_reuses_its_station_layout(monkeypatch):

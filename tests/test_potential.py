@@ -356,6 +356,84 @@ def test_quadrature_one_lane_forms_agree_with_the_array_form():
                           for tk, zk in zip(t, z)]
 
 
+# mixed lanes of a root batch: the light end (0, 0), deep lanes far below the
+# switch radius (r = 0 where e^t underflows), lanes over the rod, at its ends
+# and off it; then steps as a root batch takes them: one that keeps every
+# lane's ladder depth, one that moves some, and one that keeps them again
+LANE_Z = np.array([0.3, 0.0, 0.5, 0.5, 1e-3, 0.9, -0.4, 1.7, 1.0, 0.7, 0.0])
+LANE_T = np.array([-2.0, -np.inf, -60.0, -900.0, -5.0, 0.3, -1.0, -20.0, -8.0, -3.0, -1.5])
+LANE_SHIFT = np.where(np.arange(len(LANE_T)) % 2, 0.0, 4.0)
+LANE_STEPS = [LANE_T, LANE_T, LANE_T - LANE_SHIFT, LANE_T - LANE_SHIFT]
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURE_PROFILES))
+def test_lane_state_changes_no_bit(name, monkeypatch):
+    # a root batch evaluates through its lane state, which keeps each lane's
+    # panel layout under its ladder depth and drops finished lanes: V and
+    # dV/dt are those of a stateless evaluation, bit for bit, in chunks (over
+    # QUADRATURE_CHUNK lanes or with a lane at (0, 0)) and in one pass, which
+    # builds the layouts of only the lanes whose depth moved
+    field = potential.PotentialField(QUADRATURE_PROFILES[name])
+    built = []
+    layout = field._layout
+    monkeypatch.setattr(field, "_layout", lambda r, lanes, k: built.append(len(r))
+                        or layout(r, lanes, k))
+    for reps in (1, potential.QUADRATURE_CHUNK // len(LANE_Z) + 1):
+        z = np.tile(LANE_Z, reps)
+        lanes = field._lane_state(z)
+        open_lanes = np.arange(len(z))
+        for step, t in enumerate(LANE_STEPS):
+            t = np.tile(t, reps)[open_lanes]
+            built.clear()
+            got = field.value_slope_log_r(t, z[open_lanes], _lanes=lanes)
+            if step == 1:
+                assert built == [len(open_lanes)]
+            elif step == 2:
+                assert 0 < sum(built) < len(open_lanes)
+            elif step == 3:
+                assert built == []
+            want = field.value_slope_log_r(t, z[open_lanes])
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+            # drop the (0, 0) lanes and every third lane
+            keep = (lanes.z != 0.0) & (np.arange(len(open_lanes)) % 3 != 2)
+            lanes.drop(keep)
+            open_lanes = open_lanes[keep]
+        assert lanes.z.tolist() == z[open_lanes].tolist()
+
+
+def test_lane_state_raises_as_the_stateless_door():
+    # the rod point t = -inf, a radius beyond MAX_LOG_RADIUS and a quadrature
+    # short of its target raise the same errors through a lane state, fresh
+    # or keeping its layouts, as without one
+    rod = QUADRATURE_PROFILES["power 1/2"]
+    z = np.array([0.3, 0.5, -0.2])
+    fine = np.array([-1.0, -2.0, -3.0])
+    cases = [(potential.PotentialField(rod), np.array([-1.0, -np.inf, -3.0]), DomainError),
+             (potential.PotentialField(rod), np.array([-1.0, 720.0, -3.0]), RangeError),
+             (potential.PotentialField(rod, rel_tol=1e-18), fine, AccuracyError)]
+    for field, t, error in cases:
+        with pytest.raises(error):
+            field.value_slope_log_r(t, z)
+        lanes = field._lane_state(z)
+        with pytest.raises(error):
+            field.value_slope_log_r(t, z, _lanes=lanes)
+        if error is not AccuracyError:
+            field.value_slope_log_r(fine, z, _lanes=lanes)
+            assert lanes.panels is not None
+            with pytest.raises(error):
+                field.value_slope_log_r(t, z, _lanes=lanes)
+
+
+@pytest.mark.parametrize("name", sorted(RODS))
+def test_nan_radius_is_outside_the_domain(name):
+    # a nan radius used to read as r = 0, which is +inf over the rod
+    field = potential.PotentialField(RODS[name])
+    for door in (field.value, field.value_by_quadrature):
+        for z in (0.5, 2.0):
+            with pytest.raises(DomainError):
+                door(math.nan, z)
+
+
 def test_unmeetable_tolerance_raises():
     # the estimate is never below one rounding unit of V
     rod = QUADRATURE_PROFILES["power 1/2"]
