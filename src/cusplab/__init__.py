@@ -11,9 +11,9 @@ from .contour import (ContourCurve, CuspRateReport, axis_crossings,
                       trace_contour, trace_contours)
 from .mesh import (CrossSection, Mesh, build_cross_section, mesh_quality,
                    rectangle_mesh, triangulate)
-from .fem import (BoundaryData, BumpData, ConstantData, SolutionField,
-                  TabulatedData, assemble, solve_dirichlet,
-                  two_constant_oracle)
+from .boundary import (BoundaryData, BumpData, ConstantData, TabulatedData,
+                       two_constant_oracle)
+from .fem import SolutionField, assemble, solve_dirichlet
 from .wos import WosEstimate, distance_to_boundary, estimate
 from .probe import (ProbePath, limit_set_estimate, nonlocality_experiment,
                     sample_path)

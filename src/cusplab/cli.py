@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, density, fem, mesh, probe, svgplot, wiener, wos
+from . import __version__, boundary, density, fem, mesh, probe, svgplot, wiener, wos
 from .contour import trace_contour, trace_contours
 from .errors import CuspLabError, InputError
 from .potential import PotentialField
@@ -181,14 +181,14 @@ def _field(cfg):
 
 def _build_datum(spec, key):
     if "constant" in spec:
-        return fem.ConstantData(float(_entry(spec, key, "constant")))
+        return boundary.ConstantData(float(_entry(spec, key, "constant")))
     if "bump" in spec:
         b = _entry(spec, key, "bump")
-        return fem.BumpData(*(float(_entry(b, f"{key}.bump", name))
-                              for name in ("center", "width", "amplitude")))
+        return boundary.BumpData(*(float(_entry(b, f"{key}.bump", name))
+                                   for name in ("center", "width", "amplitude")))
     if "tabulated" in spec:
         values = _entry(spec, key, "tabulated")
-        return fem.TabulatedData(tuple(float(v) for v in values))
+        return boundary.TabulatedData(tuple(float(v) for v in values))
     raise InputError(f"config key {key!r} needs constant, bump or tabulated, "
                      f"got {spec!r}")
 
@@ -197,8 +197,8 @@ def _build_data(spec):
     """The boundary data of a config's data object: outer, inner and an
     optional cap datum."""
     datum = lambda name: _build_datum(_entry(spec, "data", name), f"data.{name}")
-    return fem.BoundaryData(datum("outer"), datum("inner"),
-                            datum("cap") if "cap" in spec else None)
+    return boundary.BoundaryData(datum("outer"), datum("inner"),
+                                 datum("cap") if "cap" in spec else None)
 
 
 def _write_json(path, obj):
@@ -358,10 +358,12 @@ def cmd_wos(cfg, out):
     ests = [wos.estimate(cs, data, tuple(pt), walks=int(cfg["walks"]),
                          eps=float(cfg["eps"]), seed=int(cfg["seed"]))
             for pt in cfg["points"]]
-    _write_csv(os.path.join(out, "wos.csv"), "point,mean,stderr,walks",
+    # steps and discarded depend on the config alone, like the estimates
+    _write_csv(os.path.join(out, "wos.csv"), "point,mean,stderr,walks,steps,discarded",
                [f"({x};{y};{z})" for x, y, z in cfg["points"]],
                np.array([e.mean for e in ests]), np.array([e.stderr for e in ests]),
-               [e.walks for e in ests])
+               [e.walks for e in ests], [e.steps for e in ests],
+               [e.discarded for e in ests])
     return {"file": "wos.csv", "points": len(ests), "pass": True}
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import AccuracyError, InputError, RangeError
 
 INF = math.inf
-EPS = np.finfo(float).eps
+EPS = float(np.finfo(float).eps)
 
 # residual target |V - c| for roots on a contour
 CONTOUR_RTOL = 1e-10
@@ -47,19 +47,61 @@ AXIS_SEARCH_RADIUS = 1e9
 
 
 def _root_in(f, lo, hi):
-    """The root of f on the bracket [lo, hi] by Brent's method: bisection's
-    worst case, superlinear convergence where f is smooth.  f must change
-    sign over the bracket (RangeError otherwise).  The ends are evaluated
-    once, for the sign check, and handed on to the solver, which stops
-    within 4 eps relative of the root."""
-    # imported here: scipy.optimize would add about 0.2 s to every start
-    from scipy.optimize import brentq
-
-    ends = {lo: f(lo), hi: f(hi)}
-    if not min(ends.values()) <= 0.0 <= max(ends.values()):
+    """The root of f on the bracket [lo, hi] by Brent's method (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4):
+    bisection's worst case, superlinear convergence where f is smooth.  f
+    must change sign over the bracket (RangeError otherwise, a nan end
+    included).  The iteration is that of SciPy's brentq, step for step and
+    bit for bit, with xtol = 1e-300, rtol = 4 eps and at most 100 steps:
+    it stops once half the bracket is below (xtol + rtol |x|) / 2 and
+    returns the end with the smaller |f|.  AccuracyError when f reads nan
+    inside the bracket or the steps run out."""
+    x_pre, x_cur = float(lo), float(hi)
+    f_pre, f_cur = float(f(x_pre)), float(f(x_cur))
+    if not (f_pre <= 0.0 <= f_cur or f_cur <= 0.0 <= f_pre):
         raise RangeError(f"bracket [{lo!r}, {hi!r}] has no sign change")
-    return brentq(lambda x: ends[x] if x in ends else f(x), lo, hi,
-                  xtol=1e-300, rtol=4.0 * EPS)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    xtol, rtol = 1e-300, 4.0 * EPS
+    for _ in range(100):
+        # x_blk is the bracket end opposite x_cur, set on the first pass;
+        # s_cur is the last step and s_pre the one before it
+        if (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + rtol * abs(x_cur)) / 2
+        s_bis = (x_blk - x_cur) / 2
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        s_try = INF                      # bisect unless a short step is found
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            try:
+                if x_pre == x_blk:       # secant
+                    s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+                else:                    # inverse quadratic interpolation
+                    d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                    d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                    s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) \
+                        / (d_blk * d_pre * (f_blk - f_pre))
+            except ZeroDivisionError:    # an infinite or nan step: bisect
+                pass
+        if 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0 else -delta)
+        f_cur = float(f(x_cur))
+        if math.isnan(f_cur):
+            raise AccuracyError(f"nan at x={x_cur!r} inside the bracket "
+                                f"[{lo!r}, {hi!r}]", best_estimate=x_pre)
+    raise AccuracyError(f"no convergence in 100 steps on [{lo!r}, {hi!r}]",
+                        best_estimate=x_cur)
 
 
 def axis_crossings(field, c):

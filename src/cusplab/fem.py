@@ -24,6 +24,13 @@ pickle of a mesh starts without it.
 
 Axis nodes carry no essential condition: the weight r vanishes there, so
 the discrete problem needs none.
+
+The boundary data live in cusplab.boundary, which the walker and the
+probes read without this module; they are imported here as well, as
+fem.BoundaryData and so on.  SciPy serves this module alone, and only
+where it assembles (its sparse matrices, in assemble) and factors (its
+LAPACK band Cholesky, in _MeshState.factor), so importing it loads no
+SciPy module.
 """
 
 from __future__ import annotations
@@ -35,11 +42,12 @@ from functools import cached_property
 from itertools import repeat
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
 
+# the boundary data are part of this module's interface too
+from .boundary import (BoundaryData, BumpData, ConstantData, TabulatedData,  # noqa: F401
+                       two_constant_oracle)
 from .errors import ConvergenceError, DomainError, InputError, MeshError
-from .mesh import CAP, ESSENTIAL_TAGS, INNER, OUTER, _signed_areas
+from .mesh import ESSENTIAL_TAGS, _signed_areas
 
 # a point lies in a triangle when its barycentric coordinates are >= -tol
 _LOCATE_TOL = 1e-12
@@ -47,115 +55,26 @@ _LOCATE_TOL = 1e-12
 _MAX_BAND_ENTRIES = 2 ** 25
 
 
-@dataclass(frozen=True)
-class ConstantData:
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise InputError(f"constant datum must be finite, got {self.value}")
-
-    def __call__(self, s):
-        return self.value + 0.0 * np.asarray(s, dtype=float)
-
-
-@dataclass(frozen=True)
-class BumpData:
-    """Smooth compactly supported bump in normalized arc length:
-    amplitude * exp(1 - 1/(1 - x^2)) for x = (s - center)/width inside
-    |x| < 1, zero outside."""
-
-    center: float
-    width: float
-    amplitude: float
-
-    def __post_init__(self):
-        for name in ("center", "width", "amplitude"):
-            if not math.isfinite(getattr(self, name)):
-                raise InputError(f"bump {name} must be finite")
-        if self.width <= 0:
-            raise InputError("bump width must be positive")
-
-    def __call__(self, s):
-        x = (np.asarray(s, dtype=float) - self.center) / self.width
-        out = np.zeros_like(x)
-        inside = np.abs(x) < 1.0
-        out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - x[inside] ** 2))
-        return out
-
-
-@dataclass(frozen=True)
-class TabulatedData:
-    """Values listed along a boundary component, bound two ways.  The FEM
-    gives them to the component's nodes in arc order, one value per node.
-    The arc-length form, the call, places them at equally spaced arc
-    fractions from 0 to 1 and interpolates linearly between them.  An empty
-    table suits only a component without nodes: the call, the walker and
-    the cap refuse it."""
-
-    values: tuple
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, self.values)):
-            raise InputError("tabulated data must be finite")
-
-    def __call__(self, s):
-        if not len(self.values):
-            raise InputError("an empty table has no arc-length form")
-        return np.interp(s, np.linspace(0.0, 1.0, len(self.values)), self.values)
-
-
-class BoundaryData:
-    """Per-tag boundary data for the essential tags.
-
-    The cusp cap defaults to the inner-level datum (the continuous datum is
-    B on the whole inner component including the tip), except that a bump on
-    the inner component evaluates to 0 on the cap, and a table on it gives
-    the cap its first value: the one at arc fraction 0, the cap-corner end of
-    the inner arc, which is also where the table's arc-length form reads it.
-    """
-
-    def __init__(self, outer, inner, cap=None):
-        self.spec = {OUTER: outer, INNER: inner}
-        if cap is not None:
-            self.spec[CAP] = cap
-        elif isinstance(inner, BumpData):
-            self.spec[CAP] = ConstantData(0.0)
-        elif isinstance(inner, TabulatedData):
-            if not len(inner.values):
-                raise InputError("an empty inner table has no value for the cap")
-            self.spec[CAP] = ConstantData(float(inner.values[0]))
+def _essential_values(data, state):
+    """The essential node ids of the mesh whose FEM state is state, tag
+    after tag, and the values the BoundaryData data gives them: in id
+    order for a datum of arc fraction, in arc order for a table."""
+    ids, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for tag, spec in data.spec.items():
+        tag_ids, s, arc_ids = state.boundary[tag]
+        if not len(tag_ids):
+            continue
+        if isinstance(spec, TabulatedData):
+            if len(spec.values) != len(tag_ids):
+                raise InputError(
+                    f"tabulated data for {tag} has {len(spec.values)} "
+                    f"values for {len(tag_ids)} tagged nodes")
+            ids.append(arc_ids)
+            values.append(np.asarray(spec.values, dtype=float))
         else:
-            self.spec[CAP] = inner
-
-    @classmethod
-    def constants(cls, outer_value, inner_value):
-        return cls(ConstantData(outer_value), ConstantData(inner_value))
-
-    def node_values(self, mesh):
-        """Values at every essential node of the mesh, keyed by node id."""
-        ids, values = self._node_values(_state(mesh))
-        return dict(zip(ids.tolist(), values.tolist()))
-
-    def _node_values(self, state):
-        """The essential node ids, tag after tag, and their values: in id
-        order for a spec of arc fraction, in arc order for a table."""
-        ids, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-        for tag, spec in self.spec.items():
-            tag_ids, s, arc_ids = state.boundary[tag]
-            if not len(tag_ids):
-                continue
-            if isinstance(spec, TabulatedData):
-                if len(spec.values) != len(tag_ids):
-                    raise InputError(
-                        f"tabulated data for {tag} has {len(spec.values)} "
-                        f"values for {len(tag_ids)} tagged nodes")
-                ids.append(arc_ids)
-                values.append(np.asarray(spec.values, dtype=float))
-            else:
-                ids.append(tag_ids)
-                values.append(np.asarray(spec(s), dtype=float))
-        return np.concatenate(ids), np.concatenate(values)
+            ids.append(tag_ids)
+            values.append(np.asarray(spec(s), dtype=float))
+    return np.concatenate(ids), np.concatenate(values)
 
 
 def _essential_codes(tags):
@@ -167,6 +86,8 @@ def _essential_codes(tags):
 
 def assemble(mesh):
     """Weighted stiffness matrix: K[i,j] = sum_e r_bar_e area_e b_i.b_j."""
+    from scipy import sparse
+
     tris = mesh.triangles
     p = mesh.nodes[tris]                           # (m, 3, 2)
     x, y = p[:, :, 0], p[:, :, 1]
@@ -258,6 +179,8 @@ class _MeshState:
         than _MAX_BAND_ENTRIES entries, or when K_ff is not positive
         definite."""
         if self.chol is None:
+            from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
+
             self.K = assemble(mesh)
             self.free = np.flatnonzero(self.codes < 0)
             self.fixed = np.flatnonzero(self.codes >= 0)
@@ -392,11 +315,14 @@ def solve_dirichlet(mesh, data, tol=1e-10):
     band solve and one product with K, which serves both the certificate
     and the energy.  The free rows of K u are K_ff x - rhs, so the relative
     residual |(K u)[free]| / |rhs| is the solve's certificate:
-    ConvergenceError when it exceeds tol.
+    ConvergenceError when it exceeds tol, which must be positive and finite
+    (InputError).
     """
+    if not (0.0 < tol < math.inf):
+        raise InputError(f"tol must be positive and finite, got {tol!r}")
     state = _state(mesh)
     state.factor(mesh)
-    ids, fixed_values = data._node_values(state)
+    ids, fixed_values = _essential_values(data, state)
     u = np.zeros(len(state.codes))
     u[ids] = fixed_values
     rhs = -(state.K_fb @ u[state.fixed])
@@ -421,26 +347,3 @@ def solve_dirichlet(mesh, data, tol=1e-10):
                          residual=residual, essential_ids=ids,
                          essential_values=fixed_values)
 
-
-def _two_constant(field, A, B, alpha, beta, log_r, z):
-    """The two-constant solution at the points (e^log_r, z), on arrays:
-    alpha + (beta - alpha) (V - A)/(B - A).  DomainError names the first
-    point where V is not inside (A, B), nan included; rod points raise it
-    from the field."""
-    v = field.value_slope_log_r(log_r, z)[0]
-    outside = ~((A < v) & (v < B))
-    if outside.any():
-        k = int(np.argmax(outside))
-        raise DomainError(f"point (r={np.exp(log_r[k])}, z={z[k]}) lies "
-                          f"outside the region (V = {v[k]})")
-    return alpha + (beta - alpha) * (v - A) / (B - A)
-
-
-def two_constant_oracle(field, A, B, alpha, beta, points):
-    """Exact solution for data constant on each boundary component:
-    alpha + (beta - alpha) (V - A)/(B - A), the harmonic affine image of V
-    with the right boundary limits quasi-everywhere."""
-    r, z = np.asarray(points, dtype=float).reshape(-1, 2).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_r = np.log(r)
-    return _two_constant(field, A, B, alpha, beta, log_r, z).tolist()

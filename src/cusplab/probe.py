@@ -12,9 +12,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import wos as wos_mod
+from .boundary import BoundaryData, BumpData, ConstantData, _two_constant
 from .contour import log_radius_at
 from .errors import DomainError, InputError
-from .fem import BoundaryData, BumpData, ConstantData, _two_constant
 
 REGULAR_LIKE = "regular-like"
 SEMIREGULAR_LIKE = "semiregular-like"

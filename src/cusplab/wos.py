@@ -69,9 +69,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import BoundaryData, TabulatedData
 from .contour import polyline_arcs
 from .errors import DomainError, InputError, ReliabilityError
-from .fem import BoundaryData, TabulatedData
 
 CHUNK = 32768
 STEP_CAP = 100_000

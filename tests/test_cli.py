@@ -31,16 +31,41 @@ def run_cli(args, cwd):
 
 
 
-def test_cli_import_leaves_the_optimizer_unloaded():
-    # scipy.optimize, which only the axis-crossing roots use, is imported
-    # on first use: starting the CLI does not pay for it
+# imports the CLI, then runs each command small in the same process, and
+# prints how many scipy modules are loaded after the import and after each
+# command, one line each
+_SCIPY_PROBE = """
+import contextlib, io, sys
+from cusplab import cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+
+print(len(scipy_modules()), file=sys.stderr)
+for cmd, *sets in [("potential-grid", "n_r=6", "n_z=5"), ("contour", "n_stations=16"),
+                   ("wiener",), ("probe", "n_stations=4"),
+                   ("mesh", "n_levels=4", "n_stations=8"), ("wos", "walks=200"),
+                   ("solve", "n_levels=4", "n_stations=8")]:
+    args = [cmd, "--output-dir", f"{sys.argv[1]}/{cmd}"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(args + [a for s in sets for a in ("--set", s)])
+    print(cmd, code, len(scipy_modules()), file=sys.stderr)
+"""
+
+
+def test_cli_import_leaves_the_optimizer_unloaded(tmp_path):
+    # SciPy serves the FEM alone: importing the CLI and running every
+    # command but solve loads no scipy module, and solve still works
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p))
-    res = subprocess.run([sys.executable, "-c", "import cusplab.cli, sys; "
-                          "print('scipy.optimize' in sys.modules)"],
+    res = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False"]
+    lines = [line.split() for line in res.stderr.splitlines()]
+    assert lines[:-1] == [["0"]] + [[cmd, "0", "0"] for cmd in (
+        "potential-grid", "contour", "wiener", "probe", "mesh", "wos")]
+    cmd, code, loaded = lines[-1]
+    assert (cmd, code) == ("solve", "0") and int(loaded) > 0
 
 def test_contour_subcommand_and_exit_codes(tmp_path):
     res = run_cli(["contour", "--output-dir", str(tmp_path)], tmp_path)
@@ -249,7 +274,8 @@ def test_csv_cells_are_plain_numbers(tmp_path):
     for cmd, cfg, name, columns in [
             ("mesh", small, "nodes.csv", ("id", "r", "z")),
             ("solve", small, "solution.csv", ("id", "r", "z", "value")),
-            ("wos", {"walks": 200}, "wos.csv", ("mean", "stderr", "walks"))]:
+            ("wos", {"walks": 200}, "wos.csv",
+             ("mean", "stderr", "walks", "steps", "discarded"))]:
         cli.run(cmd, {**cfg, "output_dir": str(tmp_path / cmd)})
         with open(tmp_path / cmd / name) as fh:
             rows = list(csv.DictReader(fh))
@@ -311,10 +337,13 @@ def test_r_min_out_of_range_exit_1(tmp_path, cmd, r_min, capsys):
     ("wos", "points=[]", "config key 'points' is empty"),
     ("wos", "points=[[0.5,0.0,0.5],[0,0,-0.5],[0,0,0.5]]",
      "wos start point [0, 0, -0.5] lies outside the domain"),
+    ("solve", "tol=0", "tol must be positive and finite"),
+    ("solve", "tol=-1", "tol must be positive and finite"),
+    ("solve", "tol=1e400", "tol must be positive and finite"),
 ], ids=["empty-outer-table", "empty-inner-table", "nan-rod-length", "negative-n_r",
         "negative-n_z", "negative-probe-stations", "no-probe-stations",
         "two-probe-paths", "underflowing-height", "no-levels", "no-points",
-        "outside-point"])
+        "outside-point", "zero-tol", "negative-tol", "infinite-tol"])
 def test_refused_input_leaves_no_directory(tmp_path, cmd, setting, detail, capsys):
     # a validation error, one JSON line on stderr and no directory left behind
     assert cli.main([cmd, "--set", setting, "--output-dir", str(tmp_path / "out")]) == 1

@@ -597,3 +597,64 @@ def test_root_in_needs_a_sign_change():
     with pytest.raises(RangeError, match="no sign change"):
         contour._root_in(lambda x: x * x + 1.0, -1.0, 1.0)
     assert contour._root_in(lambda x: x - 0.25, 0.25, 1.0) == 0.25
+
+
+def _brentq_root(f, lo, hi):
+    """The root scipy's brentq finds with _root_in's tolerances, with the
+    bracket ends evaluated once, and its count of evaluations of f."""
+    from scipy.optimize import brentq
+
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    ends = {lo: counted(lo), hi: counted(hi)}
+    root = brentq(lambda x: ends[x] if x in ends else counted(x), lo, hi,
+                  xtol=1e-300, rtol=4.0 * contour.EPS)
+    return root, len(calls)
+
+
+def test_root_in_steps_like_brentq(leb, power_half, root_evaluations, monkeypatch):
+    # every root of a triangulate and of a power-1/2 trace has the bits of
+    # scipy's brentq and takes as many evaluations
+    counts, solve, pairs = root_evaluations, contour._root_in, []
+
+    def compared(f, lo, hi):
+        root = solve(f, lo, hi)
+        ref, n_ref = _brentq_root(f, lo, hi)
+        pairs.append(((root.hex(), counts[-1]), (ref.hex(), n_ref)))
+        return root
+
+    monkeypatch.setattr(contour, "_root_in", compared)
+    monkeypatch.setattr(mesh, "_root_in", compared)
+    mesh.triangulate(mesh.build_cross_section(leb, 0.5, 2.0, r_min=1e-4),
+                     n_levels=8, n_stations=32)
+    n_mesh = len(pairs)
+    contour.trace_contours(power_half, [1.0, 2.5, 3.0], n=64)
+    # the trace: three upper axis crossings, the lower one of level 1 and
+    # the radius floors of the two cusp levels
+    assert n_mesh >= 50 and len(pairs) - n_mesh == 6
+    assert [port for port, _ in pairs] == [ref for _, ref in pairs]
+
+
+def test_root_in_failures_are_accuracy_errors():
+    from scipy.optimize import brentq
+
+    # x^3 on [-1, 2] needs more than 100 steps to shrink its bracket to
+    # 1e-300 about the root 0, where brentq raises RuntimeError; the best
+    # estimate is brentq's last point
+    cube = lambda x: x ** 3
+    tols = dict(xtol=1e-300, rtol=4.0 * contour.EPS)
+    with pytest.raises(RuntimeError):
+        brentq(cube, -1.0, 2.0, **tols)
+    with pytest.raises(AccuracyError, match="no convergence in 100 steps") as err:
+        contour._root_in(cube, -1.0, 2.0)
+    assert err.value.best_estimate == brentq(cube, -1.0, 2.0, disp=False, **tols)
+    # a nan inside the bracket, where brentq raises ValueError
+    holed = lambda x: math.nan if abs(x) < 0.5 else x
+    with pytest.raises(ValueError):
+        brentq(holed, -1.0, 1.0)
+    with pytest.raises(AccuracyError, match="nan at x=0.0"):
+        contour._root_in(holed, -1.0, 1.0)

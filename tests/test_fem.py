@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import splu
 
@@ -260,6 +261,14 @@ def test_residual_certificate_raises(canonical):
     assert 0.0 < err.value.stats["residual"] <= 1e-13
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_tol_must_be_positive_and_finite(canonical, tol):
+    # a tol of 0 or below fails every solve and one that is not finite
+    # certifies none
+    with pytest.raises(InputError, match="tol must be positive and finite"):
+        fem.solve_dirichlet(canonical, fem.BoundaryData.constants(0.5, 2.0), tol=tol)
+
+
 def test_empty_inner_table_gives_the_cap_no_value():
     # an empty table suits only a component without nodes (_tables gives one
     # to each tag a rectangle lacks); as the inner datum it leaves the cap
@@ -504,7 +513,7 @@ def test_later_solves_reuse_the_factor(canonical, monkeypatch):
     def counted(*args, **kwargs):
         calls.append(1)
         return cholesky_banded(*args, **kwargs)
-    monkeypatch.setattr(fem, "cholesky_banded", counted)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted)
     m = dataclasses.replace(canonical)
     for data in _canonical_data(canonical).values():
         fem.solve_dirichlet(m, data, tol=1e-12)
@@ -529,7 +538,7 @@ def test_certificate_checks_the_solve_it_certifies(cs, monkeypatch):
         x, info = band_solve(*args, **kwargs)
         return x * (1.0 + 1e-9), info
 
-    monkeypatch.setattr(fem, "cholesky_banded", lambda *a, **k: factored.append(a))
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", lambda *a, **k: factored.append(a))
     state.pbtrs = counted
     assert fem.solve_dirichlet(m, data, tol=1e-12).residual <= 1e-12
     assert calls == [1] and factored == []
@@ -598,7 +607,7 @@ def test_band_too_wide_is_a_mesh_error(monkeypatch):
     assert np.array_equal(fem.solve_dirichlet(dataclasses.replace(m), data,
                                               tol=1e-12).values, want)
     factored = []
-    monkeypatch.setattr(fem, "cholesky_banded", lambda *a, **k: factored.append(a))
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", lambda *a, **k: factored.append(a))
     with pytest.raises(MeshError, match="exceeds 4000 entries"):
         fem.solve_dirichlet(_renumbered(m, order), data)
     assert factored == []
