@@ -2,6 +2,10 @@
 the singular tip, estimate the attainable limit set, and run the
 non-locality experiment (a far-away boundary bump keeps the solution away
 from zero arbitrarily close to the tip).
+
+Both probes place their stations with _stations and walk them with
+_walk_stations, so a station reads the same in either probe and both
+refuse the same inputs.
 """
 
 from __future__ import annotations
@@ -49,31 +53,43 @@ class ProbePath:
         return float(self.values[-1])
 
 
-def _path_points(field, spec, n_stations, start):
-    """(kind, z array, log-r array) for a path spec.
+def _stations(field, spec, scales):
+    """(z, log r, r, distance) arrays of a path's stations, one per scale.
 
-    Specs: ("level-curve", c) with c in (V(0,0), B); ("axis-below",) for
-    r = 0, z -> 0-; ("ray", dr, dz) for a straight approach with direction
-    into the region below/beside the tip.
+    Specs: ("level-curve", c) with c in (V(0,0), B), at heights z = scales;
+    ("axis-below",) for r = 0, z = -scales; ("ray", dr, dz) for a straight
+    approach at distances = scales with direction into the region
+    below/beside the tip.  The distances must fall strictly.
     """
     kind = spec[0]
     if kind == "level-curve":
         c = float(spec[1])
         if not c > field.v00:
             raise InputError("level-curve probes need a level above V(0,0)")
-        zs = start * FACTOR ** np.arange(n_stations)
-        return kind, zs, log_radius_at(field, c, zs)
-    if kind == "axis-below":
-        zs = -start * FACTOR ** np.arange(n_stations)
-        return kind, zs, np.full(n_stations, -math.inf)
-    if kind == "ray":
+        zs, ts = scales, log_radius_at(field, c, scales)
+    elif kind == "axis-below":
+        zs, ts = -scales, np.full(len(scales), -math.inf)
+    elif kind == "ray":
         dr, dz = float(spec[1]), float(spec[2])
         norm = math.hypot(dr, dz)
-        dists = start * FACTOR ** np.arange(n_stations)
-        zs = dists * dz / norm
-        rs = dists * dr / norm
-        return kind, zs, np.log(np.maximum(rs, 1e-300))
-    raise InputError(f"unknown path kind {kind!r}")
+        zs = scales * dz / norm
+        ts = np.log(np.maximum(scales * dr / norm, 1e-300))
+    else:
+        raise InputError(f"unknown path kind {kind!r}")
+    rs = np.exp(ts)
+    dists = np.hypot(rs, zs)
+    if np.any(np.diff(dists) >= 0):
+        raise InputError("path stations must approach the tip strictly")
+    return zs, ts, rs, dists
+
+
+def _walk_stations(rs, zs, cross_section, data, **options):
+    """Means and standard errors of one wos.estimate per station, each with
+    the caller's seed.  options go to estimate as given, so the walk
+    defaults are estimate's own."""
+    ests = [wos_mod.estimate(cross_section, data, (r, 0.0, z), **options)
+            for r, z in zip(rs, zs)]
+    return np.array([e.mean for e in ests]), np.array([e.stderr for e in ests])
 
 
 def sample_path(source, field, A, B, alpha, beta, path_spec,
@@ -83,13 +99,11 @@ def sample_path(source, field, A, B, alpha, beta, path_spec,
     source is "oracle" (the exact two-constant affine image of the
     potential), "fem" (a SolutionField passed as fem_field, refused inside
     the truncation zone z < 2 z_cut), or "wos" (Monte Carlo, needs
-    cross_section/walks/eps/seed options; every station takes the seed).
+    cross_section and data options, and takes walks/eps/seed as estimate
+    does; every station takes the seed).
     """
-    kind, zs, ts = _path_points(field, path_spec, n_stations, start)
-    rs = np.exp(ts)
-    dists = np.hypot(rs, zs)
-    if np.any(np.diff(dists) >= 0):
-        raise InputError("path stations must approach the tip strictly")
+    zs, ts, rs, dists = _stations(field, path_spec,
+                                  start * FACTOR ** np.arange(n_stations))
 
     stderrs = None
     if source == "oracle":
@@ -103,20 +117,11 @@ def sample_path(source, field, A, B, alpha, beta, path_spec,
                 f"truncation zone z < {2.0 * sol.mesh.z_cut}")
         vals = np.array([sol(r, z) for r, z in zip(rs, zs)])
     elif source == "wos":
-        cs = source_options["cross_section"]
-        data = source_options["data"]
-        walks = source_options.get("walks", 10_000)
-        eps = source_options.get("eps", 1e-4)
-        seed = source_options.get("seed", 0)
-        ests = [wos_mod.estimate(cs, data, (r, 0.0, z), walks=walks,
-                                 eps=eps, seed=seed)
-                for r, z in zip(rs, zs)]
-        vals = np.array([e.mean for e in ests])
-        stderrs = np.array([e.stderr for e in ests])
+        vals, stderrs = _walk_stations(rs, zs, **source_options)
     else:
         raise InputError(f"unknown source {source!r}")
 
-    return ProbePath(kind=kind, stations=np.column_stack([rs, zs]),
+    return ProbePath(kind=path_spec[0], stations=np.column_stack([rs, zs]),
                      log_r=ts, distances=dists, values=vals, stderrs=stderrs)
 
 
@@ -163,32 +168,27 @@ def nonlocality_experiment(field, cs, bump, probe_levels, walks=20_000,
     """Non-locality of the singular tip, checked by Monte Carlo.
 
     Boundary data = a positive bump on the outer component, zero elsewhere.
-    The solution is sampled along level curves approaching the tip; the
-    verdict is "non-vanishing" when every last-station value stays above
-    3 standard errors away from zero, which evidences that the solution
-    does not converge to 0 at the tip.  Every station takes the seed.
+    The solution is sampled along level curves approaching the tip at
+    sample_path's stations and walks, so a station reads the same in both
+    and both refuse the same inputs (InputError).  The verdict is
+    "non-vanishing" when every last-station value stays above 3 standard
+    errors away from zero, which evidences that the solution does not
+    converge to 0 at the tip.  Every station takes the seed.
     """
     if bump.amplitude < 0:
         raise InputError("bump amplitude must be nonnegative")
     if z_stations is None:
         z_stations = [0.32, 0.16, 0.08, 0.04, 0.02]
     data = BoundaryData(bump, ConstantData(0.0))
-    all_stations, last = [], []
+    all_stations = []
     for c in probe_levels:
-        rows = []
-        ts = log_radius_at(field, c, np.asarray(z_stations, dtype=float))
-        for z, t in zip(z_stations, ts):
-            r = math.exp(t)
-            if bump.amplitude == 0.0:
-                mean, err = 0.0, 0.0
-            else:
-                est = wos_mod.estimate(cs, data, (r, 0.0, z), walks=walks,
-                                       eps=eps, seed=seed)
-                mean, err = est.mean, est.stderr
-            rows.append((z, mean, err))
-        all_stations.append((c, rows))
-        last.append(rows[-1])
-    floor = min(v - 3.0 * e for _, v, e in last)
+        zs, _, rs, _ = _stations(field, ("level-curve", c),
+                                 np.asarray(z_stations, dtype=float))
+        vals, errs = _walk_stations(rs, zs, cs, data, walks=walks, eps=eps,
+                                    seed=seed)
+        all_stations.append(
+            (c, list(zip(zs.tolist(), vals.tolist(), errs.tolist()))))
+    floor = min(rows[-1][1] - 3.0 * rows[-1][2] for _, rows in all_stations)
     verdict = "non-vanishing" if floor > 0 else "vanishing"
     return NonlocalityReport(bump=bump, levels=list(probe_levels),
                              stations=all_stations, floor=floor,

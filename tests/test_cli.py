@@ -285,6 +285,19 @@ def test_csv_cells_are_plain_numbers(tmp_path):
                 float(row[col])
 
 
+def _assert_refused(argv, detail, tmp_path, capsys):
+    """argv exits 1 before leaving an output directory behind, with one JSON
+    line on stderr: a validation error whose detail holds detail."""
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--output-dir", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "validation"
+    assert detail in err["detail"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd, data", [
     ("solve", '{"outer":{"constant":NaN},"inner":{"constant":2.0}}'),
     ("wos", '{"outer":{"constant":0.5},"inner":{"constant":Infinity}}'),
@@ -295,29 +308,14 @@ def test_csv_cells_are_plain_numbers(tmp_path):
               '"inner":{"bump":{"center":0.5,"width":Infinity,"amplitude":1.0}}}'),
 ])
 def test_non_finite_data_exit_1(tmp_path, cmd, data, capsys):
-    assert cli.main([cmd, "--set", f"data={data}",
-                     "--output-dir", str(tmp_path / "out")]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    err = json.loads(lines[0])
-    assert err["error"] == "validation"
-    assert "finite" in err["detail"]
-    assert not (tmp_path / "out").exists()
+    _assert_refused([cmd, "--set", f"data={data}"], "finite", tmp_path, capsys)
 
 
 @pytest.mark.parametrize("cmd, r_min", [("mesh", "0"), ("solve", "-1"),
                                         ("wos", "NaN"), ("mesh", "Infinity")])
 def test_r_min_out_of_range_exit_1(tmp_path, cmd, r_min, capsys):
-    # the cut radius must be positive and finite: a validation error, one
-    # JSON line on stderr and no directory left behind
-    assert cli.main([cmd, "--set", f"r_min={r_min}",
-                     "--output-dir", str(tmp_path / "out")]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    err = json.loads(lines[0])
-    assert err["error"] == "validation"
-    assert "r_min must be positive and finite" in err["detail"]
-    assert not (tmp_path / "out").exists()
+    _assert_refused([cmd, "--set", f"r_min={r_min}"],
+                    "r_min must be positive and finite", tmp_path, capsys)
 
 
 @pytest.mark.parametrize("cmd, setting, detail", [
@@ -332,6 +330,11 @@ def test_r_min_out_of_range_exit_1(tmp_path, cmd, r_min, capsys):
     ("probe", "n_stations=-1", "'n_stations' is a count and must be at least 1"),
     ("probe", "n_stations=0", "'n_stations' is a count and must be at least 1"),
     ("probe", "probe_levels=[1.5]", "need at least 3 paths"),
+    # the FEM source needs a solution object, which no config can give
+    ("probe", 'source="fem"', "['oracle', 'wos']"),
+    # checked inside the directory, which is removed again
+    ("probe", 'data={"outer":{"bump":{"center":0.5,"width":0.2,"amplitude":1.0}},'
+              '"inner":{"constant":2.0}}', "exact only for data constant"),
     ("wiener", "j_stop=2000", "0.5^2000 underflows to 0"),
     ("contour", "levels=[]", "config key 'levels' is empty"),
     ("wos", "points=[]", "config key 'points' is empty"),
@@ -342,17 +345,11 @@ def test_r_min_out_of_range_exit_1(tmp_path, cmd, r_min, capsys):
     ("solve", "tol=1e400", "tol must be positive and finite"),
 ], ids=["empty-outer-table", "empty-inner-table", "nan-rod-length", "negative-n_r",
         "negative-n_z", "negative-probe-stations", "no-probe-stations",
-        "two-probe-paths", "underflowing-height", "no-levels", "no-points",
+        "two-probe-paths", "fem-probe-source", "oracle-probe-of-a-bump",
+        "underflowing-height", "no-levels", "no-points",
         "outside-point", "zero-tol", "negative-tol", "infinite-tol"])
 def test_refused_input_leaves_no_directory(tmp_path, cmd, setting, detail, capsys):
-    # a validation error, one JSON line on stderr and no directory left behind
-    assert cli.main([cmd, "--set", setting, "--output-dir", str(tmp_path / "out")]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    err = json.loads(lines[0])
-    assert err["error"] == "validation"
-    assert detail in err["detail"]
-    assert not (tmp_path / "out").exists()
+    _assert_refused([cmd, "--set", setting], detail, tmp_path, capsys)
 
 
 def test_probe_wos_passes_r_min(tmp_path, monkeypatch):
@@ -383,24 +380,6 @@ def test_probe_judges_the_tip_against_the_inner_datum(tmp_path):
         verdicts.append(json.loads((out / "probe_verdict.json").read_text()))
     assert verdicts[0] == verdicts[1]
     assert verdicts[0]["classification"] == "regular-like"
-
-
-def test_probe_source_checked_before_any_directory(tmp_path, capsys):
-    # the FEM source needs a solution object, which no config can give, and
-    # the oracle is exact only for constant data: the second check runs in
-    # the directory, which is removed again
-    bump = '{"outer":{"bump":{"center":0.5,"width":0.2,"amplitude":1.0}},' \
-           '"inner":{"constant":2.0}}'
-    for setting, detail in [('source="fem"', "['oracle', 'wos']"),
-                            (f"data={bump}", "exact only for data constant")]:
-        assert cli.main(["probe", "--set", setting,
-                         "--output-dir", str(tmp_path / "out")]) == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["error"] == "validation"
-        assert detail in err["detail"]
-        assert not (tmp_path / "out").exists()
 
 
 def test_reproduce_figures(tmp_path):
@@ -500,23 +479,22 @@ def test_echo_of_another_subcommand_rejected(tmp_path, capsys):
     assert not (tmp_path / "b").exists()
 
 
+# each case is the command line and a substring of the error's detail
 @pytest.mark.parametrize("args", [
-    ["contour", "--set", 'n_stations="abc"'],
-    ["probe", "--set", "levels=[0.5]"],
-    ["contour", "--config", "list.json"],
-    ["wos", "--set", "seed=1e400"],
-    ["wos", "--set", "walks=NaN"],
-    ["mesh", "--set", "n_levels=1e400"],
-    ["wos", "--set", "seed=2.7"],
+    (["contour", "--set", 'n_stations="abc"'],
+     "'n_stations' must be a JSON number, got string 'abc'"),
+    (["probe", "--set", "levels=[0.5]"], "'levels' must hold two numbers"),
+    (["contour", "--config", "list.json"], "holds a JSON array, not an object"),
+    (["wos", "--set", "seed=1e400"], "'seed' must be a finite integer, got inf"),
+    (["wos", "--set", "walks=NaN"], "'walks' must be a finite integer, got nan"),
+    (["mesh", "--set", "n_levels=1e400"],
+     "'n_levels' must be a finite integer, got inf"),
+    (["wos", "--set", "seed=2.7"], "'seed' must be a finite integer, got 2.7"),
 ])
 def test_wrong_type_exits_with_json_error(tmp_path, args, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "list.json").write_text("[1, 2]")
-    assert cli.main(args + ["--output-dir", str(tmp_path / "out")]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "validation"
-    assert not (tmp_path / "out").exists()
+    _assert_refused(*args, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("args, key", [
@@ -526,13 +504,7 @@ def test_wrong_type_exits_with_json_error(tmp_path, args, monkeypatch, capsys):
     (["contour", "--set", 'density={"kind":"power"}'], "density.p"),
 ])
 def test_nested_values_checked(tmp_path, args, key, capsys):
-    assert cli.main(args + ["--output-dir", str(tmp_path / "out")]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    err = json.loads(lines[0])
-    assert err["error"] == "validation"
-    assert f"config key {key!r}" in err["detail"]
-    assert not (tmp_path / "out").exists()
+    _assert_refused(args, f"config key {key!r}", tmp_path, capsys)
 
 
 def test_nested_values_of_every_form_checked():

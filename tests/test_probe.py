@@ -130,6 +130,31 @@ def test_nonlocality_amplitude_scaling(leb, cs):
     assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
 
+def test_nonlocality_stations_read_as_probe_stations(leb, cs):
+    # both probes start a station's walks from the same point, bit for bit
+    bump = fem.BumpData(0.5, 0.25, 1.0)
+    kw = dict(walks=200, eps=2e-4, seed=9)
+    path = probe.sample_path("wos", leb, 0.5, 2.0, 0.0, 0.0,
+                             ("level-curve", 1.5), n_stations=2, start=0.32,
+                             cross_section=cs,
+                             data=fem.BoundaryData(bump, fem.ConstantData(0.0)),
+                             **kw)
+    rep = probe.nonlocality_experiment(leb, cs, bump, [1.5],
+                                       z_stations=[0.32, 0.16], **kw)
+    assert [(v, e) for _, v, e in rep.stations[0][1]] == \
+        list(zip(path.values.tolist(), path.stderrs.tolist()))
+
+
+@pytest.mark.parametrize("levels, z_stations", [
+    ([0.9], [0.16, 0.08]),        # a level curve below V(0,0) = 1
+    ([1.5], [0.02, 0.32]),        # stations that move away from the tip
+], ids=["level-below-tip", "receding-stations"])
+def test_nonlocality_refuses_what_probes_refuse(leb, cs, levels, z_stations):
+    with pytest.raises(InputError):
+        probe.nonlocality_experiment(leb, cs, fem.BumpData(0.5, 0.25, 1.0),
+                                     levels, walks=10, z_stations=z_stations)
+
+
 def _recorded_streams(monkeypatch):
     """(start point, key, counter) of every chunk wos walks: the point of
     each _walk and the state of the Philox generator it builds."""
