@@ -238,14 +238,15 @@ def cmd_contour(cfg, out):
     levels = [float(c) for c in cfg["levels"]]
     curves = trace_contours(field, levels, n=int(cfg["n_stations"]),
                             grading=cfg["grading"])
-    max_res = max([0.0] + [curve.max_residual() for curve in curves])
+    max_residuals = [curve.max_residual() for curve in curves]
+    max_res = max([0.0] + max_residuals)
     samples = np.concatenate([c.samples for c in curves] or [np.empty((0, 2))])
     _write_csv(os.path.join(out, "contours.csv"), "level,z,r",
                np.repeat(levels, [len(c.samples) for c in curves]), *samples.T)
     svgplot.contour_map_svg(curves, cfg["highlight"], field.density.length,
                             os.path.join(out, "contour_map.svg"))
     return {"file": "contours.csv", "max_residual": max_res,
-            "pass": max_res <= 1e-10}
+            "max_residuals": max_residuals, "pass": max_res <= 1e-10}
 
 
 def _cross_section(cfg, field):
@@ -281,8 +282,10 @@ def cmd_solve(cfg, out):
     _write_csv(os.path.join(out, "solution.csv"), "id,r,z,value",
                range(len(m.nodes)), *m.nodes.T, sol.values)
     lo, hi = sol.max_principle_margins()
+    q = mesh.mesh_quality(m)
     report = {"energy": sol.dirichlet_energy, "residual": sol.residual,
-              "max_principle_margins": [lo, hi],
+              "max_principle_margins": [lo, hi], "min_angle": q.min_angle,
+              "n_flipped": q.n_flipped, "quality_pass": q.passes(),
               "pass": lo >= -1e-8 and hi >= -1e-8}
     _write_json(os.path.join(out, "solve_report.json"), report)
     return report

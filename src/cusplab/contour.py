@@ -18,6 +18,14 @@ solves the stations of all its levels in one such batch, whose accepted
 residuals it keeps.  The inverse question, the height at which a cusp
 thins to a given radius, is one bracketed root in z (thinning_height):
 it places the trace's radius floor and every cusp cut of the mesh.
+
+The root loop is one array path for any number of lanes, and at one lane
+its cost is numpy's fixed cost per call, so it makes few calls.  The rule
+here and in the field's evaluations: flags are tested with np.count_nonzero
+(not .any(), .min() or .max(), which also read a nan lane as no flag), and
+index lists come from .nonzero()[0].  Finished roots are stored only on the
+evaluations that finish one, and a step in which every open lane still
+seeks its bracket runs on the whole arrays.
 """
 
 from __future__ import annotations
@@ -174,7 +182,9 @@ def log_radius_at(field, c, z):
     evaluations); with several, the first lane in (level, station) order
     does.
     """
-    cs, zs = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(z, dtype=float))
+    cs, zs = np.asarray(c, dtype=float), np.asarray(z, dtype=float)
+    if cs.shape != zs.shape:
+        cs, zs = np.broadcast_arrays(cs, zs)
     ts = _log_radius_residual(field, cs.ravel(), zs.ravel())[0]
     return float(ts[0]) if not cs.shape else ts.reshape(cs.shape)
 
@@ -182,13 +192,16 @@ def log_radius_at(field, c, z):
 def _log_radius_residual(field, cs, zs):
     """log_radius_at on 1-d arrays of levels and stations: the roots t and
     the residuals |V(e^t, z) - c| of the evaluations that accepted them."""
-    if not np.all(cs > CONTOUR_RTOL):
+    n = len(zs)
+    if np.count_nonzero(cs > CONTOUR_RTOL) < n:
         raise InputError(f"level must be positive, above the residual target "
                          f"CONTOUR_RTOL = {CONTOUR_RTOL}")
-    if not np.all(np.isfinite(zs)):
-        raise InputError(f"station height must be finite, not {zs[~np.isfinite(zs)][0]}")
-    n = len(zs)
+    finite = np.isfinite(zs)
+    if np.count_nonzero(finite) < n:
+        raise InputError(f"station height must be finite, not {zs[~finite][0]}")
     out, res = np.zeros(n), np.zeros(n)
+    if not n:
+        return out, res
     errors = {}
     # per open lane: the next point to evaluate, t_next; the bracket
     # lo < root <= hi, V(lo) > c >= V(hi), infinite until found; the
@@ -211,66 +224,83 @@ def _log_radius_residual(field, cs, zs):
         # log of the station's distance to the rod, -inf over the rod
         log_d = np.where((z > 0.0) & (z <= L), -INF, np.log(np.maximum(-z, z - L)))
         for _ in range(300):
-            if not len(lanes):
-                break
             t = t_next
             v, slope = field.value_slope_log_r(t, z, _lanes=state)
             f = v - c
             af = np.abs(f)
             step = -f / slope
             r2 = t < log_d
-            if r2.any():
+            if np.count_nonzero(r2):
                 r2 &= step > -0.5
                 step[r2] = 0.5 * np.log1p(2.0 * step[r2])
             root = t + step
             up = f > 0
             lo, hi = np.where(up, t, lo), np.where(up, hi, t)
-            finite = np.isfinite(step)
             size = np.abs(step)
-            take = (size <= 0.5 * last) & (lo < root) & (root < hi)
-            stalled = (f_last < INF) & ((af >= 0.5 * f_last) | ~take)
             tol = 1e-14 * np.maximum(1.0, np.abs(t))
-            done = (af <= target) & np.where(finite, (size <= tol) | stalled, hi - lo <= tol)
-            seeking = np.flatnonzero(last == INF)
-            t_next = np.where(take, root, 0.5 * (lo + hi))
-            last = np.abs(t_next - t)
-            f_last = np.where(take, af, INF)
+            # the lanes that had no closed bracket before this evaluation;
+            # only the others take Newton steps, which may stall
+            seeking = (last == INF).nonzero()[0]
+            newton = len(seeking) < len(lanes)
+            if newton:
+                take = (size <= 0.5 * last) & (lo < root) & (root < hi)
+                stalled = (f_last < INF) & ((af >= 0.5 * f_last) | ~take)
+                close = (size <= tol) | stalled
+                t_next = np.where(take, root, 0.5 * (lo + hi))
+                last = np.abs(t_next - t)
+                f_last = np.where(take, af, INF)
+            else:
+                close = size <= tol
+            done = (af <= target) & np.where(np.isfinite(step), close, hi - lo <= tol)
             if len(seeking):
                 # a bracket closed at t starts Newton at the model root of the
-                # end with the smaller residual; an open one jumps on
-                s_lo, s_hi, s_t, s_step = lo[seeking], hi[seeking], t[seeking], step[seeking]
-                start = np.where(af_prev[seeking] < af[seeking], root_prev[seeking],
-                                 root[seeking])
+                # end with the smaller residual; an open one jumps on.  When
+                # every lane seeks, the step runs on the whole arrays
+                at = seeking if newton else slice(None)
+                s_lo, s_hi, s_t, s_step = lo[at], hi[at], t[at], step[at]
+                start = np.where(af_prev[at] < af[at], root_prev[at], root[at])
                 start = np.where((s_lo < start) & (start < s_hi), start, 0.5 * (s_lo + s_hi))
-                jump = np.where(up[seeking],
+                jump = np.where(up[at],
                                 s_t + np.where(s_step > 0, np.minimum(2.0 * s_step, 2.0), 2.0),
                                 np.where(s_step < 0, s_t + 2.0 * s_step,
                                          2.0 * np.minimum(s_t, -1.0)))
                 is_open = np.isinf(s_lo) | np.isinf(s_hi)
-                t_next[seeking] = np.where(is_open, jump, start)
-                last[seeking] = s_hi - s_lo
-                f_last[seeking] = INF
-                lost = seeking[is_open & (jump < -BRACKET_DEPTH) & ~done[seeking]]
-                for k in lanes[lost]:
-                    errors[k] = RangeError(f"no contour bracket for level {cs[k]} at "
-                                           f"z={zs[k]} within log-radius {BRACKET_DEPTH}")
-                done[lost] = True
-            out[lanes[done]], res[lanes[done]] = t[done], af[done]
+                if newton:
+                    t_next[at] = np.where(is_open, jump, start)
+                    last[at] = s_hi - s_lo
+                    f_last[at] = INF
+                else:
+                    t_next = np.where(is_open, jump, start)
+                    last = s_hi - s_lo
+                    f_last = np.full(len(lanes), INF)
+                lost = is_open & (jump < -BRACKET_DEPTH) & ~done[at]
+                if np.count_nonzero(lost):
+                    lost = seeking[lost]
+                    for k in lanes[lost]:
+                        errors[k] = RangeError(f"no contour bracket for level {cs[k]} at "
+                                               f"z={zs[k]} within log-radius {BRACKET_DEPTH}")
+                    done[lost] = True
             af_prev, root_prev = af, root
-            if done.any():          # drop finished lanes
+            n_done = np.count_nonzero(done)
+            if n_done == len(lanes):
+                out[lanes], res[lanes] = t, af
+                break
+            if n_done:              # store and drop finished lanes
+                out[lanes[done]], res[lanes[done]] = t[done], af[done]
                 keep = ~done
                 if state is not None:
                     state.drop(keep)
                 (lanes, z, c, target, log_d, t, t_next, lo, hi, af_prev, root_prev, last,
                  f_last) = (a[keep] for a in (lanes, z, c, target, log_d, t, t_next, lo, hi,
                                               af_prev, root_prev, last, f_last))
-    # lanes open after 300 evaluations keep their last point if its residual
-    # is on target (a nan residual is not)
-    for k, tk, fk, half in zip(lanes, t, af_prev, target):
-        if not fk <= 2.0 * half:
-            errors[k] = AccuracyError(f"contour residual {fk:.2e} at z={zs[k]}",
-                                      best_estimate=math.exp(tk) if tk > -745 else 0.0)
-        out[k], res[k] = tk, fk
+        else:
+            # lanes open after 300 evaluations keep their last point if its
+            # residual is on target (a nan residual is not)
+            for k, tk, fk, half in zip(lanes, t, af_prev, target):
+                if not fk <= 2.0 * half:
+                    errors[k] = AccuracyError(f"contour residual {fk:.2e} at z={zs[k]}",
+                                              best_estimate=math.exp(tk) if tk > -745 else 0.0)
+                out[k], res[k] = tk, fk
     if errors:
         raise errors[min(errors)]
     return out, res

@@ -92,8 +92,10 @@ class DensityProfile:
     def __call__(self, z):
         """Evaluate rho at z (scalar or array), z in [0, L]."""
         zz = np.asarray(z, dtype=float)
-        if zz.min(initial=0.0) < 0 or zz.max(initial=0.0) > self.length * (1 + 1e-12):
-            raise DomainError(f"density argument outside [0, {self.length}]")
+        # a nan argument reads nan; a nan among the others hides no bad one
+        bad = (zz < 0.0) | (zz > self.length * (1 + 1e-12))
+        if np.count_nonzero(bad):
+            raise DomainError(f"density argument {zz[bad][0]} outside [0, {self.length}]")
         if self.kind == LEBESGUE:
             out = zz
         elif self.kind == POWER:

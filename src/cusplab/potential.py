@@ -155,20 +155,20 @@ def lebesgue_value_slope(t, z):
         diff = np.log(a + 1.0 - z) + np.log(b + z) - 2.0 * t
         slope = r2 * (2.0 * z - 1.0) / (a * b * (a + b)) - z * ((1.0 - z) / a + z / b)
         off = (z < 0.0) | (z > 1.0)
-        if off.any():
+        if np.count_nonzero(off):
             diff = np.where(z > 1.0, np.log((b + z) / (a + z - 1.0)),
                             np.where(z < 0.0, np.log((a + 1.0 - z) / (b - z)), diff))
             slope = np.where(off, -r2 * (2.0 * z - 1.0)
                              / (a * (a + b) * (z * a + (z - 1.0) * b)), slope)
         ends = (z == 0.0) | (z == 1.0)
-        if ends.any():
+        if np.count_nonzero(ends):
             diff = np.where(z == 1.0, np.log(b + 1.0) - t, diff)
             slope = np.where(z == 1.0, -1.0 / (r + b),
                              np.where(z == 0.0, -r / (a * (a + r)), slope))
         v = np.where(z == 0.0, a - r, z * diff + a - b)
         s = np.hypot(r, z - 2.0 / 3.0)
         far = s > MULTIPOLE_RADIUS
-        if far.any():
+        if np.count_nonzero(far):
             v, slope = np.array(v), np.array(slope)
             v[far], slope[far] = _lebesgue_multipole(r[far], z[far], s[far])
     return v, slope
@@ -209,18 +209,20 @@ def _gauss_jacobi(n, beta):
 
 @functools.lru_cache(maxsize=None)
 def _gauss_rules(beta=0.0):
-    """Nodes of the LOW_NODES- and HIGH_NODES-point Gauss rules of the weight
-    (1 + x)^beta on [-1, 1], side by side, and the weights of each rule."""
+    """The points 1 + x of the nodes x of the LOW_NODES- and HIGH_NODES-point
+    Gauss rules of the weight (1 + x)^beta on [-1, 1], side by side, and the
+    weights of each rule."""
     x_lo, w_lo = _gauss_jacobi(LOW_NODES, beta)
     x_hi, w_hi = _gauss_jacobi(HIGH_NODES, beta)
-    return np.concatenate([x_lo, x_hi]), w_lo, w_hi
+    return 1.0 + np.concatenate([x_lo, x_hi]), w_lo, w_hi
 
 
 def _out_of_range(x, lo, hi, r, z, why):
     """RangeError naming the first lane (r, z) whose x does not lie in
     [lo, hi] (nan included), if any."""
-    if not (lo <= x.min(initial=INF) and x.max(initial=-INF) <= hi):
-        k = int(np.argmax(~((lo <= x) & (x <= hi))))
+    inside = (lo <= x) & (x <= hi)
+    if np.count_nonzero(inside) < len(x):
+        k = int(inside.argmin())
         raise RangeError(f"V({r[k]}, {z[k]}): {why}")
 
 
@@ -283,9 +285,12 @@ class PotentialField:
         self.density = density if density is not None else lebesgue_profile()
         self.rel_tol = float(rel_tol)
         self.v00 = self.density.criticality
-        # power densities: Gauss-Jacobi for the weight zeta^p on the panel at 0
-        self._jacobi = (_gauss_rules(self.density.power)
-                        if self.density.kind == POWER else None)
+        # the panel rules, one row each (see _gauss_rules): Gauss, and for
+        # power densities Gauss-Jacobi for the weight zeta^p on the panel at 0
+        rules = [_gauss_rules()]
+        if self.density.kind == POWER:
+            rules.append(_gauss_rules(self.density.power))
+        self._rules = tuple(np.stack(table) for table in zip(*rules))
 
     # -- core evaluation -------------------------------------------------
 
@@ -343,16 +348,18 @@ class PotentialField:
             t, z = np.broadcast_arrays(t, z)
         L = self.density.length
         on_rod = (z > 0.0) & (z <= L) if _lanes is None else _lanes.on_rod
-        if ((t == -INF) & on_rod).any():
+        if np.count_nonzero((t == -INF) & on_rod):
             raise DomainError("rod point (r=0, 0 < z <= L) is outside the domain of V")
-        if t.max(initial=-INF) > MAX_LOG_RADIUS:
-            k = int(np.argmax(t > MAX_LOG_RADIUS))
+        over = t > MAX_LOG_RADIUS
+        if np.count_nonzero(over):
+            k = int(over.argmax())
             raise RangeError(f"radius e^{t.flat[k]} at z={z.flat[k]} overflows")
         if self.density.kind == LEBESGUE:
             return lebesgue_value_slope(t, z)
         r = np.where(t > -745.0, np.exp(t), 0.0)
-        lanes = _lanes if _lanes is not None else _LaneState(z.ravel(), L)
-        v, slope = self._evaluate(r.ravel(), t.ravel(), lanes)
+        if t.ndim == 1:
+            return self._evaluate(r, t, _lanes if _lanes is not None else _LaneState(z, L))
+        v, slope = self._evaluate(r.ravel(), t.ravel(), _LaneState(z.ravel(), L))
         return v.reshape(t.shape), slope.reshape(t.shape)
 
     def _evaluate(self, r, t, lanes):
@@ -369,18 +376,19 @@ class PotentialField:
         deep = r < lanes.r_sw              # never off the rod, where r_sw <= 0
         r = np.where(deep, lanes.r_sw, r)
         tip = (r == 0.0) & lanes.at_zero
-        if 0 < n <= QUADRATURE_CHUNK and not tip.any():
+        if 0 < n <= QUADRATURE_CHUNK and not np.count_nonzero(tip):
             v, slope = self._quadrature(r, lanes)
         else:
             v = np.where(tip, self.v00, 0.0)
             slope = np.zeros(n)
             # in chunks: a lane holds about 15 panels of 48 nodes
-            open_lanes = np.flatnonzero(~tip)
+            open_lanes = (~tip).nonzero()[0]
             for start in range(0, len(open_lanes), QUADRATURE_CHUNK):
                 chunk = open_lanes[start:start + QUADRATURE_CHUNK]
                 v[chunk], slope[chunk] = self._quadrature(
                     r[chunk], _LaneState(lanes.z[chunk], self.density.length))
-        if deep.any():
+        deep = deep.nonzero()[0]
+        if len(deep):
             slope[deep] = -2.0 * self.density(lanes.z[deep])
             v[deep] += slope[deep] * (t[deep] - np.log(r[deep]))
         return v, slope
@@ -409,9 +417,9 @@ class PotentialField:
         g_hi = scale * (f[:, LOW_NODES:] / q[:, LOW_NODES:] * w_hi).sum(axis=1)
         v = np.bincount(lane, v_hi, minlength=n)
         err = np.bincount(lane, np.abs(v_hi - v_lo), minlength=n) + EPS * v
-        bad = ~(err <= 10.0 * self.rel_tol * v)
-        if bad.any():
-            k = int(np.argmax(bad))
+        good = err <= 10.0 * self.rel_tol * v
+        if np.count_nonzero(good) < n:
+            k = int(good.argmin())
             raise AccuracyError(f"quadrature for V({r[k]}, {lanes.z[k]}) reached "
                                 f"error {err[k]:.2e} only", best_estimate=float(v[k]))
         # the slope is r^2 times a sum that overflows within about 1e-103 of
@@ -427,18 +435,22 @@ class PotentialField:
         keep the order _layout gives them, wherever they sit among the other
         lanes' panels, so its sums (np.bincount, in panel order) run as over
         a layout built anew."""
-        new = None if lanes.depth is None else k != lanes.depth
-        if new is not None and not new.any():
-            return lanes.panels
-        if new is None or new.all():
+        if lanes.depth is None:
             lanes.panels = self._layout(r, lanes, k)
         else:
-            idx = np.flatnonzero(new)
-            built = self._layout(r[idx], _LaneState(lanes.z[idx], self.density.length), k[idx])
-            kept = ~new[lanes.panels[0]]
-            lanes.panels = (np.concatenate([lanes.panels[0][kept], idx[built[0]]]),
-                            *(np.concatenate([a[kept], b])
-                              for a, b in zip(lanes.panels[1:], built[1:])))
+            new = k != lanes.depth
+            idx = new.nonzero()[0]
+            if not len(idx):
+                return lanes.panels
+            if len(idx) == len(k):
+                lanes.panels = self._layout(r, lanes, k)
+            else:
+                built = self._layout(r[idx], _LaneState(lanes.z[idx], self.density.length),
+                                     k[idx])
+                kept = ~new[lanes.panels[0]]
+                lanes.panels = (np.concatenate([lanes.panels[0][kept], idx[built[0]]]),
+                                *(np.concatenate([a[kept], b])
+                                  for a, b in zip(lanes.panels[1:], built[1:])))
         lanes.depth = k
         return lanes.panels
 
@@ -456,46 +468,46 @@ class PotentialField:
         distance from either point.  r only names a lane in a RangeError."""
         rho = self.density
         L = rho.length
-        s, z = lanes.s, lanes.z
-        n = len(z)
+        s = lanes.s
+        rod_lo, rod_hi = -s[:, None], (L - s)[:, None]     # the rod's ends
         toward_peak = _graded_offsets(L, k)
-        ends = [-s[:, None], (L - s)[:, None], np.zeros((n, 1)), toward_peak, -toward_peak]
+        ends = np.concatenate([rod_lo, rod_hi, np.zeros_like(rod_lo), toward_peak,
+                               -toward_peak], axis=1)
         if rho.kind == POWER:
             # grade toward the branch point of zeta^p at 0 down to the
             # nearest other panel end, so that only the panel at 0 touches it
-            others = s[:, None] + np.concatenate(ends, axis=1)
+            others = s[:, None] + ends
             nearest = np.where(others > 0.0, others, L).min(axis=1)
-            _out_of_range(nearest, TINY * max(L, 1.0), INF, r, z, "the panel "
+            _out_of_range(nearest, TINY * max(L, 1.0), INF, r, lanes.z, "the panel "
                           "ends near zeta = 0 are below the smallest normal float")
-            ends.append(_graded_offsets(L, _ladder_depth(L, nearest)) - s[:, None])
+            ends = np.concatenate([ends, _graded_offsets(L, _ladder_depth(L, nearest))
+                                   + rod_lo], axis=1)
         elif rho.kind == TABULATED:
-            ends.append(rho.samples[None, :, 0] - s[:, None])   # kinks
-        ends = np.concatenate(ends, axis=1)
-        ends[(ends < -s[:, None]) | (ends > (L - s)[:, None])] = np.nan
+            ends = np.concatenate([ends, rho.samples[None, :, 0] + rod_lo], axis=1)  # kinks
+        # ends beyond the rod move onto its ends, and a repeated end makes no panel
+        np.minimum(np.maximum(ends, rod_lo, out=ends), rod_hi, out=ends)
         ends.sort(axis=1)
         lo, hi = ends[:, :-1], ends[:, 1:]
-        panel = hi > lo                    # nan and repeated ends drop out
-        lane = np.nonzero(panel)[0]
-        a = lo[panel][:, None]
-        half = 0.5 * (hi[panel][:, None] - a)
-
-        nodes, w_lo, w_hi = _gauss_rules()
-        x = half * (1.0 + nodes)
-        x += a                             # in place: the layout's arrays are large
-        w_lo, w_hi = (np.repeat(w[None, :], len(lane), axis=0) for w in (w_lo, w_hi))
-        scale = half[:, 0]
-        if self._jacobi is not None:
-            # the panel at zeta = 0 integrates zeta^p f by Gauss-Jacobi: its
-            # rows take that rule's nodes and weights
-            at_zero = a[:, 0] == -s[lane]
-            nodes, w_lo[at_zero], w_hi[at_zero] = self._jacobi
-            x[at_zero] = a[at_zero] + half[at_zero] * (1.0 + nodes)
-            scale = np.where(at_zero, scale ** (rho.power + 1.0), scale)
+        lane, col = (hi > lo).nonzero()    # nan and repeated ends drop out
+        a = lo[lane, col]
+        half = 0.5 * (hi[lane, col] - a)
+        # each panel's rule: Gauss, but Gauss-Jacobi for the weight zeta^p on
+        # a power density's panels at zeta = 0, the first of each lane (every
+        # lane has one, as no end lies below zeta = 0)
+        rule = np.zeros(len(lane), dtype=np.intp)
+        if rho.kind == POWER:
+            at_zero = np.searchsorted(lane, np.arange(len(s)))
+            rule[at_zero] = 1
+        points, w_lo, w_hi = (table[rule] for table in self._rules)
+        x = half[:, None] * points
+        x += a[:, None]                    # in place: the layout's arrays are large
         dens = rho(s[lane, None] + x)
-        if self._jacobi is not None:
-            dens[at_zero] = 1.0            # a new array: rho(x) = x^p
+        if rho.kind == POWER:
+            # the panel at 0 integrates zeta^p f: rho(x) = x^p is in its weights
+            half[at_zero] **= rho.power + 1.0
+            dens[at_zero] = 1.0            # a new array
         u = np.subtract(x, lanes.offset[lane, None], out=x)
-        return lane, np.multiply(u, u, out=u), dens, scale, w_lo, w_hi
+        return lane, np.multiply(u, u, out=u), dens, half, w_lo, w_hi
 
 
 @dataclass

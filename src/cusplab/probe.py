@@ -173,17 +173,22 @@ def nonlocality_experiment(field, cs, bump, probe_levels, walks=20_000,
     and both refuse the same inputs (InputError).  The verdict is
     "non-vanishing" when every last-station value stays above 3 standard
     errors away from zero, which evidences that the solution does not
-    converge to 0 at the tip.  Every station takes the seed.
+    converge to 0 at the tip.  Every station takes the seed.  Every level's
+    stations are placed before the first walk, so a refused input, no
+    level or no station included, costs no walk.
     """
     if bump.amplitude < 0:
         raise InputError("bump amplitude must be nonnegative")
     if z_stations is None:
         z_stations = [0.32, 0.16, 0.08, 0.04, 0.02]
+    scales = np.asarray(z_stations, dtype=float)
+    if not len(probe_levels) or not len(scales):
+        raise InputError("the non-locality experiment needs at least one probe "
+                         "level and one station")
+    placed = [(c, _stations(field, ("level-curve", c), scales)) for c in probe_levels]
     data = BoundaryData(bump, ConstantData(0.0))
     all_stations = []
-    for c in probe_levels:
-        zs, _, rs, _ = _stations(field, ("level-curve", c),
-                                 np.asarray(z_stations, dtype=float))
+    for c, (zs, _, rs, _) in placed:
         vals, errs = _walk_stations(rs, zs, cs, data, walks=walks, eps=eps,
                                     seed=seed)
         all_stations.append(

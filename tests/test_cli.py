@@ -72,6 +72,10 @@ def test_contour_subcommand_and_exit_codes(tmp_path):
     assert res.returncode == 0
     report = json.loads(res.stdout)
     assert report["max_residual"] <= 1e-10
+    # one largest residual per level, in level order (the default levels
+    # are 0.5 and 2.0)
+    assert len(report["max_residuals"]) == 2
+    assert max(report["max_residuals"]) == report["max_residual"]
     assert (tmp_path / "contours.csv").exists()
     assert (tmp_path / "contour_map.svg").exists()
     assert (tmp_path / "contour_config.json").exists()
@@ -256,6 +260,9 @@ def test_solve_subcommand(tmp_path):
     assert rep["pass"] is True
     assert rep["residual"] <= 1e-10
     assert "iterations" not in rep
+    # the mesh's quality census: the 8x32 mesh clears the angle floor
+    assert rep["min_angle"] >= mesh.MIN_ANGLE_FLOOR
+    assert rep["n_flipped"] == 0 and rep["quality_pass"] is True
     # constant data 0.5, 2.0 on levels 0.5, 2.0: the solution is V, whose
     # energy is 2 pi (B - A); 6% is the mesh-solve bound at 8x32
     assert rep["energy"] == pytest.approx(2.0 * np.pi * 1.5, rel=0.06)
@@ -533,7 +540,10 @@ def test_power_rod_contour_reaches_its_cusp(tmp_path):
                    "--set", "levels=[1.0,2.5]", "--output-dir", str(tmp_path)],
                   tmp_path)
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout)["max_residual"] <= 1e-10
+    report = json.loads(res.stdout)
+    assert report["max_residual"] <= 1e-10
+    assert len(report["max_residuals"]) == 2
+    assert all(0.0 <= r <= 1e-10 for r in report["max_residuals"])
 
 
 def test_values_checked_against_default_types():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -338,6 +339,51 @@ def test_root_batches_keep_their_evaluation_budget(leb, monkeypatch):
     calls = _count_evaluations(monkeypatch, field)
     contour.log_radius_at(field, 0.8 * field.v00, 1.02)
     assert 1 <= len(calls) <= 6
+
+
+def _traced(curves):
+    """The roots and residuals of traced curves, level after level."""
+    return (np.concatenate([curve.log_r[1:-1] for curve in curves]),
+            np.concatenate([curve.residuals for curve in curves]))
+
+
+def test_root_bits_are_frozen(leb, monkeypatch):
+    # a SHA-256 of the roots and then the residuals of four root batches,
+    # and each batch's array evaluations of V, with the values the root
+    # loop gave when this test was written: a change to the loop's
+    # arithmetic, to the quadrature or to its kept layouts fails here.  The
+    # batches are the lebesgue rail trace of
+    # test_root_batches_keep_their_evaluation_budget, the power-1/2 root at
+    # 0.8 V(0,0), z = 1.02, a 64-station power-1/2 batch at c = 3 from
+    # z = 1e-3 and a blended trace of the 17-knot z^1.5 table
+    half = potential.PotentialField(density.power_profile(0.5))
+    table = potential.PotentialField(QUADRATURE_RODS["tabulated"])
+    levels = [0.5, *mesh._level_values(leb, 0.5, 2.0, 24), 2.0]
+    z2 = contour.axis_crossings(half, 3.0)[1]
+    batches = (
+        (leb, lambda: _traced(contour.trace_contours(leb, levels, n=192)),
+         "0efbc5eaa5b59de0b35504c4701a8c2f8cce93f24a8d7247784b4a731a8f6b15", 10),
+        (half, lambda: contour._log_radius_residual(half, np.array([0.8 * half.v00]),
+                                                    np.array([1.02])),
+         "480221d8765024b65be1c2db9beddd7d35465849a41d6e9ddba4aeaa8c39ad77", 6),
+        (half, lambda: contour._log_radius_residual(half, np.full(64, 3.0),
+                                                    np.linspace(1e-3, z2, 65)[:-1]),
+         "7d61c906afd9329eb4d2e65aba9bde515a64916eb47754aa997bbfcc0b14ae9b", 8),
+        (table, lambda: _traced(contour.trace_contours(
+            table, [0.6 * table.v00, 1.4 * table.v00], n=64, grading="blended")),
+         "a888a7ebbee1f89d3873631185964616ef45c4f476436cffc0a85f7a6e414b0e", 8),
+    )
+    for field, solve, digest, evaluations in batches:
+        calls = _count_evaluations(monkeypatch, field)
+        ts, res = solve()
+        monkeypatch.undo()
+        assert hashlib.sha256(np.concatenate([ts, res]).tobytes()).hexdigest() == digest
+        assert len(calls) == evaluations
+    # one V of each quadrature rod
+    values = {"power 1/2": 1.648786930754398, "power 2": 0.730260925417326,
+              "tabulated": 0.912481128794926}
+    for name, v in values.items():
+        assert potential.PotentialField(QUADRATURE_RODS[name]).value(0.3, 0.4) == v
 
 
 KNOTS = np.linspace(0.0, 1.0, 17)

@@ -26,6 +26,17 @@ def test_out_of_range_argument():
         density.lebesgue_profile()(-0.1)
 
 
+def test_a_nan_argument_hides_no_bad_one():
+    # a nan among the arguments once read nan as their min and max, so the
+    # range check let -0.1 and 2.0 pass; a lone nan still reads nan
+    for rho in (density.power_profile(0.5), density.lebesgue_profile()):
+        for bad in (-0.1, 2.0):
+            with pytest.raises(DomainError, match=f"argument {bad} outside"):
+                rho(np.array([np.nan, bad]))
+        assert np.isnan(rho(np.nan))
+        assert np.isnan(rho(np.array([np.nan, 0.25]))[0])
+
+
 def test_tabulated_interpolates_linearly():
     prof = density.tabulated_profile([(0.0, 0.0), (0.5, 1.0), (1.0, 1.0)])
     assert prof(0.25) == pytest.approx(0.5)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cusplab import density, potential
+from cusplab import contour, density, potential
 from cusplab.errors import AccuracyError, DomainError, InputError, RangeError
 
 # frozen oracle values: antiderivative of the linear density gives
@@ -432,6 +432,33 @@ def test_nan_radius_is_outside_the_domain(name):
         for z in (0.5, 2.0):
             with pytest.raises(DomainError):
                 door(math.nan, z)
+
+
+@pytest.mark.parametrize("name", sorted(RODS))
+def test_a_nan_lane_hides_no_overflow(name):
+    # a nan lane once read nan as the largest log-radius, so the overflow
+    # check let e^800 pass: the lebesgue rod returned (nan, 0.0) and the
+    # power rod failed later, on the peak width of V(inf, 0.5)
+    field = potential.PotentialField(RODS[name])
+    for t in ([math.nan, 800.0], [800.0, math.nan]):
+        with pytest.raises(RangeError, match=r"radius e\^800\.0 at z=0\.5 overflows"):
+            field.value_slope_log_r(t, [0.5, 0.5])
+
+
+def test_single_nan_lanes_keep_their_answers():
+    # what a lone nan, or a lone bad lane, reads on the power-1/2 rod
+    field = potential.PotentialField(density.power_profile(0.5))
+    v, slope = field.value_slope_log_r(math.nan, 0.5)
+    assert math.isnan(v) and slope == -2.0 * math.sqrt(0.5)
+    with pytest.raises(DomainError, match="rod point"):
+        field.value_slope_log_r(-math.inf, 0.5)
+    with pytest.raises(RangeError, match=r"radius e\^800\.0 at z=0\.5 overflows"):
+        field.value_slope_log_r(800.0, 0.5)
+    with pytest.raises(RangeError, match=r"V\(0\.36787944117144233, nan\): the peak width"):
+        field.value_slope_log_r(-1.0, math.nan)
+    assert math.isnan(field.density(math.nan))
+    with pytest.raises(InputError, match="level must be positive"):
+        contour.log_radius_at(field, math.nan, 0.5)
 
 
 def test_unmeetable_tolerance_raises():

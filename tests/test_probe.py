@@ -148,11 +148,18 @@ def test_nonlocality_stations_read_as_probe_stations(leb, cs):
 @pytest.mark.parametrize("levels, z_stations", [
     ([0.9], [0.16, 0.08]),        # a level curve below V(0,0) = 1
     ([1.5], [0.02, 0.32]),        # stations that move away from the tip
-], ids=["level-below-tip", "receding-stations"])
-def test_nonlocality_refuses_what_probes_refuse(leb, cs, levels, z_stations):
+    ([], [0.16, 0.08]),
+    ([1.5], []),
+    ([1.5, 0.9], [0.16, 0.08]),   # refused before the first level walks
+], ids=["level-below-tip", "receding-stations", "no-levels", "no-stations",
+        "second-level-below-tip"])
+def test_nonlocality_refuses_what_probes_refuse(leb, cs, levels, z_stations, monkeypatch):
+    walks = []
+    monkeypatch.setattr(probe.wos_mod, "estimate", lambda *a, **kw: walks.append(a))
     with pytest.raises(InputError):
         probe.nonlocality_experiment(leb, cs, fem.BumpData(0.5, 0.25, 1.0),
                                      levels, walks=10, z_stations=z_stations)
+    assert not walks
 
 
 def _recorded_streams(monkeypatch):
