@@ -80,36 +80,22 @@ class TabulatedData:
 class BoundaryData:
     """Per-tag boundary data for the essential tags.
 
-    The cusp cap defaults to the inner-level datum (the continuous datum is
-    B on the whole inner component including the tip), except that a bump on
-    the inner component evaluates to 0 on the cap, and a table on it gives
-    the cap its first value: the one at arc fraction 0, the cap-corner end of
-    the inner arc, which is also where the table's arc-length form reads it.
+    Unless a cap datum is given, the cusp cap takes the constant value the
+    inner datum reads at arc fraction 0, the cap-corner end of the inner
+    arc, where the walker and the probes read it too (the continuous datum
+    is B on the whole inner component including the tip).
     """
 
     def __init__(self, outer, inner, cap=None):
-        self.spec = {OUTER: outer, INNER: inner}
-        if cap is not None:
-            self.spec[CAP] = cap
-        elif isinstance(inner, BumpData):
-            self.spec[CAP] = ConstantData(0.0)
-        elif isinstance(inner, TabulatedData):
-            if not len(inner.values):
+        if cap is None:
+            if isinstance(inner, TabulatedData) and not len(inner.values):
                 raise InputError("an empty inner table has no value for the cap")
-            self.spec[CAP] = ConstantData(float(inner.values[0]))
-        else:
-            self.spec[CAP] = inner
+            cap = ConstantData(float(inner(0.0)))
+        self.spec = {OUTER: outer, INNER: inner, CAP: cap}
 
     @classmethod
     def constants(cls, outer_value, inner_value):
         return cls(ConstantData(outer_value), ConstantData(inner_value))
-
-    def node_values(self, mesh):
-        """Values at every essential node of the mesh, keyed by node id."""
-        from .fem import _essential_values, _state     # fem imports this module
-
-        ids, values = _essential_values(self, _state(mesh))
-        return dict(zip(ids.tolist(), values.tolist()))
 
 
 def _two_constant(field, A, B, alpha, beta, log_r, z):

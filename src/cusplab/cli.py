@@ -40,7 +40,7 @@ _SCHEMA = {
     "potential-grid": {"density": _DENSITY, "r_range": [0.01, 1.5],
                        "z_range": [-0.6, 2.0], "n_r": 60, "n_z": 80},
     "contour": {"density": _DENSITY, "levels": [0.5, 2.0], "n_stations": 96,
-                "grading": "blended", "highlight": [0.5, 2.0]},
+                "highlight": [0.5, 2.0]},
     "mesh": {**_SECTION, "n_levels": 8, "n_stations": 32},
     "solve": {**_SECTION, "n_levels": 8, "n_stations": 32, "data": _DATA,
               "tol": 1e-10},
@@ -237,7 +237,7 @@ def cmd_contour(cfg, out):
     field = _field(cfg)
     levels = [float(c) for c in cfg["levels"]]
     curves = trace_contours(field, levels, n=int(cfg["n_stations"]),
-                            grading=cfg["grading"])
+                            grading="blended")
     max_residuals = [curve.max_residual() for curve in curves]
     max_res = max([0.0] + max_residuals)
     samples = np.concatenate([c.samples for c in curves] or [np.empty((0, 2))])
@@ -271,8 +271,10 @@ def cmd_mesh(cfg, out):
                range(len(m.triangles)), *m.triangles.T)
     svgplot.mesh_wireframe_svg(m, os.path.join(out, "mesh.svg"))
     return {"nodes": len(m.nodes), "triangles": len(m.triangles),
-            "min_angle": q.min_angle, "euler": q.euler_characteristic,
-            "z_cut": m.z_cut, "pass": q.passes()}
+            "min_angle": q.min_angle, "n_flipped": q.n_flipped,
+            "min_area": q.min_area, "max_area": q.max_area,
+            "euler": q.euler_characteristic, "z_cut": m.z_cut,
+            "pass": q.passes()}
 
 
 def cmd_solve(cfg, out):

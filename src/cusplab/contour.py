@@ -405,9 +405,7 @@ def _geometric_offsets(field, c, z1, z2, n):
 
 def _stations(field, c, z1, z2, n, grading):
     """Sorted interior station heights of the level-c curve on (z1, z2)."""
-    if grading == "uniform":
-        zs = z1 + (z2 - z1) * np.arange(1, n + 1) / (n + 1)
-    elif grading == "geometric":
+    if grading == "geometric":
         zs = z1 + _geometric_offsets(field, c, z1, z2, n)
     else:
         half = n // 2
@@ -422,15 +420,16 @@ def trace_contours(field, levels, n=64, grading="geometric"):
     interior stations plus endpoints; one ContourCurve per level, in order.
 
     grading "geometric" concentrates stations toward z1 (ratio 0.7) so a
-    cusp is resolved over many decades of r; "uniform" spaces stations
-    evenly in z; "blended" unions a uniform grid with a geometric tail,
-    resolving the cusp without starving the rest of the curve.  Axis
-    crossings and stations are found level by level; the radii of all
-    stations of all levels are solved in one log_radius_at batch.
+    cusp is resolved over many decades of r (the mesh rails use it);
+    "blended" unions a uniform grid with a geometric tail, resolving the
+    cusp without starving the rest of the curve (the section, the contour
+    command and the figures use it).  Axis crossings and stations are
+    found level by level; the radii of all stations of all levels are
+    solved in one log_radius_at batch.
     """
     if n < 16:
         raise InputError("need at least 16 interior stations")
-    if grading not in ("geometric", "uniform", "blended"):
+    if grading not in ("geometric", "blended"):
         raise InputError(f"unknown grading {grading!r}")
     levels = [float(c) for c in levels]
     if not levels:

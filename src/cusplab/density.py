@@ -38,14 +38,17 @@ class DensityProfile:
             if self.length != 1.0:
                 raise InputError("the lebesgue profile is rho(z) = z on [0, 1]")
         elif self.kind == POWER:
-            if self.power is None or self.power <= 0:
-                raise InputError("power profile needs an exponent p > 0")
+            if self.power is None or not 0.0 < self.power < np.inf:
+                raise InputError("power profile needs a finite exponent p > 0, "
+                                 f"got {self.power}")
         elif self.kind == TABULATED:
             if self.samples is None:
                 raise InputError("tabulated profile needs (z, rho) samples")
             pts = np.asarray(self.samples, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
                 raise InputError("tabulated samples must be an (n, 2) array, n >= 2")
+            if not np.all(np.isfinite(pts)):
+                raise InputError("tabulated samples must be finite")
             if np.any(np.diff(pts[:, 0]) <= 0):
                 raise InputError("tabulated z values must be strictly increasing")
             object.__setattr__(self, "samples", pts)

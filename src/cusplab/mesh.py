@@ -169,12 +169,6 @@ class Mesh:
         return Mesh, (self.nodes, self.triangles, self.node_tags,
                       dict(self.edge_tags), arcs, self.z_cut)
 
-    def signed_areas(self):
-        return _signed_areas(self.nodes[self.triangles])
-
-    def min_angles(self):
-        return _min_angles(self.nodes[self.triangles])
-
     def boundary_edges(self):
         edges, counts = self._edge_census()
         return list(map(tuple, edges[counts == 1].tolist()))
@@ -465,8 +459,8 @@ def mesh_quality(mesh):
     """Quality census: min angle, area range, boundary tag census, Euler
     characteristic (V - E + F = 1 for a simply connected disk).  Failures
     are reported, never raised."""
-    areas = mesh.signed_areas()
-    angles = mesh.min_angles()
+    p = mesh.nodes[mesh.triangles]
+    areas, angles = _signed_areas(p), _min_angles(p)
     edges, counts = mesh._edge_census()
     euler = len(mesh.nodes) - len(edges) + len(mesh.triangles)
     # a Counter tallies in C; numpy's unique sorts the strings, which is slower

@@ -7,8 +7,8 @@ are negative because r < 1 near the tip; we take absolute values, which is
 the evident sign convention for the test.
 
 Profiles are given in log space, so radii may dive below the
-double-precision floor (e.g. the lebesgue level-2 contour): as a
-LogRadiusProfile (log r on arrays of heights) or a traced ContourCurve.
+double-precision floor (e.g. the lebesgue level-2 contour): a profile is a
+LogRadiusProfile, log r on arrays of heights.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import tails
-from .contour import ContourCurve, log_radius_at
+from .contour import log_radius_at
 from .errors import DomainError, InputError
 
 SINGULAR = "singular"
@@ -52,26 +52,6 @@ class LogRadiusProfile:
     log_r: Callable
 
 
-def _as_log_radius_fn(profile):
-    """Normalize the profile argument to (name, callable z -> log r(z) on
-    arrays of z)."""
-    if isinstance(profile, LogRadiusProfile):
-        return profile.name, profile.log_r
-    if isinstance(profile, ContourCurve):
-        zs = profile.interior[:, 0]
-        ts = profile.log_r[1:-1]
-
-        def log_r(z):
-            outside = (z < zs[0]) | (z > zs[-1])
-            if outside.any():
-                raise DomainError(f"z={z[np.argmax(outside)]} outside the "
-                                  "traced contour range")
-            return np.interp(z, zs, ts)
-
-        return f"contour-level-{profile.level:g}", log_r
-    raise InputError("profile must be a LogRadiusProfile or a ContourCurve")
-
-
 def named_profile(name):
     """Example contour profiles, all in log space.
 
@@ -99,7 +79,8 @@ def lebesgue_contour_profile(field, c):
 
 
 def log_series(profile, q, j_start=2, j_stop=64):
-    """Terms t_j = 1/|log r(q^j)| for j in [j_start, j_stop]."""
+    """Terms t_j = 1/|log r(q^j)| for j in [j_start, j_stop] of the
+    LogRadiusProfile profile."""
     if not 0.0 < q < 1.0:
         raise InputError("q must lie in (0, 1)")
     if j_stop < j_start:
@@ -107,15 +88,14 @@ def log_series(profile, q, j_start=2, j_stop=64):
     if q ** j_stop == 0.0:
         raise InputError(f"q^j_stop = {q}^{j_stop} underflows to 0: no "
                          "profile height to read there")
-    name, log_r = _as_log_radius_fn(profile)
     js = np.arange(j_start, j_stop + 1)
-    ts = log_r(q ** js.astype(float))
+    ts = profile.log_r(q ** js.astype(float))
     above = ts >= 0.0
     if above.any():
         raise DomainError(f"r(q^{js[np.argmax(above)]}) >= 1; the log-series "
                           "test needs radii below 1")
     terms = 1.0 / np.abs(ts)
-    return WienerReport(profile_name=name, q=q, j_start=int(j_start),
+    return WienerReport(profile_name=profile.name, q=q, j_start=int(j_start),
                         terms=terms, partial_sums=np.cumsum(terms),
                         classification=INCONCLUSIVE)
 

@@ -159,12 +159,6 @@ def _morton(ij):
     return v[:, 0] | (v[:, 1] << _ODD)
 
 
-def _polylines(cs):
-    """The cross-section's (tag, (r, z) polyline) pairs as float arrays."""
-    return [(tag, np.asarray(pl, dtype=float))
-            for tag, pl in cs.boundary_polylines()]
-
-
 def _segments(polylines):
     """The segments of all polylines stacked for _project, shape (5, n)."""
     a = np.vstack([pl[:-1] for _, pl in polylines])
@@ -180,7 +174,7 @@ def distance_to_boundary(cs, point):
     r, z = float(point[0]), float(point[1])
     if hasattr(cs, "contains") and not cs.contains(r, z):
         raise DomainError(f"point (r={r}, z={z}) is not interior")
-    segs = _segments(_polylines(cs))
+    segs = _segments(cs.boundary_polylines())
     return float(_nearest(np.array([[r, z]]), segs)[0][0])
 
 
@@ -354,7 +348,7 @@ def _geometry(cs):
     call."""
     geo = getattr(cs, "_wos", None)
     if geo is None:
-        geo = _Geometry(_polylines(cs))
+        geo = _Geometry(cs.boundary_polylines())
         if hasattr(cs, "_wos"):
             object.__setattr__(cs, "_wos", geo)
     return geo

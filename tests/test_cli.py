@@ -201,8 +201,20 @@ def test_mesh_subcommand(tmp_path):
     res = run_cli(["mesh", "--output-dir", str(tmp_path),
                    "--set", "n_levels=8", "--set", "n_stations=32"], tmp_path)
     assert res.returncode == 0
+    report = json.loads(res.stdout)
     nodes = (tmp_path / "nodes.csv").read_text().splitlines()
     tris = (tmp_path / "tris.csv").read_text().splitlines()
+    assert report["nodes"] == len(nodes) - 1
+    assert report["triangles"] == len(tris) - 1
+    # the report's quality keys are those of mesh_quality on the same mesh
+    field = potential.PotentialField(density.lebesgue_profile())
+    q = mesh.mesh_quality(mesh.triangulate(mesh.build_cross_section(field, 0.5, 2.0),
+                                           n_levels=8, n_stations=32))
+    assert report["n_flipped"] == q.n_flipped == 0
+    assert report["min_area"] == q.min_area > 0.0
+    assert report["max_area"] == q.max_area >= q.min_area
+    assert report["min_angle"] == q.min_angle
+    assert report["pass"] is q.passes() is True
     assert nodes[0] == "id,r,z,tag"
     assert tris[0] == "id,n0,n1,n2"
     # the wireframe is one path with one M...L run per mesh edge
@@ -332,6 +344,10 @@ def test_r_min_out_of_range_exit_1(tmp_path, cmd, r_min, capsys):
      "empty inner table has no value for the cap"),
     ("contour", 'density={"kind":"power","p":0.5,"L":NaN}',
      "rod length must be positive and finite"),
+    ("contour", 'density={"kind":"power","p":NaN}',
+     "power profile needs a finite exponent p > 0, got nan"),
+    # contour traces blended stations only: an old echo naming them is refused
+    ("contour", 'grading="uniform"', "unknown config keys for 'contour': ['grading']"),
     ("potential-grid", "n_r=-1", "'n_r' is a count and must be at least 1"),
     ("potential-grid", "n_z=-2", "'n_z' is a count and must be at least 1"),
     ("probe", "n_stations=-1", "'n_stations' is a count and must be at least 1"),
@@ -350,7 +366,8 @@ def test_r_min_out_of_range_exit_1(tmp_path, cmd, r_min, capsys):
     ("solve", "tol=0", "tol must be positive and finite"),
     ("solve", "tol=-1", "tol must be positive and finite"),
     ("solve", "tol=1e400", "tol must be positive and finite"),
-], ids=["empty-outer-table", "empty-inner-table", "nan-rod-length", "negative-n_r",
+], ids=["empty-outer-table", "empty-inner-table", "nan-rod-length",
+        "nan-power-exponent", "grading-key", "negative-n_r",
         "negative-n_z", "negative-probe-stations", "no-probe-stations",
         "two-probe-paths", "fem-probe-source", "oracle-probe-of-a-bump",
         "underflowing-height", "no-levels", "no-points",

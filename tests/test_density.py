@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +52,26 @@ def test_invalid_profiles_rejected():
         density.tabulated_profile([(0.0, 0.1), (1.0, 1.0)])   # rho(0) != 0
     with pytest.raises(InputError):
         density.tabulated_profile([(0.0, 0.0), (0.5, -1.0), (1.0, 1.0)])
+
+
+@pytest.mark.parametrize("make, detail", [
+    (lambda: density.power_profile(math.nan), "finite exponent p > 0, got nan"),
+    (lambda: density.power_profile(math.inf), "finite exponent p > 0, got inf"),
+    (lambda: density.power_profile(0.0), "finite exponent p > 0, got 0.0"),
+    (lambda: density.tabulated_profile([(0.0, 0.0), (0.5, math.nan), (1.0, 1.0)]),
+     "tabulated samples must be finite"),
+    (lambda: density.tabulated_profile([(0.0, 0.0), (0.5, math.inf), (1.0, 1.0)]),
+     "tabulated samples must be finite"),
+    (lambda: density.tabulated_profile([(0.0, 0.0), (math.nan, 0.5), (1.0, 1.0)]),
+     "tabulated samples must be finite"),
+], ids=["nan-p", "inf-p", "zero-p", "nan-rho", "inf-rho", "nan-z"])
+def test_non_finite_parameters_are_named(make, detail):
+    # each was refused before, but for a fault it does not have (rho(0) != 0,
+    # rho <= 0 somewhere, a divergent integral after RuntimeWarnings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=re.escape(detail)):
+            make()
 
 
 @pytest.mark.parametrize("length", [math.nan, math.inf, 0.0, -1.0])

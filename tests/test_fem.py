@@ -321,7 +321,7 @@ def _canonical_data(canonical):
         "constant": fem.BoundaryData.constants(0.5, 2.0),
         "bump": fem.BoundaryData(fem.BumpData(0.4, 0.25, 2.5),
                                  fem.ConstantData(-0.5)),
-        # a bump on the inner component gives the cusp cap 0
+        # the cusp cap reads this inner bump at arc fraction 0, where it is 0
         "inner-bump": fem.BoundaryData(fem.ConstantData(0.5),
                                        fem.BumpData(0.6, 0.3, 1.5)),
         "tabulated": fem.BoundaryData(
@@ -639,10 +639,19 @@ def _node_values_reference(data, m):
 
 def test_node_values_match_scalar_calls(canonical):
     for kind, data in _canonical_data(canonical).items():
-        got = data.node_values(canonical).items()
+        got = fem.solve_dirichlet(canonical, data).boundary_values.items()
         assert list(got) == list(_node_values_reference(data, canonical).items()), kind
-    cap = _canonical_data(canonical)["inner-bump"].node_values(canonical)
-    assert {cap[i] for i in canonical.nodes_with_tag("cusp-cap")} == {0.0}
+    # the cap reads the inner datum at arc fraction 0, its corner, as the
+    # walker and the probes do: 0 for the canonical inner bump, which starts
+    # at 0.3, and inner(0) for a bump that covers the corner
+    cap_ids = canonical.nodes_with_tag("cusp-cap")
+    near = fem.BumpData(0.05, 0.2, 1.0)
+    for data, want in ((_canonical_data(canonical)["inner-bump"], 0.0),
+                       (fem.BoundaryData(fem.ConstantData(0.5), near),
+                        float(near(0.0)))):
+        cap = fem.solve_dirichlet(canonical, data).boundary_values
+        assert {cap[i] for i in cap_ids} == {want}
+    assert float(near(0.0)) > 0.9
 
 
 def test_interpolation(canonical, canonical_sol, leb):

@@ -425,8 +425,8 @@ def test_rectangle_arcs_run_round_the_perimeter():
         assert s == pytest.approx(travelled / perimeter, rel=0.0, abs=1e-15)
     # on the 2x2 square a bump at fraction 1/2 peaks at the corner (2, 1) alone
     m = mesh.rectangle_mesh(1.0, 2.0, 0.0, 1.0, 2, 2)
-    values = fem.BoundaryData(fem.BumpData(0.5, 0.2, 1.0),
-                              fem.ConstantData(0.0)).node_values(m)
+    values = fem.solve_dirichlet(m, fem.BoundaryData(
+        fem.BumpData(0.5, 0.2, 1.0), fem.ConstantData(0.0))).boundary_values
     assert m.nodes[8].tolist() == [2.0, 1.0]
     assert values[8] == 1.0
     assert max(v for i, v in values.items() if i != 8) < 1.0

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cusplab import contour, density, potential, wiener
+from cusplab import density, potential, tails, wiener
 from cusplab.errors import DomainError, InputError
 
 
@@ -117,12 +117,24 @@ def test_refused_report_keeps_no_verdict(j_stop):
     assert rep.classification == wiener.INCONCLUSIVE
 
 
-def test_contour_curve_input(leb):
-    # a traced polyline only reaches z where r is representable, which caps
-    # how deep q^j may go; q = 0.75 keeps stations 2..24 inside the trace
-    curve = contour.trace_contour(leb, 2.0, n=64)
-    rep = wiener.analyze(curve, 0.75, j_start=2, j_stop=24)
-    assert rep.classification == "singular"
+def test_tail_rules_after_the_power_rule():
+    # fit_tail reads the second half of its terms; first_index = -19 puts
+    # it at j = 1..20.  Each step shrinks by the factor 0.96, the one after
+    # j = 15 by 0.096: too steep at the end for the floor rule (floor ratio
+    # 0.77 < 0.85), too shallow in log j for the power rule (p ~ 0.98), so
+    # the geometric rule answers.  One step that does not shrink leaves no
+    # rule to answer
+    j = np.arange(1, 21)
+    tail = 0.96 ** j * np.where(j > 15, 0.1, 1.0)
+    fit = tails.fit_tail(np.concatenate([np.ones(20), tail]), first_index=-19)
+    assert fit.classification == tails.CONVERGENT
+    assert fit.notes.startswith("dominated by c*rho^j")
+    assert fit.power_exponent <= 1.1 and fit.floor_ratio < 0.85
+    tail[5] = tail[4]
+    fit = tails.fit_tail(np.concatenate([np.ones(20), tail]), first_index=-19)
+    assert fit.classification == tails.INCONCLUSIVE
+    assert fit.notes == "no rule matched; refusing to guess"
+    assert fit.geometric_ratio <= 0.97
 
 
 def test_q_validation():
