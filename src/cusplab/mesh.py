@@ -15,13 +15,15 @@ weight r is itself of truncation size.  The inner boundary keeps a single
 cap edge of that radius, so the cusp-cap boundary stays tiny while the
 surrounding cells keep healthy angles.  Cells are never reoriented: a
 folded cell stays clockwise, where mesh_quality counts it as flipped and
-the FEM refuses it.  Sections and meshes are frozen values, so the FEM and
-walk-on-spheres state kept on them is built once and never goes stale.
+the FEM refuses it.  Sections and meshes are frozen values, so the traced
+section geometry, FEM and walk-on-spheres state kept on them is built once,
+on first use, and never goes stale.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
@@ -29,7 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .contour import (ContourCurve, _read_only, _rebuild, _root_in, log_radius_at,
+from .contour import (_read_only, _rebuild, _root_in, axis_crossings, log_radius_at,
                       polyline_arcs, thinning_height, trace_contours)
 from .errors import InputError, MeshError, RangeError
 
@@ -50,27 +52,59 @@ CONTAINS_TOL = 1e-9
 @dataclass(frozen=True)
 class CrossSection:
     """The region between the level-A and level-B contours, with the cusp of
-    the inner contour truncated at z_cut (where r_B = r_min).  A frozen
-    value: inner_truncated is a read-only copy."""
+    the inner contour truncated at z_cut (where r_B = r_min).
+
+    A frozen value of its field, levels, r_min and n_trace.  Its traced
+    geometry (outer, inner_truncated and z_cut) is traced on first read,
+    with n_trace blended stations per contour, and kept for the section's
+    life; a section that is only meshed never traces it, since triangulate
+    traces rails of its own.  A level B that never thins to r_min raises
+    RangeError on that first read.  inner_truncated is read-only, and a
+    copy or pickle carries no traced geometry and traces it again, to the
+    same bits."""
 
     field: object
     A: float
     B: float
     r_min: float
-    z_cut: float
-    outer: ContourCurve                  # full level-A curve
-    inner_truncated: np.ndarray          # (z, r) samples of level B, z >= z_cut
-    # private walk-on-spheres geometry (segments, arc fractions, distance
-    # quadtree): built by cusplab.wos on first use and kept for the
+    n_trace: int
+    # private traced geometry (outer, inner_truncated, z_cut) and private
+    # walk-on-spheres geometry (segments, arc fractions, distance quadtree,
+    # built by cusplab.wos): each built on first use and kept for the
     # section's life
+    _trace: object = dataclass_field(default=None, init=False, repr=False,
+                                     compare=False)
     _wos: object = dataclass_field(default=None, init=False, repr=False,
                                    compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "inner_truncated",
-                           _read_only(self.inner_truncated))
-
     __reduce__ = _rebuild
+
+    def _traced(self):
+        if self._trace is None:
+            outer, inner = trace_contours(self.field, [self.A, self.B],
+                                          n=self.n_trace, grading="blended")
+            # the inner boundary starts at the corner (z_cut, r_min): the
+            # needle below it, the tip on the axis included, is cut off
+            z_cut = _cut_height(self.field, inner, self.r_min)
+            trunc = np.vstack([[z_cut, self.r_min],
+                               inner.samples[inner.samples[:, 0] > z_cut]])
+            object.__setattr__(self, "_trace", (outer, _read_only(trunc), z_cut))
+        return self._trace
+
+    @property
+    def outer(self):
+        """The full level-A ContourCurve."""
+        return self._traced()[0]
+
+    @property
+    def inner_truncated(self):
+        """(z, r) samples of level B with z >= z_cut, from the cap corner
+        (z_cut, r_min)."""
+        return self._traced()[1]
+
+    @property
+    def z_cut(self):
+        return self._traced()[2]
 
     def boundary_polylines(self):
         """(component, (r, z) polyline) pairs bounding the truncated region.
@@ -105,23 +139,24 @@ def _cut_height(field, curve, r):
 
 
 def build_cross_section(field, A, B, r_min=None, n_trace=256):
-    """Trace the two boundary contours and fix the cusp truncation height
-    z_cut, where the inner contour thins to r_min (InputError unless
-    0 < r_min < inf; by default 1e-4 of the outer contour's z span)."""
+    """The cross-section between the levels A and B, its cusp truncated
+    where the inner contour thins to r_min (by default 1e-4 of the outer
+    contour's z span, from its axis crossings).  Checks its inputs at once
+    (InputError unless 0 < A < V(0,0) < B, 0 < r_min < inf and n_trace is
+    an integer of at least 16) and traces nothing: the section traces its
+    contours, with n_trace blended stations each, and cuts z_cut on first
+    read of its geometry."""
     if not (0.0 < A < field.v00 < B):
         raise InputError(f"levels must satisfy 0 < A < V(0,0) < B; got "
                          f"A={A}, B={B}, V(0,0)={field.v00}")
-    outer, inner = trace_contours(field, [A, B], n=n_trace, grading="blended")
+    if not (isinstance(n_trace, numbers.Integral) and n_trace >= 16):
+        raise InputError(f"n_trace must be an integer of at least 16, got {n_trace!r}")
     if r_min is None:
-        r_min = 1e-4 * (outer.z2 - outer.z1)
+        z1, z2 = axis_crossings(field, A)
+        r_min = 1e-4 * (z2 - z1)
     if not 0.0 < r_min < math.inf:
         raise InputError(f"r_min must be positive and finite, got {r_min}")
-    # the inner boundary starts at the corner (z_cut, r_min): the needle
-    # below it, the tip on the axis included, is cut off
-    z_cut = _cut_height(field, inner, r_min)
-    trunc = np.vstack([[z_cut, r_min], inner.samples[inner.samples[:, 0] > z_cut]])
-    return CrossSection(field=field, A=A, B=B, r_min=r_min, z_cut=z_cut,
-                        outer=outer, inner_truncated=trunc)
+    return CrossSection(field=field, A=A, B=B, r_min=r_min, n_trace=n_trace)
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,9 @@ def _stations(field, spec, scales):
 
     Specs: ("level-curve", c) with c in (V(0,0), B), at heights z = scales;
     ("axis-below",) for r = 0, z = -scales; ("ray", dr, dz) for a straight
-    approach at distances = scales with direction into the region
-    below/beside the tip.  The distances must fall strictly.
+    approach at distances = scales along the finite, nonzero direction
+    (dr, dz) with dr >= 0 (dr = 0 runs up or down the axis, at r = 0).  The
+    distances must fall strictly.
     """
     kind = spec[0]
     if kind == "level-curve":
@@ -72,8 +73,12 @@ def _stations(field, spec, scales):
     elif kind == "ray":
         dr, dz = float(spec[1]), float(spec[2])
         norm = math.hypot(dr, dz)
+        if not (0.0 < norm < math.inf and dr >= 0.0):
+            raise InputError(f"a ray needs a finite, nonzero direction with "
+                             f"dr >= 0, got ({dr}, {dz})")
         zs = scales * dz / norm
-        ts = np.log(np.maximum(scales * dr / norm, 1e-300))
+        with np.errstate(divide="ignore"):
+            ts = np.log(scales * dr / norm)
     else:
         raise InputError(f"unknown path kind {kind!r}")
     rs = np.exp(ts)

@@ -337,6 +337,21 @@ def test_r_min_out_of_range_exit_1(tmp_path, cmd, r_min, capsys):
                     "r_min must be positive and finite", tmp_path, capsys)
 
 
+@pytest.mark.parametrize("cmd", ["mesh", "solve"])
+def test_unreachable_r_min_exit_2(tmp_path, cmd, capsys):
+    # the section takes r_min = 10 without tracing; triangulate's own cut
+    # finds level B never that wide, a numerical failure that leaves no
+    # directory behind
+    out = tmp_path / "out"
+    assert cli.main([cmd, "--set", "r_min=10", "--output-dir", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "numerical"
+    assert "never reaches radius 10.0" in err["detail"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd, setting, detail", [
     ("wos", 'data={"outer":{"tabulated":[]},"inner":{"constant":2.0}}',
      "tabulated data for 'outer-level' has no values to read"),

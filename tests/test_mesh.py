@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import math
 import pickle
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from cusplab import contour, density, fem, mesh, potential
-from cusplab.errors import InputError, MeshError
+from cusplab.errors import InputError, MeshError, RangeError
 
 # axis-crossing oracles (see test_contour) and the root of r_2(z) = 1e-4
 # recomputed by independent high-precision bisection
@@ -46,6 +47,108 @@ def test_cross_section_level_ordering(leb):
         mesh.build_cross_section(leb, 1.5, 2.0)      # A above V(0,0)
     with pytest.raises(InputError):
         mesh.build_cross_section(leb, 0.5, 0.9)      # B below V(0,0)
+
+
+@pytest.mark.parametrize("n_trace", [8, 15, 16.0, None])
+def test_cross_section_n_trace_refused_at_build(leb, n_trace):
+    with pytest.raises(InputError, match="n_trace must be an integer of at least 16"):
+        mesh.build_cross_section(leb, 0.5, 2.0, n_trace=n_trace)
+
+
+def test_unreachable_r_min_raises_on_first_read(leb, monkeypatch):
+    # the section takes an r_min its inner contour never thins to and
+    # traces nothing; the RangeError comes on the first read of its
+    # geometry, every time, and triangulate raises it from its own cut
+    sec = mesh.build_cross_section(leb, 0.5, 2.0, r_min=10.0)
+    for read in (lambda: sec.z_cut, lambda: sec.outer,
+                 lambda: sec.inner_truncated, sec.boundary_polylines):
+        with pytest.raises(RangeError, match="level 2.0 never reaches radius 10.0"):
+            read()
+    assert sec._trace is None
+    cuts = []
+    cut = mesh._cut_height
+
+    def counted(field, curve, r):
+        cuts.append(len(curve.samples))
+        return cut(field, curve, r)
+
+    monkeypatch.setattr(mesh, "_cut_height", counted)
+    fresh = mesh.build_cross_section(leb, 0.5, 2.0, r_min=10.0)
+    with pytest.raises(RangeError, match="level 2.0 never reaches radius 10.0"):
+        mesh.triangulate(fresh, n_levels=4, n_stations=16)
+    # the one cut made is triangulate's, on its 128-station rail
+    assert cuts == [130] and fresh._trace is None
+
+
+def test_triangulate_never_traces_the_section(leb, monkeypatch):
+    # the mesh path reads the section's field, levels and r_min only: the
+    # one trace is triangulate's rails, and the section stays untraced
+    calls = []
+    trace = mesh.trace_contours
+
+    def counted(field, levels, **kwargs):
+        calls.append(kwargs["grading"])
+        return trace(field, levels, **kwargs)
+
+    monkeypatch.setattr(mesh, "trace_contours", counted)
+    sec = mesh.build_cross_section(leb, 0.5, 2.0, r_min=1e-4)
+    m = mesh.triangulate(sec, n_levels=4, n_stations=16)
+    assert calls == ["geometric"] and sec._trace is None
+    # the section traces once, on its first read, and keeps the result;
+    # its copies start untraced
+    assert sec.z_cut < m.z_cut and sec.outer is sec.outer
+    sec.boundary_polylines()
+    assert calls == ["geometric", "blended"]
+    for twin in (copy.deepcopy(sec), pickle.loads(pickle.dumps(sec)),
+                 dataclasses.replace(sec)):
+        assert twin._trace is None
+
+
+def _digest(*parts):
+    """SHA-256 of the parts' bytes in turn: bytes as given, arrays and
+    numbers in C order."""
+    return hashlib.sha256(b"".join(
+        p if isinstance(p, bytes) else np.ascontiguousarray(p).tobytes()
+        for p in parts)).hexdigest()
+
+
+def test_mesh_bits_are_frozen(leb):
+    # a SHA-256 of the nodes, triangles, node tags, solution values and
+    # energy of three mesh-solve inputs (constant data, r_min = 1e-4), with
+    # the values they had when this test was written: a change to the
+    # section, the rails, their cuts or the FEM that moves one bit fails here
+    digests = {
+        (0.4, 2.4, 24, 96): "93c56d2f62087b6fbc342cbfd03796fbba7225435d3f7ad99d8e9bb008b6d938",
+        (0.5, 2.0, 16, 64): "16ee63c919c8cec0f579bd69b8fc761a18f58d39cb7eff9591069d20a57d393f",
+        (0.6, 1.6, 8, 32): "82cbceceb189b1b5fed0e9ff80c8f126efa6b29b821550985197de2eb5f406f1",
+    }
+    for (A, B, n_levels, n_stations), digest in digests.items():
+        sec = mesh.build_cross_section(leb, A, B, r_min=1e-4)
+        m = mesh.triangulate(sec, n_levels=n_levels, n_stations=n_stations)
+        sol = fem.solve_dirichlet(m, fem.BoundaryData.constants(A, B), tol=1e-12)
+        assert _digest(m.nodes, np.asarray(m.triangles, dtype=np.int64),
+                       "\n".join(m.node_tags).encode(), sol.values,
+                       np.float64(sol.dirichlet_energy)) == digest
+
+
+def test_section_bits_are_frozen(leb):
+    # a SHA-256 of z_cut, the outer samples and the truncated inner samples
+    # of the r_min = 1e-4 section and of criterion 11's deep section, read
+    # from the section and from a deep copy, a pickle and a replace made
+    # before it traced: each copy traces again, to the same bits
+    digests = {
+        (1e-4, 256): "a77bd9d46a82344a46df1f52f236d16bfb788b529c44b4568c0a85b257635964",
+        (1e-6, 384): "840b90d64c26b7d40008b8e4a6e9bd8c3098e7d0c23c9eee5c355940da0314d4",
+    }
+    for (r_min, n_trace), digest in digests.items():
+        sec = mesh.build_cross_section(leb, 0.5, 2.0, r_min=r_min, n_trace=n_trace)
+        for twin in (sec, copy.deepcopy(sec), pickle.loads(pickle.dumps(sec)),
+                     dataclasses.replace(sec)):
+            assert _digest(np.float64(twin.z_cut), twin.outer.samples,
+                           twin.inner_truncated) == digest
+    # the default r_min, 1e-4 of the outer contour's axis span
+    sec = mesh.build_cross_section(leb, 0.5, 2.0)
+    assert sec.r_min == 1e-4 * (sec.outer.z2 - sec.outer.z1)
 
 
 def test_curves_sections_and_meshes_are_frozen(cs, canonical):

@@ -80,6 +80,26 @@ def test_ray_path(leb):
     assert abs(p.limit_estimate - 1.0) < 0.01
 
 
+@pytest.mark.filterwarnings("error")
+def test_ray_down_the_axis_is_the_axis_path(leb):
+    ray = probe.sample_path("oracle", leb, 0.5, 2.0, 0.5, 2.0, ("ray", 0.0, -1.0))
+    axis = probe.sample_path("oracle", leb, 0.5, 2.0, 0.5, 2.0, ("axis-below",))
+    assert np.array_equal(ray.stations, axis.stations)
+    assert np.array_equal(ray.log_r, axis.log_r)
+    assert np.array_equal(ray.values, axis.values)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dr, dz", [(0.0, 0.0), (np.nan, -1.0), (-1.0, -1.0)],
+                         ids=["zero-length", "not-finite", "off-the-half-plane"])
+def test_ray_direction_refused_before_any_evaluation(leb, dr, dz, monkeypatch):
+    evaluations = []
+    monkeypatch.setattr(probe, "_two_constant", lambda *a: evaluations.append(a))
+    with pytest.raises(InputError, match="a ray needs a finite, nonzero direction"):
+        probe.sample_path("oracle", leb, 0.5, 2.0, 0.5, 2.0, ("ray", dr, dz))
+    assert not evaluations
+
+
 def test_fem_source_and_truncation_refusal(leb, cs):
     m = mesh.triangulate(cs, n_levels=16, n_stations=64)
     sol = fem.solve_dirichlet(m, fem.BoundaryData.constants(0.5, 2.0))
